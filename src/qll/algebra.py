@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 
@@ -327,8 +328,10 @@ class CycFraction:
     """num/den with a cyclotomic-integer numerator and a positive integer
     denominator, kept in lowest terms.
 
-    Hashing uses the raw (order, coeffs, den) key, so containers must hold
-    values of a single cyclotomic order; arithmetic embeds orders as needed.
+    Arithmetic and equality embed orders as needed.  The hash is the
+    normalised trace Tr(num) / (phi(order) * den), which embedding into a
+    larger order leaves unchanged, so equal values of different orders hash
+    alike; ``key()`` is the raw identity, valid between values of one order.
     """
 
     __slots__ = ("num", "den")
@@ -395,7 +398,8 @@ class CycFraction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        return hash(self.key())
+        num = self.num
+        return hash(Fraction(num.trace_to_int(), euler_phi(num.order) * self.den))
 
     def to_complex(self) -> complex:
         return self.num.to_complex() / self.den
@@ -525,9 +529,6 @@ class LaurentPoly:
             k >>= 1
         return r
 
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.low + k, self.coeffs)
-
     def mirror(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly(-self.high, tuple(reversed(self.coeffs)))
@@ -633,60 +634,39 @@ def smith_normal_form(mat) -> tuple[int, ...]:
     m = len(a)
     n = len(a[0]) if m else 0
     factors = []
-    t = 0
-    while True:
-        # locate a nonzero entry in the trailing submatrix
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
+    for t in range(min(m, n)):
         while True:
-            # clear column t
-            dirty = False
+            # the smallest nonzero entry of the trailing submatrix is the
+            # pivot; each pass leaves a smaller one or finishes the pivot
+            entries = [(abs(a[i][j]), i, j) for i in range(t, m)
+                       for j in range(t, n) if a[i][j]]
+            if not entries:
+                return tuple(factors)
+            _, i0, j0 = min(entries)
+            a[t], a[i0] = a[i0], a[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
             for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                q = a[i][t] // p
+                if q:
                     for j in range(t, n):
                         a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            # clear row t
             for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
+                q = a[t][j] // p
+                if q:
                     for i in range(t, m):
                         a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
+            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:]):
                 continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # pivot row and column are clear: the pivot must divide the rest
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in a[i][t + 1:])), None)
             if offender is None:
                 break
             for j in range(t, n):
                 a[t][j] += a[offender][j]
         factors.append(abs(a[t][t]))
-        t += 1
-        if t >= min(m, n):
-            break
     return tuple(factors)
 
 

@@ -163,14 +163,7 @@ def _cyc_json(v: CyclotomicNumber) -> dict:
 
 
 def _cyc_text(v: CyclotomicNumber) -> str:
-    if v.is_rational_integer():
-        return str(v.as_int())
-    terms = " ".join(
-        "%+d*z^%d" % (coeff, power)
-        for power, coeff in enumerate(v.coeffs)
-        if coeff
-    )
-    return "(%s in Q(zeta_%d)) ~ %s" % (terms, v.order, _approx(v))
+    return _json_value_text(_cyc_json(v))
 
 
 def _poly_text(p: LaurentPoly) -> str:
@@ -205,13 +198,6 @@ def _fraction_json(f: Fraction) -> dict:
         "denominator": f.denominator,
         "approx": "%.6f" % float(f),
     }
-
-
-def _fraction_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
-        f.numerator,
-        f.denominator,
-    )
 
 
 def _word_text(word: tuple[int, ...]) -> str:
@@ -437,8 +423,30 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
+def _flag_or_default(text: str | None, flag: str, default) -> int:
+    """A positive integer flag value, or ``default()`` when the flag is absent."""
+    return default() if text is None else _positive_int(text, flag)
+
+
+def _hom_estimate(b: BraidWord, group: FiniteGroup, samples_text: str,
+                  seed_text: str) -> dict:
+    """Parse SAMPLES and SEED, run the seeded sampling estimate."""
+    samples = _positive_int(samples_text, "sample count")
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise UsageError("seed must be an integer, got %r" % seed_text) from None
+    estimate, stderr = hom_count_estimate(b, group, samples, seed)
+    return {
+        "samples": samples,
+        "seed": seed,
+        "estimate": _fraction_json(estimate),
+        "stderr": _fraction_json(stderr),
+    }
+
+
 def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = args.budget if args.budget is not None else _budget_default()
+    budget = _flag_or_default(args.budget, "--budget", _budget_default)
     b = parse_braid(args.word, args.strands)
     started = time.perf_counter()
     results: dict = {}
@@ -473,25 +481,10 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
                 hom[spec] = hom_count_exact(b, builtin_group(spec), budget)
         results["hom"] = hom
     if args.hom_estimate:
-        estimates = []
-        for spec, samples_text, seed_text in args.hom_estimate:
-            samples = _positive_int(samples_text, "sample count")
-            seed = int(seed_text) if seed_text.lstrip("-").isdigit() else None
-            if seed is None:
-                raise UsageError("seed must be an integer, got %r" % seed_text)
-            estimate, stderr = hom_count_estimate(
-                b, builtin_group(spec), samples, seed
-            )
-            estimates.append(
-                {
-                    "group": spec,
-                    "samples": samples,
-                    "seed": seed,
-                    "estimate": _fraction_json(estimate),
-                    "stderr": _fraction_json(stderr),
-                }
-            )
-        results["hom_estimate"] = estimates
+        results["hom_estimate"] = [
+            {"group": spec, **_hom_estimate(b, builtin_group(spec), samples, seed)}
+            for spec, samples, seed in args.hom_estimate
+        ]
     if not results:
         raise UsageError(
             "no invariants requested; pass at least one of --components, "
@@ -509,12 +502,12 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = args.budget if args.budget is not None else _budget_default()
+    budget = _flag_or_default(args.budget, "--budget", _budget_default)
     if args.corpus is not None:
         try:
             with open(args.corpus, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read corpus: %s" % exc) from None
         source = args.corpus
     else:
@@ -564,7 +557,7 @@ def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         p, t0 = args.burau
         spec = RepSpec(family="burau", strands=args.strands, p=p, t0=t0)
-    bound = args.bound if args.bound is not None else _image_bound_default()
+    bound = _flag_or_default(args.bound, "--bound", _image_bound_default)
     started = time.perf_counter()
     rep = classify_image(spec, bound)
     report = {
@@ -589,7 +582,7 @@ def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = args.budget if args.budget is not None else _budget_default()
+    budget = _flag_or_default(args.budget, "--budget", _budget_default)
     b = parse_braid(args.word, args.strands)
     if args.estimate is not None and args.wirtinger:
         raise UsageError("--estimate and --wirtinger are mutually exclusive")
@@ -597,18 +590,8 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     started = time.perf_counter()
     results: dict = {"group": args.group, "group_order": group.size}
     if args.estimate is not None:
-        samples_text, seed_text = args.estimate
-        samples = _positive_int(samples_text, "sample count")
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise UsageError("seed must be an integer, got %r" % seed_text) from None
-        estimate, stderr = hom_count_estimate(b, group, samples, seed)
         results["method"] = "estimate"
-        results["samples"] = samples
-        results["seed"] = seed
-        results["estimate"] = _fraction_json(estimate)
-        results["stderr"] = _fraction_json(stderr)
+        results.update(_hom_estimate(b, group, *args.estimate))
     else:
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"
@@ -845,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inv.add_argument("--components", action="store_true")
     inv.add_argument("--linking", action="store_true")
-    inv.add_argument("--budget", type=int)
+    inv.add_argument("--budget")
     _add_common_flags(inv)
     inv.set_defaults(handler=_cmd_invariants)
 
@@ -855,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--corpus", help="corpus file path (default: bundled corpus)"
     )
-    check.add_argument("--budget", type=int)
+    check.add_argument("--budget")
     _add_common_flags(check)
     check.set_defaults(handler=_cmd_check_table)
 
@@ -863,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--strands", type=int, required=True)
     image.add_argument("--tl", type=int, metavar="L")
     image.add_argument("--burau", type=int, nargs=2, metavar=("P", "T0"))
-    image.add_argument("--bound", type=int, help="group-enumeration cap")
+    image.add_argument("--bound", help="group-enumeration cap")
     _add_common_flags(image)
     image.set_defaults(handler=_cmd_image)
 
@@ -879,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument(
         "--estimate", nargs=2, metavar=("SAMPLES", "SEED"), help="sampling mode"
     )
-    hom.add_argument("--budget", type=int)
+    hom.add_argument("--budget")
     _add_common_flags(hom)
     hom.set_defaults(handler=_cmd_hom)
 

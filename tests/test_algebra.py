@@ -187,6 +187,13 @@ def test_fraction_hash_consistent_with_eq():
     assert hash(a) == hash(b)
 
 
+def test_fraction_hash_across_orders():
+    a = CycFraction(CyclotomicNumber.zeta(4), 3)
+    b = CycFraction(CyclotomicNumber.zeta(8, 2), 3)  # the same i/3, order 8
+    assert a == b
+    assert len({a, b}) == 1
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 

@@ -5,12 +5,16 @@ The Seifert route is fully independent: Alexander = det(V - t V^T) and the
 double-cover homology is presented by V + V^T, for textbook Seifert matrices
 of the fixture links."""
 
+import time
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from qll.algebra import LaurentPoly, UsageError, corank_mod_p, smith_normal_form
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
 from qll.burau import (
+    _det,
     alexander_poly,
     arf_knot,
     burau_mod_p,
@@ -148,6 +152,60 @@ def test_alexander_symmetry_for_knots(b):
     assert p == p.mirror().canonical()
 
 
+def sympy_alexander(strands, word) -> tuple[int, ...]:
+    """Canonical Alexander coefficients from the unreduced Burau matrix B,
+    built here with sympy.  B fixes a vector, so det(xI - B) = (x - 1) q(x);
+    q(1), the sum of the principal (n-1)-minors of I - B, equals
+    (1 + t + ... + t^(n-1)) Delta(t) up to a unit."""
+    t = sympy.symbols("t")
+    block = sympy.Matrix([[1 - t, t], [1, 0]])
+    inv_block = block.inv()
+    big = sympy.eye(strands)
+    for a in word:
+        i = abs(a) - 1
+        g = sympy.eye(strands)
+        g[i:i + 2, i:i + 2] = block if a > 0 else inv_block
+        big = big * g
+    a = sympy.eye(strands) - big
+    q1 = sum(a.minor_submatrix(i, i).det(method="berkowitz")
+             for i in range(strands))
+    num, _ = sympy.fraction(sympy.cancel(q1 / sum(t ** k for k in range(strands))))
+    if num == 0:
+        return ()
+    coeffs = [int(c) for c in reversed(sympy.Poly(num, t).all_coeffs())]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return tuple(-c for c in coeffs) if coeffs[0] < 0 else tuple(coeffs)
+
+
+@given(braid_strategy(max_strands=6, max_len=12))
+@settings(max_examples=30, deadline=None)
+def test_alexander_matches_sympy_unreduced_burau(b):
+    assert alexander_poly(b).coeffs == sympy_alexander(b.strands, b.word)
+
+
+laurent_entry = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(LaurentPoly, st.integers(-2, 2),
+              st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
+)
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(laurent_entry, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_sympy(rows):
+    # sparse entries force zero pivots, so the row swaps are exercised
+    t = sympy.symbols("t")
+    m = sympy.Matrix(len(rows), len(rows), lambda r, c: sum(
+        (x * t ** (rows[r][c].low + k) for k, x in enumerate(rows[r][c].coeffs)), 0))
+    got = _det(rows)
+    assert sympy.expand(sum((x * t ** (got.low + k)
+                             for k, x in enumerate(got.coeffs)), 0)
+                        - m.det(method="berkowitz")) == 0
+
+
 # ---------------------------------------------------------------------------
 # double branched cover
 
@@ -181,6 +239,41 @@ def test_presentation_invariant_factors():
     assert factors == (3,)
     factors = smith_normal_form(double_cover_presentation(FIG8))
     assert [f for f in factors if f != 1] == [5]
+
+
+def test_presentation_smith_form_regression():
+    # Smith form used to grow entries to millions of bits on this braid
+    b = BraidWord(6, (-1, -4, -3, 2, 2, 3, 3, 4, -5, 2, 2, 4, -5, 4, 5, -5,
+                      1, 1, 1, -5, -2, -3, -1, 5, -3, 5, 5, 5))
+    started = time.perf_counter()
+    factors = smith_normal_form(double_cover_presentation(b))
+    assert time.perf_counter() - started < 1.0
+    assert factors == (1, 1, 1, 1, 1636)
+    assert determinant(b) == 1636
+
+
+@given(braid_strategy(max_strands=8, max_len=20))
+@settings(max_examples=80, deadline=None)
+def test_presentation_factors_multiply_to_determinant(b):
+    det = determinant(b)
+    if det == 0:
+        return
+    factors = smith_normal_form(double_cover_presentation(b))
+    product = 1
+    for f in factors:
+        product *= f
+    assert len(factors) == b.strands - 1
+    assert product == det
+
+
+@given(braid_strategy(max_strands=8, max_len=20))
+@settings(max_examples=80, deadline=None)
+def test_presentation_factors_give_dp(b):
+    factors = smith_normal_form(double_cover_presentation(b))
+    missing = b.strands - len(factors)
+    for p in (3, 5):
+        assert sum(1 for f in factors if f % p == 0) + missing == \
+            double_cover_homology(b, p) + 1
 
 
 def test_unlink_homology():

@@ -212,6 +212,14 @@ def test_check_table_missing_file_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_check_table_non_utf8_corpus_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "latin1.corpus"
+    corpus.write_bytes("tr\u00e8fle ; 2 ; 1 1 1 ; det=3\n".encode("latin-1"))
+    code, _, err = run(capsys, "check-table", "--corpus", str(corpus))
+    assert code == 2
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_check_table_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "check-table", "--json", "--no-timings")
     code2, out2, _ = run(capsys, "check-table", "--json", "--no-timings")
@@ -285,6 +293,13 @@ def test_image_unknown_on_tiny_bound(capsys):
     assert "verdict: unknown" in out
 
 
+def test_image_nonpositive_bound_is_usage_error(capsys):
+    code, _, err = run(capsys, "image", "--burau", "5", "2", "--strands", "3",
+                       "--bound", "0")
+    assert code == 2
+    assert "usage error: --bound must be positive, got 0" in err
+
+
 # ---------------------------------------------------------------------------
 # hom command
 
@@ -323,6 +338,29 @@ def test_hom_budget_refusal_exit_code(capsys):
                        "--group", "symmetric 4", "--budget", "10")
     assert code == 3
     assert "budget refused" in err
+
+
+def test_hom_nonpositive_budget_is_usage_error(capsys):
+    code, _, err = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
+                       "--group", "symmetric 3", "--budget", "-5")
+    assert code == 2
+    assert "usage error: --budget must be positive, got -5" in err
+
+
+def test_estimate_seed_parsed_alike(capsys):
+    # invariants --hom-estimate and hom --estimate share one SAMPLES/SEED parser
+    code1, out1, _ = run(capsys, "invariants", "--strands", "2", "--word",
+                         "1 1 1", "--hom-estimate", "symmetric 3", "50", "+7",
+                         "--json", "--no-timings")
+    code2, out2, _ = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
+                         "--group", "symmetric 3", "--estimate", "50", "+7",
+                         "--json", "--no-timings")
+    assert code1 == code2 == 0
+    record = json.loads(out1)["results"]["hom_estimate"][0]
+    results = json.loads(out2)["results"]
+    for key in ("samples", "seed", "estimate", "stderr"):
+        assert record[key] == results[key]
+    assert record["seed"] == 7
 
 
 def test_hom_env_budget(capsys, monkeypatch):
