@@ -12,7 +12,8 @@ Subcommands:
 Reports are emitted as text (default) or machine-readable JSON (``--json``).
 With ``--no-timings`` two runs on identical inputs produce byte-identical
 JSON.  Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
-3 budget refusal.  The ``QLL_BUDGET`` environment variable overrides the
+3 budget refusal, 4 internal error (a traceback and an ``internal error:``
+line go to stderr).  The ``QLL_BUDGET`` environment variable overrides the
 default enumeration budget where no explicit ``--budget``/``--bound`` flag
 is given.
 
@@ -879,16 +880,22 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "cmd", None) is None:
             raise UsageError("a subcommand is required (see --help)")
         report, code = args.handler(args)
+        if args.json:
+            text = json.dumps(report, indent=2, sort_keys=True)
+        else:
+            text = _RENDERERS[report["command"]](report)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetError as exc:
         print("budget refused: %s" % exc, file=sys.stderr)
         return 3
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_RENDERERS[report["command"]](report) + "\n")
+    except Exception as exc:  # a fault of the program, not of its input
+        import traceback  # here, not at the top: it would slow every start-up
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
+    sys.stdout.write(text + "\n")
     return code
 
 

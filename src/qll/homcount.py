@@ -229,7 +229,9 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
                        seed: int) -> tuple[Fraction, Fraction]:
     """Monte Carlo estimate of hom_count_exact from uniformly sampled
     tuples; deterministic given (seed, samples).  Returns (estimate, binomial
-    standard error), both as exact rationals."""
+    standard error), both as exact rationals; the error is an upper bound on
+    |G|^n sqrt(p(1-p)/samples) at p = (hits+1)/(samples+2), a multiple of
+    10^-9, and is 0 only for the empty word, where the estimate is exact."""
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
@@ -253,11 +255,16 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
             hits += 1
     total = size ** n
     estimate = Fraction(hits * total, samples)
-    if hits in (0, samples):
+    if not b.word:  # every tuple is fixed: the estimate is exact
         return estimate, Fraction(0)
-    p = Fraction(hits, samples)
-    se = math.sqrt(float(p * (1 - p) / samples)) * total
-    return estimate, Fraction(se).limit_denominator(10 ** 9)
+    # binomial error at p = (hits+1)/(samples+2), which stays nonzero when no
+    # sample or every sample hits, rounded up to a multiple of 1/D
+    D = 10 ** 9
+    var = Fraction(D * D * total * total * (hits + 1) * (samples + 1 - hits),
+                   (samples + 2) ** 2 * samples)
+    c = -(-var.numerator // var.denominator)
+    r = math.isqrt(c)
+    return estimate, Fraction(r + (r * r < c), D)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ must evaluate to -t^-4 + t^-3 + t^-1 numerically.  Loops contribute
 d = -A^2 - A^-2, and the closure trace weights a diagram by d^{loops-1},
 normalizing the unknot to 1.
 
+braid_to_tl computes in Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}]: one
+global power of A is factored out of every letter, and each coefficient is
+one int holding 2l signed digits of a width proved sufficient from the word
+length, so a letter costs digit rotations and int additions per live term.
+
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
 diagram-algebra route beyond cyclotomic arithmetic.
@@ -243,57 +248,76 @@ class TLElement:
         return "TLElement(n=%d, l=%d, {%s})" % (self.n, self.l, terms)
 
 
+def _times_a(v: int, k: int, n2: int, w: int) -> int:
+    # v * A^k in Z[A]/(A^n2 + 1), v packed as n2 signed base-2^w digits each
+    # of magnitude below 2^(w-2): a negacyclic rotation of the digits
+    k %= 2 * n2
+    neg = k >= n2
+    s = w * (n2 - k % n2)
+    top = (v + (1 << (s - 1))) >> s  # the digits that wrap round, rounded
+    v = ((v - (top << s)) << (w * (k % n2))) - top
+    return -v if neg else v
+
+
 def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     """Image of the braid word under s_i -> A*1 + A^-1*e_i (inverse letters
     swap the two coefficients); loops closed during multiplication contribute
-    the loop parameter d."""
+    the loop parameter d.
+
+    Coefficients live in Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}] as a
+    ring homomorphism since A^{2l} = -1 there; they are reduced modulo the
+    cyclotomic polynomial once, at the end.  Writing s_i^{+-1} =
+    A^{+-1}(1 + A^{-+2} e_i), one running exponent of A is kept, the identity
+    part of a term is carried over unchanged, and the e_i part is multiplied
+    by A^{-+2}, or by A^{-+2} d = -(1 + A^{-+4}) when the one loop that right
+    multiplication by e_i can close does close.  Each coefficient is packed
+    into one int as 2l signed base-2^w digits, w = bitlen(3^m) + 2 for m
+    letters: the total |digit| mass at most triples per letter (x1 for the
+    identity part, at most x2 for the e_i part), so every digit stays below
+    3^m < 2^(w-2), and the rounding in the digit rotation and the unpacking
+    at the end read every digit back exactly."""
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
-    n = b.strands
-    order = 4 * l
-    a_pos = CyclotomicNumber.zeta(order, 1)
-    a_neg = CyclotomicNumber.zeta(order, -1)
-    delta = loop_parameter(l)
-    dpow = [CyclotomicNumber.one(order)]
-    while len(dpow) <= n:
-        dpow.append(dpow[-1] * delta)
-
-    cur = dict(TLElement.identity(n, l).coeffs)
+    n, n2 = b.strands, 2 * l
+    w = (3 ** len(b.word)).bit_length() + 2
+    apow = 0
+    cur = {_basis_index(n)[identity_diagram(n).partner]: 1}
     for letter in b.word:
-        i = abs(letter)
-        c_id, c_e = (a_pos, a_neg) if letter > 0 else (a_neg, a_pos)
-        table = _compose_right_table(n, i)
-        nxt: dict = {}
+        sgn = 1 if letter > 0 else -1
+        apow += sgn
+        table = _compose_right_table(n, abs(letter))
+        nxt = dict(cur)
         for k, c in cur.items():
-            v = c * c_id
-            if k in nxt:
-                nxt[k] = nxt[k] + v
-            else:
-                nxt[k] = v
             rk, loops = table[k]
-            v = c * c_e
             if loops:
-                v = v * dpow[loops]
-            if rk in nxt:
-                nxt[rk] = nxt[rk] + v
+                v = -c - _times_a(c, -4 * sgn, n2, w)
             else:
-                nxt[rk] = v
-        cur = {k: v for k, v in nxt.items() if not v.is_zero()}
-    return TLElement(n, l, cur)
+                v = _times_a(c, -2 * sgn, n2, w)
+            nxt[rk] = nxt.get(rk, 0) + v
+        cur = {k: v for k, v in nxt.items() if v}
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = {}
+    for k, v in cur.items():
+        v = _times_a(v, apow, n2, w)
+        digits = []
+        for _ in range(n2):
+            digits.append(((v + half) & mask) - half)
+            v = (v - digits[-1]) >> w
+        out[k] = CyclotomicNumber(4 * l, digits)
+    return TLElement(n, l, out)
 
 
 def markov_trace(x: TLElement) -> CyclotomicNumber:
     """Close each diagram (top k joined to bottom k) and weight by
     d^{loops-1}; the trace of the identity in TL_1 is 1."""
-    order = 4 * x.l
     delta = loop_parameter(x.l)
     table = _closure_loops_table(x.n)
-    dpow = [CyclotomicNumber.one(order)]
-    while len(dpow) < x.n + 1:
-        dpow.append(dpow[-1] * delta)
-    total = CyclotomicNumber.zero(order)
+    total = CyclotomicNumber.zero(4 * x.l)
+    by_loops = [total] * x.n  # coefficient sums by loops - 1
     for k, c in x.coeffs.items():
-        total = total + c * dpow[table[k] - 1]
+        by_loops[table[k] - 1] += c
+    for s in reversed(by_loops):  # Horner in d
+        total = total * delta + s
     return total
 
 

@@ -325,6 +325,17 @@ def test_hom_estimate_mode(capsys):
     assert "samples=2000, seed=7" in out
 
 
+def test_hom_estimate_error_nonzero_without_hits(capsys):
+    # no sample of 20 hits one of the 600 fixed pairs among 120^2
+    code, out, _ = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
+                       "--group", "symmetric 5", "--estimate", "20", "1",
+                       "--json", "--no-timings")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["estimate"]["numerator"] == 0
+    assert results["stderr"]["numerator"] > 0
+
+
 def test_hom_estimate_excludes_wirtinger(capsys):
     code, _, err = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
                        "--group", "symmetric 3", "--estimate", "100", "1",
@@ -398,6 +409,20 @@ def test_version(capsys):
 def test_version_json(capsys):
     code, out, _ = run(capsys, "version", "--json")
     assert json.loads(out)["package"] == "qll"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import qll.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(qll.cli, "_cmd_version", broken)
+    code, out, err = run(capsys, "version")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.rstrip().endswith("internal error: RuntimeError: boom")
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 oracle.  The two Jones routes are independent and must agree exactly."""
 
 import cmath
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from qll.braid import BraidWord, conjugate, stabilize
 from qll.tl_jones import (
     TLDiagram,
     TLElement,
+    _compose_right_table,
     braid_to_tl,
     closure_loop_count,
     diagram_basis,
@@ -136,6 +138,53 @@ def test_braid_relations_in_tl(l):
                     lhs = braid_to_tl(BraidWord(n, (i, j, i)), l)
                     rhs = braid_to_tl(BraidWord(n, (j, i, j)), l)
                     assert lhs == rhs
+
+
+def _reference_braid_to_tl(b, l):
+    # term-by-term product of A*1 + A^-1*e_i in Z[zeta_{4l}]
+    A, Ainv = CyclotomicNumber.zeta(4 * l), CyclotomicNumber.zeta(4 * l, -1)
+    d = loop_parameter(l)
+    cur = dict(TLElement.identity(b.strands, l).coeffs)
+    for letter in b.word:
+        c_id, c_e = (A, Ainv) if letter > 0 else (Ainv, A)
+        table = _compose_right_table(b.strands, abs(letter))
+        nxt = {}
+        for k, c in cur.items():
+            rk, loops = table[k]
+            nxt[k] = nxt.get(k, 0) + c * c_id
+            nxt[rk] = nxt.get(rk, 0) + c * c_e * d ** loops
+        cur = nxt
+    return TLElement(b.strands, l, cur)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_braids(max_strands=6, max_len=30), st.integers(3, 12))
+def test_braid_to_tl_matches_reference_product(b, l):
+    assert braid_to_tl(b, l) == _reference_braid_to_tl(b, l)
+
+
+@pytest.mark.parametrize("l", [4, 5, 10])
+def test_long_words_keep_digit_width(l):
+    A, Ainv = CyclotomicNumber.zeta(4 * l), CyclotomicNumber.zeta(4 * l, -1)
+    d = loop_parameter(l)
+    e, one = e_diagram(2, 1), identity_diagram(2)
+    for sign in (1, -1):
+        # TL_2 recurrence for (a*1 + b*e) * (A^s + A^-s e)
+        s, s_inv = (A, Ainv) if sign > 0 else (Ainv, A)
+        a, b = CyclotomicNumber.one(4 * l), CyclotomicNumber.zero(4 * l)
+        for _ in range(300):
+            a, b = a * s, a * s_inv + b * (s + s_inv * d)
+        x = braid_to_tl(BraidWord(2, (sign,) * 300), l)
+        assert x.coefficient(one) == a and x.coefficient(e) == b
+    rng = random.Random(l)
+    word = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(150))
+    inverse = tuple(-x for x in reversed(word))
+    assert braid_to_tl(BraidWord(5, word + inverse), l) == TLElement.identity(5, l)
+    # the packed route is exact modulo 2^(2lw) + 1 whatever the width, so
+    # only an output with large coefficients (30-odd bits at l = 5) shows a
+    # width too small
+    assert braid_to_tl(BraidWord(5, word), l) == \
+        _reference_braid_to_tl(BraidWord(5, word), l)
 
 
 # ---------------------------------------------------------------------------
