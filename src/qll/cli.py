@@ -889,6 +889,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetError as exc:
         print("budget refused: %s" % exc, file=sys.stderr)
+        print("raise the limit with --budget or QLL_BUDGET", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program, not of its input
         import traceback  # here, not at the top: it would slow every start-up

@@ -17,6 +17,7 @@ braid_to_tl computes in Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}]: one
 global power of A is factored out of every letter, and each coefficient is
 one int holding 2l signed digits of a width proved sufficient from the word
 length, so a letter costs digit rotations and int additions per live term.
+Its e_i tables rewire two chords of each basis diagram, O(n) per entry.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -194,13 +195,24 @@ def _closure_loops_table(n: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _compose_right_table(n: int, i: int) -> tuple[tuple[int, int], ...]:
-    # d -> d . e_i as (basis index, loops) per basis diagram
-    e = e_diagram(n, i)
+    # d -> d . e_i as (basis index, loops) per basis diagram.  e_i's cap meets
+    # only d's bottom points x = n+i-1, y = n+i; every other chord of d runs
+    # straight through e_i.  If x and y are paired, the cap closes one loop and
+    # e_i's cup gives them back: d . e_i = d.  Otherwise the cap joins their
+    # partners a, b into one chord and the cup pairs x with y.  This is exactly
+    # what tl_compose(d, e_i) returns, at O(n) per diagram.
+    if not 1 <= i < n:
+        raise UsageError("generator index %d out of range for n=%d" % (i, n))
     idx = _basis_index(n)
+    x, y = n + i - 1, n + i
     out = []
-    for d in diagram_basis(n):
-        r, loops = tl_compose(d, e)
-        out.append((idx[r.partner], loops))
+    for p in idx:  # basis order
+        if p[x] == y:
+            out.append((idx[p], 1))
+        else:
+            q = list(p)
+            q[p[x]], q[p[y]], q[x], q[y] = p[y], p[x], y, x
+            out.append((idx[tuple(q)], 0))
     return tuple(out)
 
 

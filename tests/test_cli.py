@@ -351,6 +351,15 @@ def test_hom_budget_refusal_exit_code(capsys):
     assert "budget refused" in err
 
 
+def test_budget_refusal_names_the_knob(capsys):
+    code, _, err = run(capsys, "hom", "--strands", "4", "--word", "1 2 3",
+                       "--group", "symmetric 4", "--budget", "10")
+    assert code == 3
+    assert "needs 995328 elementary steps (budget 10)" in err
+    assert "--budget" in err.split("(budget 10)", 1)[1]
+    assert "QLL_BUDGET" in err
+
+
 def test_hom_nonpositive_budget_is_usage_error(capsys):
     code, _, err = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
                        "--group", "symmetric 3", "--budget", "-5")

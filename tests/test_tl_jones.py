@@ -86,6 +86,25 @@ def test_compose_jones_relations_all_small_n():
                     assert (out, l1 + l2) == (ei, 0)
 
 
+def test_compose_right_table_matches_tl_compose():
+    # the table rewires two chords; tl_compose walks the whole composite
+    for n in range(2, 8):
+        basis = diagram_basis(n)
+        index = {d: k for k, d in enumerate(basis)}
+        for i in range(1, n):
+            e = e_diagram(n, i)
+            expected = []
+            for d in basis:
+                r, loops = tl_compose(d, e)
+                expected.append((index[r], loops))
+            table = _compose_right_table(n, i)
+            assert table == tuple(expected)
+            assert {loops for _, loops in table} <= {0, 1}
+    for i in (0, 3):
+        with pytest.raises(UsageError):
+            _compose_right_table(3, i)
+
+
 def test_closure_loop_counts():
     assert closure_loop_count(identity_diagram(3)) == 3
     assert closure_loop_count(e_diagram(2, 1)) == 1
