@@ -1,14 +1,16 @@
 """Classifying braid-group images in exact matrix representations.
 
 Two families are supported.  For the diagram algebra at a root of unity the
-braid generators act by left multiplication on the semisimple quotient: the
-bilinear form (x, y) -> closure-trace(x.y) has a radical that is a two-sided
-ideal, and the induced action on the quotient is faithful to the braiding on
-the fusion-theoretic endomorphism spaces.  (On the full diagram algebra the
-action contains unipotent parts at small l and every verdict would be
-"infinite", so the quotient is the representation that carries the structure
-worth classifying.)  For the reduced Burau family the generators are
-evaluated at an invertible residue mod p.
+braid generators act on the Jones-Wenzl path representation (Aharonov, Jones
+and Landau 2006): walks on the vertices 0..l-2 of the A_{l-1} graph, which
+carry every irreducible of the semisimple quotient exactly once.  The
+quotient itself, the left-regular module modulo the radical of the
+closure-trace form, repeats each irreducible once per dimension; that
+changes neither the generated group nor its projective order.  (On the full
+diagram algebra the action contains unipotent parts at small l and every
+verdict would be "infinite", so the semisimple part is the one worth
+classifying.)  For the reduced Burau family the generators are evaluated at
+an invertible residue mod p.
 
 Verdicts are exact certificates in both directions: finiteness is an
 enumerated multiplication closure, and infiniteness is a word whose matrix
@@ -24,11 +26,9 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra import (CycFraction, CyclotomicNumber, UsageError, _is_prime,
-                      euler_phi)
+                      cyc_inverse, euler_phi)
 from .braid import BraidWord
 from .burau import burau_mod_p
-from .tl_jones import (closure_loop_count, diagram_basis, e_diagram,
-                       loop_parameter, tl_compose)
 
 _DEFAULT_BOUND = 10 ** 6
 _STAGE_BOUND = 50_000
@@ -306,7 +306,7 @@ class RepSpec:
             if self.l < 3:
                 raise UsageError("need l >= 3")
             if not 1 <= self.strands <= 6:
-                raise UsageError("diagram basis capped at 6 strands")
+                raise UsageError("TL images are capped at 6 strands")
         elif self.family == "burau":
             if not _is_prime(self.p):
                 raise UsageError("p must be prime, got %d" % self.p)
@@ -328,93 +328,62 @@ class ImageReport:
 
 
 @lru_cache(maxsize=None)
-def _quotient_coordinates(n: int, l: int):
-    """Pivot data of the closure-trace form on the diagram basis: returns
-    (basis, index map, Gram rows, pivot row indices, pivot column indices)."""
-    basis = diagram_basis(n)
-    index = {d.partner: k for k, d in enumerate(basis)}
-    delta = loop_parameter(l)
-    d = len(basis)
-    powers = [CyclotomicNumber.one(4 * l)]
-    for _ in range(2 * n):
-        powers.append(powers[-1] * delta)
-    comp = [[None] * d for _ in range(d)]
-    gram = [[None] * d for _ in range(d)]
-    for s in range(d):
-        for t in range(d):
-            res, k = tl_compose(basis[s], basis[t])
-            loops = k + closure_loop_count(res) - 1
-            comp[s][t] = (index[res.partner], k)
-            gram[s][t] = CycFraction(powers[loops], 1)
-    piv_rows, piv_cols = _echelon_pivots(gram)
-    return basis, index, comp, gram, piv_rows, piv_cols
-
-
-def _echelon_pivots(G):
-    rows = [list(r) for r in G]
-    idx = list(range(len(rows)))
-    piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        idx[r], idx[pr] = idx[pr], idx[r]
-        piv_rows.append(idx[r])
-        piv_cols.append(c)
-        inv = rows[r][c].inverse()
-        for i in range(r + 1, len(rows)):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [rows[i][k] - f * rows[r][k] for k in range(len(rows[i]))]
-        r += 1
-    return piv_rows, piv_cols
+def _paths(n: int, l: int):
+    """The Jones-Wenzl path basis: walks (0, p_1, ..., p_n) with steps of
+    +-1 on the vertices 0..l-2 of the A_{l-1} graph, in lexicographic order."""
+    walks = [(0,)]
+    for _ in range(n):
+        walks = [p + (p[-1] + s,) for p in walks for s in (-1, 1)
+                 if 0 <= p[-1] + s <= l - 2]
+    return tuple(walks)
 
 
 def quotient_dimension(n: int, l: int) -> int:
-    """Dimension of the semisimple quotient the braid generators act on."""
-    _, _, _, _, piv_rows, _ = _quotient_coordinates(n, l)
-    return len(piv_rows)
+    """Dimension of the semisimple quotient of the diagram algebra on n
+    strands at level l: the sum of N_k^2 over the paths' end vertices k,
+    where N_k counts the paths ending at k.
+
+    >>> [quotient_dimension(n, 5) for n in (4, 5, 6)]
+    [13, 34, 89]
+    """
+    ends = [p[-1] for p in _paths(n, l)]
+    return sum(ends.count(k) ** 2 for k in set(ends))
 
 
 @lru_cache(maxsize=None)
 def _tl_generators(n: int, l: int):
+    """sigma_i = A + A^-1 E_i on the path basis, A = zeta_{4l}.  E_i acts
+    only where p_{i-1} = p_{i+1} = k, and there the row of each path holds
+    [p_i + 1]/[k + 1] in both columns p_i = k-1 and k+1.  This is the unitary
+    Jones-Wenzl form conjugated by the diagonal prod_j sqrt([p_j + 1]), so no
+    square root appears.  The quantum integers are taken at q = -A^2, so
+    that [2] = q + 1/q = d and [m+1] = d [m] - [m-1]."""
     if n == 1:
         return ()
     N = 4 * l
-    basis, index, comp, gram, I, J = _quotient_coordinates(n, l)
-    delta = loop_parameter(l)
-    A = CycFraction(CyclotomicNumber.zeta(N), 1)
-    Ainv = CycFraction(CyclotomicNumber.zeta(N, N - 1), 1)
-    r = len(I)
-    C = [[gram[I[b]][J[a]] for b in range(r)] for a in range(r)]
-    C_inv = _frac_inverse(C)
+    d = -(CyclotomicNumber.zeta(N, 2) + CyclotomicNumber.zeta(N, -2))
+    qint = [CyclotomicNumber.zero(N), CyclotomicNumber.one(N)]  # [m]
+    while len(qint) < l:
+        qint.append(d * qint[-1] - qint[-2])
+    inv = [cyc_inverse(x) for x in qint[1:]]  # 1/[k+1]
+    A = CycFraction(CyclotomicNumber.zeta(N))
+    Ainv = CycFraction(CyclotomicNumber.zeta(N, -1))
+    zero = CycFraction(CyclotomicNumber.zero(N))
+    paths = _paths(n, l)
+    index = {p: r for r, p in enumerate(paths)}
     gens = []
     for i in range(1, n):
-        e_i = e_diagram(n, i)
-        left = []  # e_i . d_s, as (result index, loops)
-        for s, d in enumerate(basis):
-            res, k = tl_compose(e_i, d)
-            left.append((index[res.partner], k))
-        dpow = [CycFraction(CyclotomicNumber.one(N), 1)]
-        for _ in range(n):
-            dpow.append(dpow[-1] * CycFraction(delta, 1))
-        W = []
-        for a in range(r):
-            row = []
-            for b in range(r):
-                s = I[b]
-                t, k = left[s]
-                row.append(A * gram[s][J[a]] + Ainv * dpow[k] * gram[t][J[a]])
-            W.append(row)
-        M = [[None] * r for _ in range(r)]
-        for x in range(r):
-            for y in range(r):
-                acc = CycFraction(CyclotomicNumber.zero(N), 1)
-                for k in range(r):
-                    acc = acc + W[x][k] * C_inv[k][y]
-                M[x][y] = acc
+        M = [[A if r == c else zero for c in range(len(paths))]
+             for r in range(len(paths))]
+        for r, p in enumerate(paths):
+            k = p[i - 1]
+            if p[i + 1] != k:
+                continue
+            w = Ainv * CycFraction(qint[p[i] + 1]) * inv[k]
+            for b in (k - 1, k + 1):
+                c = index.get(p[:i] + (b,) + p[i + 1:])
+                if c is not None:
+                    M[r][c] = M[r][c] + w
         gens.append(CycMatrix.from_fractions(N, M))
     return tuple(gens)
 
@@ -549,8 +518,9 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     gens = rep_generators(spec)
     notes = []
     if spec.family == "tl":
-        notes.append("quotient dimension %d of diagram algebra dimension %d"
-                     % (gens[0].dim if gens else 1, len(diagram_basis(spec.strands))))
+        notes.append("path representation of dimension %d; semisimple quotient "
+                     "dimension %d" % (len(_paths(spec.strands, spec.l)),
+                                       quotient_dimension(spec.strands, spec.l)))
     else:
         notes.append("reduced representation of dimension %d over F_%d at t=%d"
                      % (spec.strands - 1, spec.p, spec.t0))

@@ -1,12 +1,17 @@
 """Image classification: exact matrices, closure enumeration, the
 infinite-order trace certificate, and end-to-end verdicts."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qll.algebra import CycFraction, CyclotomicNumber, UsageError
-from qll.image import (CycMatrix, FpMatrix, RepSpec, classify_image,
+from qll.braid import BraidWord
+from qll.image import (CycMatrix, FpMatrix, RepSpec, _paths, classify_image,
                        group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
+from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 
 def fusion_end_dim(n, l):
@@ -54,6 +59,50 @@ def test_tl_generators_satisfy_braid_relations(n, l):
         for b in gens[2:]:
             if gens.index(b) - gens.index(a) >= 2:
                 assert a.mul(b) == b.mul(a)
+
+
+def quantum_integer(m, l):
+    """[m] = q^(m-1) + q^(m-3) + ... + q^(1-m) at q = -A^2, A = zeta_{4l}."""
+    q = -CyclotomicNumber.zeta(4 * l, 2)
+    qinv = -CyclotomicNumber.zeta(4 * l, -2)
+    return sum((q ** (m - 1 - j) * qinv ** j for j in range(m)),
+               CyclotomicNumber.zero(4 * l))
+
+
+@lru_cache(maxsize=None)
+def path_letter(n, l, letter):
+    g = rep_generators(RepSpec("tl", n, l=l))[abs(letter) - 1]
+    return g if letter > 0 else g.inverse()
+
+
+def braids(max_strands, max_len):
+    return st.integers(2, max_strands).flatmap(
+        lambda n: st.lists(
+            st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+            max_size=max_len,
+        ).map(lambda w: BraidWord(n, tuple(w))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(braids(max_strands=6, max_len=12), st.integers(3, 12))
+def test_path_trace_matches_markov_trace(b, l):
+    # d tr(x) = sum over paths p of [p_n + 1] rho(x)_pp: the quantum
+    # dimensions weight the irreducible blocks of the path representation
+    n = b.strands
+    rho = rep_generators(RepSpec("tl", n, l=l))[0].identity_like()
+    for letter in b.word:
+        rho = rho.mul(path_letter(n, l, letter))
+    weighted = sum((CycFraction(quantum_integer(p[-1] + 1, l) * rho.rows[r][r],
+                                rho.den)
+                    for r, p in enumerate(_paths(n, l))),
+                   CycFraction(CyclotomicNumber.zero(4 * l)))
+    jones_side = loop_parameter(l) * markov_trace(braid_to_tl(b, l))
+    assert weighted == CycFraction(jones_side)
+
+
+def test_path_dimensions_at_l5_n6():
+    assert quotient_dimension(6, 5) == 89
+    assert rep_generators(RepSpec("tl", 6, l=5))[0].dim == 13
 
 
 def test_tl_two_strand_generator_spectrum():
@@ -217,6 +266,17 @@ def test_verdicts_infinite():
         assert r.verdict == "infinite"
         assert r.witness is not None and len(r.witness) <= 4
         assert r.order is None
+
+
+@pytest.mark.parametrize("l,n,verdict,order,witness", [
+    (10, 3, "finite", 600, None),
+    (6, 4, "finite", 648, None),
+    (5, 5, "infinite", None, (1, -2)),
+    (5, 6, "infinite", None, (1, -2)),
+])
+def test_verdicts_of_larger_specs(l, n, verdict, order, witness):
+    r = classify_image(RepSpec("tl", n, l=l))
+    assert (r.verdict, r.order, r.witness) == (verdict, order, witness)
 
 
 def test_verdict_burau():
