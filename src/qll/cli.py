@@ -847,7 +847,11 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--strands", type=int, required=True)
     image.add_argument("--tl", type=int, metavar="L")
     image.add_argument("--burau", type=int, nargs=2, metavar=("P", "T0"))
-    image.add_argument("--bound", help="group-enumeration cap")
+    image.add_argument(
+        "--bound",
+        help="work cap: group elements enumerated (--tl), or projective "
+        "points x stored permutations (--burau)",
+    )
     _add_common_flags(image)
     image.set_defaults(handler=_cmd_image)
 

@@ -12,18 +12,23 @@ verdict would be "infinite", so the semisimple part is the one worth
 classifying.)  For the reduced Burau family the generators are evaluated at
 an invertible residue mod p.
 
-Verdicts are exact certificates in both directions: finiteness is an
-enumerated multiplication closure, and infiniteness is a word whose matrix
-violates the Galois-trace bound satisfied by every matrix of finite
-projective order (all eigenvalue magnitudes 1 at every complex embedding, so
-every conjugate of tr(M^m) has magnitude at most the dimension).
+Verdicts are exact certificates in both directions.  Finiteness of a
+diagram-algebra image is an enumerated multiplication closure.  A mod-p
+Burau image is finite outright; its projective order is certified by a base
+and strong generating set (deterministic Schreier-Sims) of its permutation
+action on the points of projective space over F_p.  Infiniteness is a word
+whose matrix violates the Galois-trace bound satisfied by every matrix of
+finite projective order (all eigenvalue magnitudes 1 at every complex
+embedding, so every conjugate of tr(M^m) has magnitude at most the
+dimension).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from .algebra import (CycFraction, CyclotomicNumber, UsageError, _is_prime,
                       cyc_inverse, euler_phi)
@@ -178,6 +183,7 @@ def _dot(arow, bcol):
     return acc if acc is not None else CyclotomicNumber.zero(arow[0].order)
 
 
+@lru_cache(maxsize=None)
 def _unit_scalars(order: int):
     """The roots of unity of Q(zeta_order): zeta^j, and their negatives when
     the order is odd (for even order -1 is already a power)."""
@@ -190,7 +196,7 @@ def _unit_scalars(order: int):
             out.append(-z)
         if step is not None:
             z = z * step
-    return out
+    return tuple(out)
 
 
 def _frac_inverse(rows):
@@ -404,7 +410,10 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND, projective: bool = False):
     """Exact order of the group generated, or None once `bound` distinct
     elements are exceeded.  A finite multiplicative closure of invertible
     matrices already contains every inverse, so multiplying by the generators
-    alone is enough.  Projective mode counts elements up to scalar."""
+    alone is enough.  Projective mode counts elements up to scalar.
+
+    This is the route for diagram-algebra images, and the independent oracle
+    in tests for the Schreier-Sims orders of mod-p Burau images."""
     if not gens:
         return 1
     ident = gens[0].identity_like()
@@ -423,6 +432,150 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND, projective: bool = False):
                     nxt.append(w)
         frontier = nxt
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# Schreier-Sims on projective points
+
+def _projective_points(p: int, d: int):
+    """The points of projective space over F_p^d: the vectors whose first
+    nonzero coordinate is 1."""
+    return [(0,) * k + (1,) + tail for k in range(d)
+            for tail in product(range(p), repeat=d - k - 1)]
+
+
+def _point_permutation(g: FpMatrix, points, index):
+    """The permutation v -> g v of the projective points, as a tuple of
+    point indices."""
+    p = g.p
+    perm = []
+    for v in points:
+        w = [sum(a * x for a, x in zip(row, v)) % p for row in g.rows]
+        s = pow(next(x for x in w if x), -1, p)
+        perm.append(index[tuple(x * s % p for x in w)])
+    return tuple(perm)
+
+
+def _perm_inverse(a):
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _projective_order_fp(gens, bound: int):
+    """Order of the image of the F_p matrices `gens` in PGL_d(F_p), or None
+    once the work would exceed `bound`.
+
+    PGL_d(F_p) acts faithfully on the (p^d - 1)/(p - 1) projective points,
+    so this is the order of a permutation group.  Deterministic Schreier-Sims
+    (Sims 1970; Seress, Permutation Group Algorithms, 2003) builds a base
+    b_0, b_1, ... and strong generators S_i of the point stabilisers G_i of
+    b_0 .. b_{i-1}, with a transversal of the orbit of b_i under S_i: each
+    orbit point x maps to v_x, with v_x(x) = b_i.  Once every Schreier
+    generator of every level sifts to the identity through the levels below
+    it, the order is the product of the orbit lengths.  Each pair (x, s) of
+    a level is sifted once: transversals only grow, so a pair that sifted to
+    the identity still does, and a pair whose residue h was added to
+    S_{i+1} .. S_j has its Schreier generator in <S_{i+1}>.  Those lower
+    levels are then checked again, from j up.
+
+    `bound` caps the points times the stored permutations (transversal
+    entries plus strong generators), checked before each store."""
+    p, d = gens[0].p, gens[0].dim
+    npoints = (p ** d - 1) // (p - 1)
+    if npoints > bound:  # not one permutation fits: do not list the points
+        return None
+    points = _projective_points(p, d)
+    index = {v: i for i, v in enumerate(points)}
+    ident = tuple(range(npoints))
+    stored = 0
+    base, strong, trans, sifted = [], [], [], []
+
+    def mul(a, b):  # a, then b
+        return tuple(map(b.__getitem__, a))
+
+    def store():
+        nonlocal stored
+        stored += 1
+        return stored * npoints <= bound
+
+    def extend_orbit(i):
+        t, gs, invs = trans[i], strong[i], {}
+        queue = list(t)
+        for x in queue:
+            for k, s in enumerate(gs):
+                y = s[x]
+                if y not in t:
+                    if not store():
+                        return False
+                    if k not in invs:
+                        invs[k] = _perm_inverse(s)
+                    t[y] = mul(invs[k], t[x])
+                    queue.append(y)
+        return True
+
+    def add_strong(h, first, last):
+        """Adds h to S_first .. S_last, opening level `last` if it is new."""
+        if not store():
+            return False
+        if last == len(base):
+            if not store():
+                return False
+            b = next(x for x in ident if h[x] != x)
+            base.append(b)
+            strong.append([])
+            trans.append({b: ident})
+            sifted.append(set())
+        for i in range(first, last + 1):
+            strong[i].append(h)
+            if not extend_orbit(i):
+                return False
+        return True
+
+    def sift(g, i):
+        while i < len(base):
+            v = trans[i].get(g[base[i]])
+            if v is None:
+                break
+            g = mul(g, v)
+            i += 1
+        return g, i
+
+    def first_residue(i):
+        """Sifts the Schreier generators of level i not sifted before;
+        returns the first that does not sift to the identity, as (h, j)."""
+        t = trans[i]
+        for x in t:
+            ux = None
+            for k, s in enumerate(strong[i]):
+                if (x, k) in sifted[i]:
+                    continue
+                sifted[i].add((x, k))
+                if ux is None:
+                    ux = _perm_inverse(t[x])
+                h, j = sift(mul(mul(ux, s), t[s[x]]), i + 1)
+                if j < len(base) or h != ident:
+                    return h, j
+        return None
+
+    for g in gens:
+        perm = _point_permutation(g, points, index)
+        if perm == ident or (strong and perm in strong[0]):
+            continue
+        if not add_strong(perm, 0, 0):
+            return None
+    i = len(base) - 1
+    while i >= 0:
+        residue = first_residue(i)
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        if not add_strong(h, i + 1, j):
+            return None
+        i = j
+    return prod(len(t) for t in trans)
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +681,25 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         return ImageReport("finite-abelian", order=1, generators=0,
                            notes=tuple(notes + ["no generators: trivial image"]))
 
-    if spec.family == "tl":
+    if spec.family == "burau":
+        order = _projective_order_fp(gens, bound)
+    else:
         witness = infinite_order_witness(gens, max_len=4)
         if witness is not None:
             notes.append("trace bound violated at a power of the witness")
             return ImageReport("infinite", witness=witness,
                                generators=len(gens), notes=tuple(notes))
-
-    stage = min(_STAGE_BOUND, bound)
-    order = group_closure(gens, stage, projective=True)
-    if order is None and stage < bound:
-        order = group_closure(gens, bound, projective=True)
-    if order is None:
-        if spec.family == "tl":
+        stage = min(_STAGE_BOUND, bound)
+        order = group_closure(gens, stage, projective=True)
+        if order is None and stage < bound:
+            order = group_closure(gens, bound, projective=True)
+        if order is None:
             witness = infinite_order_witness(gens, max_len=_WITNESS_LEN)
             if witness is not None:
                 notes.append("trace bound violated at a power of the witness")
                 return ImageReport("infinite", witness=witness,
                                    generators=len(gens), notes=tuple(notes))
+    if order is None:
         notes.append("closure exceeded bound %d without a certificate" % bound)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
 

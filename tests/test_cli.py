@@ -278,6 +278,14 @@ def test_image_burau_finite_with_order(capsys):
     assert 120 % report["order"] == 0
 
 
+def test_image_burau_pgl4_f5(capsys):
+    code, out, _ = run(capsys, "image", "--burau", "5", "2", "--strands", "5",
+                       "--json", "--no-timings")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["order"]) == ("finite", 29016000000)
+
+
 def test_image_requires_exactly_one_family(capsys):
     code, _, err = run(capsys, "image", "--strands", "3")
     assert code == 2

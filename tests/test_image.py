@@ -1,14 +1,19 @@
 """Image classification: exact matrices, closure enumeration, the
 infinite-order trace certificate, and end-to-end verdicts."""
 
+import runpy
+import sys
 from functools import lru_cache
+from math import factorial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import CycFraction, CyclotomicNumber, UsageError
 from qll.braid import BraidWord
-from qll.image import (CycMatrix, FpMatrix, RepSpec, _paths, classify_image,
+from qll.image import (CycMatrix, FpMatrix, RepSpec, _paths,
+                       _projective_order_fp, classify_image,
                        group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
@@ -295,3 +300,92 @@ def test_verdict_unknown_on_tiny_bound():
 def test_single_strand_is_trivial():
     r = classify_image(RepSpec("tl", 1, l=5))
     assert (r.verdict, r.order, r.generators) == ("finite-abelian", 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# mod-p Burau orders by Schreier-Sims on projective points
+
+
+def burau_specs():
+    return st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                     st.integers(2, 4)).flatmap(
+        lambda pn: st.integers(1, pn[0] - 1).map(
+            lambda t0: RepSpec("burau", pn[1], p=pn[0], t0=t0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(burau_specs())
+def test_burau_order_matches_closure(spec):
+    reference = group_closure(rep_generators(spec), 20000, projective=True)
+    if reference is None:
+        return
+    assert classify_image(spec).order == reference
+
+
+def monomial_groups():
+    # monomial matrices generate imprimitive groups with deep stabiliser
+    # chains, where skipping the re-sift of lower levels undercounts
+    def matrix(p, d):
+        return st.tuples(st.permutations(range(d)),
+                         st.lists(st.integers(1, p - 1), min_size=d, max_size=d)).map(
+            lambda pc: FpMatrix(p, [[pc[1][r] if c == pc[0][r] else 0
+                                     for c in range(d)] for r in range(d)]))
+    return st.tuples(st.sampled_from([3, 5, 7]), st.integers(2, 4)).flatmap(
+        lambda pd: st.lists(matrix(*pd), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_groups())
+@example([FpMatrix(7, ((1, 0, 0), (0, 6, 0), (0, 0, 1))),
+          FpMatrix(7, ((0, 3, 0), (4, 0, 0), (0, 0, 5)))])  # order 24, not 8
+def test_schreier_sims_matches_closure_on_monomial_groups(gens):
+    reference = group_closure(gens, 20000, projective=True)
+    if reference is None:
+        return
+    assert _projective_order_fp(gens, 10 ** 6) == reference
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_burau_at_t1_mod2_is_symmetric_group(n):
+    # at t = 1 the Burau matrices are permutation matrices, so the image is
+    # S_n acting on the reduced (n-1)-dimensional module
+    r = classify_image(RepSpec("burau", n, p=2, t0=1))
+    assert (r.verdict, r.order) == ("finite", factorial(n))
+
+
+def test_burau_pgl4_f5():
+    r = classify_image(RepSpec("burau", 5, p=5, t0=2))
+    assert (r.verdict, r.order) == ("finite", 29_016_000_000)  # |PGL(4, 5)|
+
+
+@pytest.mark.parametrize("p,t0", [(2, 1), (5, 2), (13, 12)])
+def test_burau_two_strands_is_trivial(p, t0):
+    r = classify_image(RepSpec("burau", 2, p=p, t0=t0))
+    assert (r.verdict, r.order) == ("finite-abelian", 1)
+
+
+@pytest.mark.parametrize("p,t0,n,order", [(5, 2, 4, 2400), (13, 12, 3, 1092)])
+def test_burau_bound_below_need_is_unknown(p, t0, n, order):
+    # the bound caps points x stored permutations: from the least multiple
+    # of the point count that fits, the order is exact; below it, unknown
+    spec = RepSpec("burau", n, p=p, t0=t0)
+    points = (p ** (n - 1) - 1) // (p - 1)
+    orders = [classify_image(spec, k * points).order for k in range(1, 80)]
+    need = orders.index(order) + 1  # permutations stored
+    assert orders == [None] * (need - 1) + [order] * (80 - need)
+    for bound in (need * points - 1, (need - 1) * points):
+        r = classify_image(spec, bound)
+        assert (r.verdict, r.order) == ("unknown", None)
+        assert any("exceeded bound %d" % bound in note for note in r.notes)
+
+
+def test_survey_script_smoke(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "survey_images.py"
+    survey = runpy.run_path(str(script))
+    monkeypatch.setattr(sys, "argv", ["survey_images.py", "--levels", "3", "4",
+                                      "--strands", "2", "3",
+                                      "--burau-primes", "3", "5"])
+    assert survey["main"]() == 0
+    out = capsys.readouterr().out
+    assert "p=5  n=3  finite(60)" in out
+    assert "l=4  n=3  finite(24)" in out
