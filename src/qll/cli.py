@@ -40,17 +40,15 @@ from .algebra import BudgetError, CyclotomicNumber, LaurentPoly, UsageError
 from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
+    _DEFAULT_BUDGET,
     FiniteGroup,
     builtin_group,
     hom_count_estimate,
     hom_count_exact,
     wirtinger_hom_count,
 )
-from .image import RepSpec, classify_image
+from .image import _DEFAULT_BOUND, RepSpec, classify_image
 from .tl_jones import jones_at_root, kauffman_bracket_statesum
-
-DEFAULT_BUDGET = 10**9
-DEFAULT_IMAGE_BOUND = 10**6
 
 # Levels checked by the closed-form-vs-state-sum oracle in check-table.
 ORACLE_LEVELS = (3, 4, 5, 6, 7, 10)
@@ -399,7 +397,7 @@ def run_entry_checks(
 def _budget_default() -> int:
     raw = os.environ.get("QLL_BUDGET")
     if raw is None:
-        return DEFAULT_BUDGET
+        return _DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -411,7 +409,7 @@ def _budget_default() -> int:
 
 def _image_bound_default() -> int:
     raw = os.environ.get("QLL_BUDGET")
-    return DEFAULT_IMAGE_BOUND if raw is None else _budget_default()
+    return _DEFAULT_BOUND if raw is None else _budget_default()
 
 
 def _positive_int(text: str, what: str) -> int:

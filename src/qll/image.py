@@ -20,7 +20,9 @@ action on the points of projective space over F_p.  Infiniteness is a word
 whose matrix violates the Galois-trace bound satisfied by every matrix of
 finite projective order (all eigenvalue magnitudes 1 at every complex
 embedding, so every conjugate of tr(M^m) has magnitude at most the
-dimension).
+dimension).  Each letter sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3)
+= 0, so its inverse is a polynomial in it and its determinant a root of
+unity: no matrix is inverted or eliminated.
 """
 
 from __future__ import annotations
@@ -110,36 +112,11 @@ class CycMatrix:
             rows.append([_dot(arow, bcols[c]) for c in range(n)])
         return CycMatrix(self.order, rows, self.den * other.den)
 
-    def fraction_rows(self):
-        return [[CycFraction(e, self.den) for e in row] for row in self.rows]
-
     def trace(self) -> CycFraction:
         acc = CyclotomicNumber.zero(self.order)
         for i in range(self.dim):
             acc = acc + self.rows[i][i]
         return CycFraction(acc, self.den)
-
-    def det(self) -> CycFraction:
-        rows = self.fraction_rows()
-        n = self.dim
-        det = CycFraction.from_cyc(CyclotomicNumber.one(self.order))
-        for c in range(n):
-            pr = next((r for r in range(c, n) if not rows[r][c].is_zero()), None)
-            if pr is None:
-                return CycFraction(CyclotomicNumber.zero(self.order), 1)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for r in range(c + 1, n):
-                if not rows[r][c].is_zero():
-                    f = rows[r][c] * inv
-                    rows[r] = [rows[r][k] - f * rows[c][k] for k in range(n)]
-        return det
-
-    def inverse(self) -> "CycMatrix":
-        return CycMatrix.from_fractions(self.order, _frac_inverse(self.fraction_rows()))
 
     def key(self):
         return ("cyc", self.order, self.den,
@@ -199,24 +176,6 @@ def _unit_scalars(order: int):
     return tuple(out)
 
 
-def _frac_inverse(rows):
-    n = len(rows)
-    aug = [list(rows[r]) + [CycFraction.from_cyc(1 if c == r else 0)
-                            for c in range(n)] for r in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-        if pr is None:
-            raise UsageError("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [aug[r][k] - f * aug[c][k] for k in range(2 * n)]
-    return [row[n:] for row in aug]
-
-
 class FpMatrix:
     """Square matrix over F_p."""
 
@@ -250,23 +209,6 @@ class FpMatrix:
         return FpMatrix(p, [[sum(self.rows[r][k] * other.rows[k][c]
                                  for k in range(n)) % p
                              for c in range(n)] for r in range(n)])
-
-    def inverse(self) -> "FpMatrix":
-        n, p = self.dim, self.p
-        aug = [list(self.rows[r]) + [1 if c == r else 0 for c in range(n)]
-               for r in range(n)]
-        for c in range(n):
-            pr = next((r for r in range(c, n) if aug[r][c] % p), None)
-            if pr is None:
-                raise UsageError("matrix is singular")
-            aug[c], aug[pr] = aug[pr], aug[c]
-            inv = pow(aug[c][c], -1, p)
-            aug[c] = [x * inv % p for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [(aug[r][k] - f * aug[c][k]) % p for k in range(2 * n)]
-        return FpMatrix(p, [row[n:] for row in aug])
 
     def key(self):
         return ("fp", self.p, self.rows)
@@ -481,11 +423,10 @@ def _projective_order_fp(gens, bound: int):
     levels are then checked again, from j up.
 
     `bound` caps the points times the stored permutations (transversal
-    entries plus strong generators), checked before each store."""
+    entries plus strong generators), checked before each store;
+    `classify_image` checks that one permutation fits."""
     p, d = gens[0].p, gens[0].dim
     npoints = (p ** d - 1) // (p - 1)
-    if npoints > bound:  # not one permutation fits: do not list the points
-        return None
     points = _projective_points(p, d)
     index = {v: i for i, v in enumerate(points)}
     ident = tuple(range(npoints))
@@ -581,18 +522,13 @@ def _projective_order_fp(gens, bound: int):
 # ---------------------------------------------------------------------------
 # infinite-order certificate
 
-def _is_root_of_unity(x: CyclotomicNumber) -> bool:
-    for unit in _unit_scalars(x.order):
-        if x == unit:
-            return True
-    return False
-
-
 def _trace_certificate(M: CycMatrix) -> bool:
     """True only if M provably has infinite projective order.
 
-    If M had finite projective order, M = scalar * U with U of finite order,
-    and |det M| = 1 at every embedding forces |scalar| = 1 everywhere; then
+    M is a word in letters whose eigenvalues are roots of unity (checked by
+    `_inverse_letter`), so det M is a root of unity.  If M had finite
+    projective order, M = scalar * U with U of finite order, and
+    |det M| = 1 at every embedding forces |scalar| = 1 everywhere; then
     every Galois conjugate of tr(M^m) has magnitude <= dim.  Writing the
     trace as x / d, a rational trace of (x conj(x))^r above
     phi(N) * (dim*d)^(2r) therefore certifies some conjugate exceeds the
@@ -626,22 +562,39 @@ def _reduced_extensions(word, alphabet):
         yield a
 
 
+def _inverse_letter(g: CycMatrix) -> CycMatrix:
+    """sigma^-1 = A^2 sigma + (A^-1 - A^3) for a letter sigma = A + A^-1 E
+    with E^2 = d E, d = -A^2 - A^-2, A = zeta_N: such a sigma satisfies
+    (sigma - A)(sigma + A^-3) = 0.  The product with g is checked exactly,
+    and it proves that every eigenvalue of g is A or -A^-3."""
+    N = g.order
+    a2 = CyclotomicNumber.zeta(N, 2)
+    shift = (CyclotomicNumber.zeta(N, -1) - CyclotomicNumber.zeta(N, 3)) * g.den
+    h = CycMatrix(N, [[a2 * e + shift if r == c else a2 * e
+                       for c, e in enumerate(row)]
+                      for r, row in enumerate(g.rows)], g.den)
+    if g.mul(h) != g.identity_like():
+        raise UsageError("generator is not a braid letter A + A^-1 E "
+                         "at A = zeta_%d" % N)
+    return h
+
+
 def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     """Search words in the generators (shortest first, then by alphabet
     order sigma_1, sigma_1^-1, sigma_2, ...) for a matrix certified to have
-    infinite projective order; None if no word up to max_len certifies."""
+    infinite projective order; None if no word up to max_len certifies.
+
+    Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
+    N its order, as `rep_generators` builds them (`_inverse_letter` checks
+    it); anything else is a UsageError."""
     if not gens:
         return None
-    for g in gens:
-        if not isinstance(g, CycMatrix):
-            raise UsageError("the certificate needs cyclotomic entries")
-        det = g.det()
-        if det.den != 1 or not _is_root_of_unity(det.num):
-            raise UsageError("generator determinant is not a root of unity")
     by_letter = {}
     for i, g in enumerate(gens, start=1):
+        if not isinstance(g, CycMatrix):
+            raise UsageError("the certificate needs cyclotomic entries")
         by_letter[i] = g
-        by_letter[-i] = g.inverse()
+        by_letter[-i] = _inverse_letter(g)
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     seen = set()
     frontier = [((), gens[0].identity_like())]
@@ -668,15 +621,22 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
 def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     """Classify the projective closure of the braid image as finite abelian,
     finite (with exact order), infinite (with witness word), or unknown."""
-    gens = rep_generators(spec)
-    notes = []
     if spec.family == "tl":
-        notes.append("path representation of dimension %d; semisimple quotient "
-                     "dimension %d" % (len(_paths(spec.strands, spec.l)),
-                                       quotient_dimension(spec.strands, spec.l)))
+        notes = ["path representation of dimension %d; semisimple quotient "
+                 "dimension %d" % (len(_paths(spec.strands, spec.l)),
+                                   quotient_dimension(spec.strands, spec.l))]
+        exceeded = "closure exceeded bound %d without a certificate" % bound
     else:
-        notes.append("reduced representation of dimension %d over F_%d at t=%d"
-                     % (spec.strands - 1, spec.p, spec.t0))
+        d = spec.strands - 1
+        notes = ["reduced representation of dimension %d over F_%d at t=%d"
+                 % (d, spec.p, spec.t0)]
+        exceeded = ("projective points x stored permutations exceeded bound %d"
+                    % bound)
+        k = min(d, bound.bit_length() + 1)  # points >= 2^(d-1) > bound past k
+        if (spec.p ** k - 1) // (spec.p - 1) > bound:  # build nothing
+            return ImageReport("unknown", generators=d,
+                               notes=tuple(notes + [exceeded]))
+    gens = rep_generators(spec)
     if not gens:
         return ImageReport("finite-abelian", order=1, generators=0,
                            notes=tuple(notes + ["no generators: trivial image"]))
@@ -700,7 +660,7 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
                 return ImageReport("infinite", witness=witness,
                                    generators=len(gens), notes=tuple(notes))
     if order is None:
-        notes.append("closure exceeded bound %d without a certificate" % bound)
+        notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
 
     abelian = all(gens[i].mul(gens[j]).canonical_key(True) ==

@@ -3,7 +3,10 @@ counts against a Wirtinger-presentation oracle, and the seeded estimator."""
 
 import itertools
 import math
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -318,3 +321,15 @@ def test_estimate_near_exact_value():
 def test_estimate_rejects_zero_samples():
     with pytest.raises(UsageError):
         hom_count_estimate(TREFOIL, S3, samples=0, seed=1)
+
+
+def test_calibrate_script_smoke(monkeypatch, capsys):
+    script = (Path(__file__).resolve().parents[1] / "scripts"
+              / "calibrate_estimator.py")
+    calibrate = runpy.run_path(str(script))
+    monkeypatch.setattr(sys, "argv", ["calibrate_estimator.py",
+                                      "--samples", "50", "--seeds", "3"])
+    assert calibrate["main"]() == 0
+    out = capsys.readouterr().out
+    assert "exact count 12" in out
+    assert "samples=50 " in out

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import CycFraction, CyclotomicNumber, UsageError
 from qll.braid import BraidWord
-from qll.image import (CycMatrix, FpMatrix, RepSpec, _paths,
+from qll.burau import burau_mod_p
+from qll.image import (CycMatrix, FpMatrix, RepSpec, _inverse_letter, _paths,
                        _projective_order_fp, classify_image,
                        group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
@@ -57,7 +58,7 @@ def test_tl_generators_satisfy_braid_relations(n, l):
     assert len(gens) == n - 1
     ident = gens[0].identity_like()
     for g in gens:
-        assert g.mul(g.inverse()) == ident
+        assert g.mul(_inverse_letter(g)) == ident
     for a, b in zip(gens, gens[1:]):
         assert a.mul(b).mul(a) == b.mul(a).mul(b)
     for a in gens:
@@ -77,7 +78,7 @@ def quantum_integer(m, l):
 @lru_cache(maxsize=None)
 def path_letter(n, l, letter):
     g = rep_generators(RepSpec("tl", n, l=l))[abs(letter) - 1]
-    return g if letter > 0 else g.inverse()
+    return g if letter > 0 else _inverse_letter(g)
 
 
 def braids(max_strands, max_len):
@@ -116,13 +117,16 @@ def test_tl_two_strand_generator_spectrum():
     assert g.dim == 2
     z = CyclotomicNumber.zeta(16)
     assert g.trace() == CycFraction(z - z ** 13, 1)
-    assert g.det() == CycFraction(-(z ** 14), 1)
+    (r00, r01), (r10, r11) = g.rows
+    det = CycFraction(r00 * r11 - r01 * r10, g.den ** 2)
+    assert det == CycFraction(-(z ** 14), 1)
 
 
 def test_burau_generators_satisfy_braid_relations():
     g1, g2 = rep_generators(RepSpec("burau", 3, p=5, t0=2))
     assert g1.mul(g2).mul(g1) == g2.mul(g1).mul(g2)
-    assert g1.mul(g1.inverse()) == g1.identity_like()
+    g1_inv = FpMatrix(5, burau_mod_p(BraidWord(3, (-1,)), 5, 2))
+    assert g1.mul(g1_inv) == g1.identity_like()
     g = rep_generators(RepSpec("burau", 4, p=7, t0=3))
     assert g[0].mul(g[2]) == g[2].mul(g[0])
 
@@ -170,13 +174,6 @@ def test_fp_scalar_multiples_share_canonical_key():
     assert a.canonical_key(True) == b.canonical_key(True)
 
 
-def test_fp_inverse():
-    a = FpMatrix(5, ((2, 1), (1, 1)))
-    assert a.mul(a.inverse()) == a.identity_like()
-    with pytest.raises(UsageError):
-        FpMatrix(5, ((1, 1), (1, 1))).inverse()
-
-
 # ---------------------------------------------------------------------------
 # closure enumeration
 
@@ -213,7 +210,9 @@ def test_closure_invariant_under_reordering_and_conjugation():
     base = group_closure(g, 2000)
     assert group_closure(tuple(reversed(g)), 2000) == base
     t = FpMatrix(5, ((1, 2), (0, 3)))
-    conj = [t.mul(x).mul(t.inverse()) for x in g]
+    t_inv = FpMatrix(5, ((1, 1), (0, 2)))
+    assert t.mul(t_inv) == t.identity_like()
+    conj = [t.mul(x).mul(t_inv) for x in g]
     assert group_closure(conj, 2000) == base
 
 
@@ -231,7 +230,8 @@ def test_witness_found_at_l5_and_l7():
 def test_no_witness_for_finite_images():
     gens = rep_generators(RepSpec("tl", 3, l=4))
     assert infinite_order_witness(gens, max_len=3) is None
-    assert infinite_order_witness([CycMatrix.identity(8, 2)], max_len=3) is None
+    with pytest.raises(UsageError):  # not a letter A + A^-1 E at A = zeta_8
+        infinite_order_witness([CycMatrix.identity(8, 2)], max_len=3)
 
 
 def test_witness_requires_cyclotomic_entries():
@@ -377,6 +377,29 @@ def test_burau_bound_below_need_is_unknown(p, t0, n, order):
         r = classify_image(spec, bound)
         assert (r.verdict, r.order) == ("unknown", None)
         assert any("exceeded bound %d" % bound in note for note in r.notes)
+        assert r.notes[-1] == ("projective points x stored permutations "
+                               "exceeded bound %d" % bound)
+
+
+def test_burau_over_bound_builds_no_generator(monkeypatch):
+    def build(spec):
+        raise LookupError("generators built")
+    monkeypatch.setattr("qll.image.rep_generators", build)
+    r = classify_image(RepSpec("burau", 400, p=2, t0=1))  # 2^399 - 1 points
+    assert (r.verdict, r.order, r.generators) == ("unknown", None, 399)
+    r = classify_image(RepSpec("burau", 10 ** 12, p=2, t0=1))
+    assert (r.verdict, r.generators) == ("unknown", 10 ** 12 - 1)
+    # refused exactly when the points alone exceed the bound
+    for p in (2, 3, 7):
+        for n in range(2, 40):
+            points = (p ** (n - 1) - 1) // (p - 1)
+            spec = RepSpec("burau", n, p=p, t0=1)
+            for bound in {1, 5, max(points - 1, 1), points, points + 1, 10 ** 6}:
+                if points > bound:
+                    assert classify_image(spec, bound).verdict == "unknown"
+                else:
+                    with pytest.raises(LookupError):
+                        classify_image(spec, bound)
 
 
 def test_survey_script_smoke(monkeypatch, capsys):
