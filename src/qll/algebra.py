@@ -1,6 +1,9 @@
 """Exact arithmetic kernels: cyclotomic integers, integer Laurent polynomials,
 and integer/modular matrix reductions.
 
+Ranks over F_p and determinants over Z[t, 1/t] come from one fraction-free
+elimination, ``_bareiss``; ``smith_normal_form`` reduces over Z unimodularly.
+
 Cyclotomic integers are stored in the power basis 1, z, ..., z^(phi(n)-1) of
 Z[z] with z a primitive n-th root of unity; every operation reduces modulo the
 n-th cyclotomic polynomial, so representations are unique and comparisons are
@@ -460,6 +463,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def high(self) -> int:
         return self.low + len(self.coeffs) - 1
@@ -609,17 +615,27 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: Smith form and modular corank
+# integer matrices: primality, Smith form, fraction-free elimination
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin at _PRIME_BASES, exact below _PRIME_LIMIT,
+    the least composite that passes at all of them (Sorenson and Webster
+    2015); larger p is refused."""
+    if p >= _PRIME_LIMIT:
+        raise UsageError("primality is decided only below %d, got %d"
+                         % (_PRIME_LIMIT, p))
+    if p <= _PRIME_BASES[-1]:
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s exactly divides p - 1
+    # a^d = 1 or a^(d 2^r) = -1 for some r < s, where p - 1 = d 2^s; a
+    # multiple of a base fails at that base
+    return all(pow(a, (p - 1) >> s, p) == 1 or any(
+        pow(a, (p - 1) >> r, p) == p - 1 for r in range(1, s + 1))
+        for a in _PRIME_BASES)
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:
@@ -670,32 +686,35 @@ def smith_normal_form(mat) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _bareiss(rows, step):
+    """Fraction-free (Bareiss) elimination over a domain whose zero is
+    falsy; returns (rank, sign of the row swaps, last pivot or None).
+    ``step(x, prev)`` normalises x = a_ij a_kk - a_ik a_kj given the previous
+    pivot (None at first): exact division by it keeps each entry a minor
+    (Sylvester's identity), so a nonsingular square matrix ends at sign * det;
+    over a field, reducing x keeps the rank."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    rank, sign, prev = 0, 1, None
+    for col in range(len(a[0]) if m else 0):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        pivot, top = a[rank][col], a[rank][col + 1:]
+        for row in a[rank + 1:]:
+            f = row[col]
+            row[col + 1:] = [step(x * pivot - f * y, prev)
+                             for x, y in zip(row[col + 1:], top)]
+        rank, prev = rank + 1, pivot
+    return rank, sign, prev
+
+
 def corank_mod_p(mat, p: int) -> int:
     """Dimension of the null space of ``mat`` over F_p (columns - rank)."""
     if not _is_prime(p):
-        raise UsageError("modulus must be prime, got %d" % p)
-    a = [[x % p for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return n - rank
+        raise UsageError("p must be prime, got %d" % p)
+    rows = [[x % p for x in row] for row in mat]
+    return (len(rows[0]) if rows else 0) - _bareiss(rows, lambda x, _: x % p)[0]

@@ -6,8 +6,9 @@ permutation module spanned by differences of adjacent strand coordinates.
 Matrices compose in word order by right multiplication, and a generator
 differs from the identity in a single column, so each letter is applied as
 one column update of the running product: O(n) ring operations per letter.
-The Alexander determinant is taken by fraction-free (Bareiss) elimination
-over Z[t, 1/t], O(n^3) ring operations with exact divisions.
+The Alexander determinant is taken by the fraction-free (Bareiss)
+elimination of ``algebra`` over Z[t, 1/t], O(n^3) ring operations with exact
+divisions; the same routine gives the F_p rank behind d_p.
 
 For the double branched cover we use the n-strand permutation-module action
 evaluated at t = -1, where a letter updates two columns: its fixed row-sum
@@ -19,7 +20,7 @@ test suite).
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, UsageError, _is_prime, corank_mod_p
+from .algebra import LaurentPoly, UsageError, _bareiss, _is_prime, corank_mod_p
 from .braid import BraidWord, closure_components
 
 
@@ -58,24 +59,12 @@ def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
 
 
 def _det(m) -> LaurentPoly:
-    """Determinant by Bareiss elimination: every division is exact."""
-    a = [list(row) for row in m]
-    size = len(a)
-    if size == 0:
-        return LaurentPoly.one()
-    sign, prev = 1, LaurentPoly.one()
-    for k in range(size - 1):
-        pivot = next((r for r in range(k, size) if not a[r][k].is_zero()), None)
-        if pivot is None:
-            return LaurentPoly.zero()
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).divexact(prev)
-        prev = a[k][k]
-    return a[-1][-1] if sign > 0 else -a[-1][-1]
+    """Determinant by fraction-free elimination: every division is exact."""
+    rank, sign, last = _bareiss(
+        m, lambda x, prev: x if prev is None else x.divexact(prev))
+    if rank < len(m):
+        return LaurentPoly.zero()
+    return sign * last if m else LaurentPoly.one()
 
 
 def alexander_poly(b: BraidWord) -> LaurentPoly:
@@ -87,11 +76,8 @@ def alexander_poly(b: BraidWord) -> LaurentPoly:
     m = [list(row) for row in reduced_burau(b)]
     for k in range(len(m)):
         m[k][k] = m[k][k] - 1
-    d = _det(m)
-    if d.is_zero():
-        return LaurentPoly.zero()
     fuller = LaurentPoly(0, (1,) * b.strands)  # 1 + t + ... + t^(n-1)
-    return d.divexact(fuller).canonical()
+    return _det(m).divexact(fuller).canonical()
 
 
 def determinant(b: BraidWord) -> int:
@@ -118,8 +104,6 @@ def double_cover_presentation(b: BraidWord) -> tuple[tuple[int, ...], ...]:
 
 def double_cover_homology(b: BraidWord, p: int) -> int:
     """d_p = dim over F_p of H1 of the double branched cover of the closure."""
-    if not _is_prime(p):
-        raise UsageError("p must be prime, got %d" % p)
     return corank_mod_p(double_cover_presentation(b), p) - 1
 
 

@@ -38,7 +38,6 @@ from .braid import BraidWord
 from .burau import burau_mod_p
 
 _DEFAULT_BOUND = 10 ** 6
-_STAGE_BOUND = 50_000
 _WITNESS_LEN = 6
 _TRACE_POWERS = 6
 _TRACE_DOUBLINGS = 6
@@ -649,10 +648,7 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
             notes.append("trace bound violated at a power of the witness")
             return ImageReport("infinite", witness=witness,
                                generators=len(gens), notes=tuple(notes))
-        stage = min(_STAGE_BOUND, bound)
-        order = group_closure(gens, stage, projective=True)
-        if order is None and stage < bound:
-            order = group_closure(gens, bound, projective=True)
+        order = group_closure(gens, bound, projective=True)
         if order is None:
             witness = infinite_order_witness(gens, max_len=_WITNESS_LEN)
             if witness is not None:

@@ -1,17 +1,20 @@
 """Arithmetic kernels checked against sympy and against closed-form identities."""
 
 import cmath
+import random
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import (
     CycFraction,
     CyclotomicNumber,
     LaurentPoly,
     UsageError,
+    _PRIME_LIMIT,
+    _is_prime,
     corank_mod_p,
     cyc_inverse,
     cyclotomic_polynomial,
@@ -298,9 +301,51 @@ def test_corank_consistent_with_smith(rows, p):
     assert corank_mod_p(rows, p) == n - rank_p
 
 
+def gf_rank(rows, p):
+    from sympy.polys.matrices import DomainMatrix
+    field = sympy.GF(p)
+    return DomainMatrix([[field(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), field).rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda m: st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n),
+            min_size=m, max_size=m))),
+    st.sampled_from([2, 3, 5, 7, 101, 2 ** 31 - 1]))
+@example([[1, 0, 2], [0, 0, 3], [2, 0, 1]], 5)  # the middle column has no pivot
+@example([[1, 2, 0], [2, 4, 1]], 7)  # loses its pivot in the first step
+def test_corank_matches_sympy_gf_p(rows, p):
+    assert corank_mod_p(rows, p) == len(rows[0]) - gf_rank(rows, p)
+
+
 def test_corank_rejects_composite_modulus():
     with pytest.raises(UsageError):
         corank_mod_p([[1]], 6)
+
+
+def test_is_prime_matches_sympy():
+    for n in range(-3, 10 ** 4):
+        assert _is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(2015)
+    for bits in range(14, _PRIME_LIMIT.bit_length()):
+        for _ in range(20):
+            n = rng.randrange(2 ** (bits - 1), min(2 ** bits, _PRIME_LIMIT))
+            assert _is_prime(n) == sympy.isprime(n), n
+            q = sympy.nextprime(n)
+            if q < _PRIME_LIMIT:
+                assert _is_prime(q), q
+    # a Carmichael number, and strong pseudoprimes to the bases 2..11,
+    # 2..31 and 2..37; the last is the least one that only 41 exposes
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    assert _is_prime(1000000000000000003)
+    assert _is_prime(sympy.prevprime(_PRIME_LIMIT))
+    for n in (_PRIME_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(UsageError):
+            _is_prime(n)
 
 
 def test_smith_known_values():

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,29 @@ def test_image_unknown_on_tiny_bound(capsys):
                        "--bound", "10", "--no-timings")
     assert code == 0
     assert "verdict: unknown" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--strands", "2", "--word", "1 1 1",
+     "--dp", "1000000000000000003"],
+    ["image", "--burau", "1000000000000000003", "2", "--strands", "3"],
+])
+def test_large_prime_modulus_answers_promptly(argv):
+    # a fresh interpreter, so a primality test that hangs is cut at 2 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (src, env.get("PYTHONPATH")) if x)
+    done = subprocess.run([sys.executable, "-m", "qll", *argv], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert done.returncode == 0, done.stderr
+
+
+def test_modulus_past_primality_limit_is_usage_error(capsys):
+    code, _, err = run(capsys, "invariants", "--strands", "2", "--word",
+                       "1 1 1", "--dp", str(3317044064679887385961981))
+    assert code == 2
+    assert "primality is decided only below" in err
 
 
 def test_image_nonpositive_bound_is_usage_error(capsys):

@@ -381,6 +381,19 @@ def test_burau_bound_below_need_is_unknown(p, t0, n, order):
                                "exceeded bound %d" % bound)
 
 
+def test_tl_closure_runs_once(monkeypatch):
+    # one breadth-first closure up to the bound, not a staged restart
+    bounds = []
+
+    def record(gens, bound, projective=False):
+        bounds.append(bound)
+        return None
+    monkeypatch.setattr("qll.image.group_closure", record)
+    r = classify_image(RepSpec("tl", 3, l=4), bound=10 ** 6)
+    assert bounds == [10 ** 6]
+    assert (r.verdict, r.order) == ("unknown", None)
+
+
 def test_burau_over_bound_builds_no_generator(monkeypatch):
     def build(spec):
         raise LookupError("generators built")
