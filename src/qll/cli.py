@@ -10,6 +10,8 @@ Subcommands:
 * ``version``     -- print the package version.
 
 Reports are emitted as text (default) or machine-readable JSON (``--json``).
+``timings.total_s`` (text: the closing ``elapsed:`` line) times the whole
+subcommand, argument and corpus parsing included; ``version`` is untimed.
 With ``--no-timings`` two runs on identical inputs produce byte-identical
 JSON.  Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 3 budget refusal, 4 internal error (a traceback and an ``internal error:``
@@ -27,10 +29,12 @@ for the built-in group specs of :func:`qll.homcount.builtin_group`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -82,31 +86,28 @@ def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusEntry]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = "%s:%d: " % (source, lineno)
         fields = [f.strip() for f in line.split(";")]
         if len(fields) not in (3, 4):
             raise UsageError(
-                "%s:%d: expected 'name ; strands ; word [; key=value, ...]'"
-                % (source, lineno)
+                at + "expected 'name ; strands ; word [; key=value, ...]'"
             )
         name = fields[0]
         if not name:
-            raise UsageError("%s:%d: empty entry name" % (source, lineno))
+            raise UsageError(at + "empty entry name")
         if name in seen:
-            raise UsageError(
-                "%s:%d: duplicate entry name %r" % (source, lineno, name)
-            )
+            raise UsageError(at + "duplicate entry name %r" % name)
         seen.add(name)
         try:
             strands = int(fields[1])
         except ValueError:
             raise UsageError(
-                "%s:%d: strand count %r is not an integer"
-                % (source, lineno, fields[1])
+                at + "strand count %r is not an integer" % fields[1]
             ) from None
         try:
             braid = parse_braid(fields[2], strands)
         except UsageError as exc:
-            raise UsageError("%s:%d: %s" % (source, lineno, exc)) from None
+            raise UsageError(at + str(exc)) from None
         expected: list[tuple[str, int]] = []
         if len(fields) == 4 and fields[3]:
             for item in fields[3].split(","):
@@ -114,25 +115,20 @@ def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusEntry]:
                 key, value_text = key.strip(), value_text.strip()
                 if not sep or not key or not value_text:
                     raise UsageError(
-                        "%s:%d: malformed expected value %r"
-                        % (source, lineno, item.strip())
+                        at + "malformed expected value %r" % item.strip()
                     )
                 if key not in _SCALAR_KEYS and not (
                     key.startswith("hom.") and len(key) > 4
                 ):
-                    raise UsageError(
-                        "%s:%d: unknown expected key %r" % (source, lineno, key)
-                    )
+                    raise UsageError(at + "unknown expected key %r" % key)
                 if any(key == k for k, _ in expected):
-                    raise UsageError(
-                        "%s:%d: duplicate expected key %r" % (source, lineno, key)
-                    )
+                    raise UsageError(at + "duplicate expected key %r" % key)
                 try:
                     value = int(value_text)
                 except ValueError:
                     raise UsageError(
-                        "%s:%d: expected value for %r is not an integer: %r"
-                        % (source, lineno, key, value_text)
+                        at + "expected value for %r is not an integer: %r"
+                        % (key, value_text)
                     ) from None
                 expected.append((key, value))
         entries.append(CorpusEntry(name, braid, tuple(expected)))
@@ -215,18 +211,6 @@ def _skip(check: str, reason: str) -> dict:
     return {"check": check, "verdict": "skip", "detail": reason}
 
 
-class _GroupCache:
-    """Build each group spec once per run; surface bad specs as check rows."""
-
-    def __init__(self) -> None:
-        self._groups: dict[str, FiniteGroup] = {}
-
-    def get(self, spec: str) -> FiniteGroup:
-        if spec not in self._groups:
-            self._groups[spec] = builtin_group(spec)
-        return self._groups[spec]
-
-
 def _l6_targets(c: int, d3: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """The pair ±i^(c-1) (i√3)^d3 in Q(zeta_24)."""
     i_unit = CyclotomicNumber.zeta(24, 6)
@@ -247,7 +231,7 @@ def _check_expected(
     jones_at,
     c: int,
     budget: int,
-    groups: _GroupCache,
+    groups: Callable[[str], FiniteGroup],
 ) -> dict:
     name = "expected:%s" % key
     try:
@@ -269,7 +253,7 @@ def _check_expected(
                 )
             actual = v.as_int()
         else:  # hom.<groupspec>, vocabulary enforced by parse_corpus
-            actual = hom_count_exact(entry.braid, groups.get(key[4:]), budget)
+            actual = hom_count_exact(entry.braid, groups(key[4:]), budget)
     except BudgetError as exc:
         return _skip(name, str(exc))
     except UsageError as exc:
@@ -278,9 +262,10 @@ def _check_expected(
 
 
 def run_entry_checks(
-    entry: CorpusEntry, budget: int, groups: _GroupCache
+    entry: CorpusEntry, budget: int, groups: Callable[[str], FiniteGroup]
 ) -> list[dict]:
-    """All identity checks for one corpus entry, in a fixed order."""
+    """All identity checks for one corpus entry, in a fixed order; `groups`
+    builds a group from its spec (one cache per run)."""
     b = entry.braid
     c = closure_components(b)
     rows: list[dict] = []
@@ -293,30 +278,16 @@ def run_entry_checks(
 
     # (i) closed form vs state-sum oracle, exact cyclotomic equality
     try:
-        mismatch = None
         for l in ORACLE_LEVELS:
             lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l)
             if lhs != rhs:
-                mismatch = (l, lhs, rhs)
+                ok, detail = False, "l=%d: closed form %s, state sum %s" % (
+                    l, _cyc_text(lhs), _cyc_text(rhs))
                 break
-        if mismatch is None:
-            rows.append(
-                _row(
-                    "jones-vs-statesum",
-                    True,
-                    "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS),
-                )
-            )
         else:
-            l, lhs, rhs = mismatch
-            rows.append(
-                _row(
-                    "jones-vs-statesum",
-                    False,
-                    "l=%d: closed form %s, state sum %s"
-                    % (l, _cyc_text(lhs), _cyc_text(rhs)),
-                )
-            )
+            ok = True
+            detail = "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS)
+        rows.append(_row("jones-vs-statesum", ok, detail))
     except BudgetError as exc:
         rows.append(_skip("jones-vs-statesum", str(exc)))
 
@@ -375,7 +346,7 @@ def run_entry_checks(
     for spec in ABELIAN_LAW_GROUPS:
         name = "abelian-law:%s" % spec
         try:
-            group = groups.get(spec)
+            group = groups(spec)
             count = hom_count_exact(b, group, budget)
         except BudgetError as exc:
             rows.append(_skip(name, str(exc)))
@@ -394,24 +365,6 @@ def run_entry_checks(
 # subcommand handlers (each returns a JSON-able report dict and an exit code)
 
 
-def _budget_default() -> int:
-    raw = os.environ.get("QLL_BUDGET")
-    if raw is None:
-        return _DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError("QLL_BUDGET must be an integer, got %r" % raw) from None
-    if value <= 0:
-        raise UsageError("QLL_BUDGET must be positive, got %d" % value)
-    return value
-
-
-def _image_bound_default() -> int:
-    raw = os.environ.get("QLL_BUDGET")
-    return _DEFAULT_BOUND if raw is None else _budget_default()
-
-
 def _positive_int(text: str, what: str) -> int:
     try:
         value = int(text)
@@ -422,9 +375,13 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
-def _flag_or_default(text: str | None, flag: str, default) -> int:
-    """A positive integer flag value, or ``default()`` when the flag is absent."""
-    return default() if text is None else _positive_int(text, flag)
+def _limit(text: str | None, flag: str, default: int) -> int:
+    """The positive integer given by the flag, else by ``QLL_BUDGET``, else
+    the route's default."""
+    if text is not None:
+        return _positive_int(text, flag)
+    raw = os.environ.get("QLL_BUDGET")
+    return default if raw is None else _positive_int(raw, "QLL_BUDGET")
 
 
 def _hom_estimate(b: BraidWord, group: FiniteGroup, samples_text: str,
@@ -445,9 +402,8 @@ def _hom_estimate(b: BraidWord, group: FiniteGroup, samples_text: str,
 
 
 def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = _flag_or_default(args.budget, "--budget", _budget_default)
+    budget = _limit(args.budget, "--budget", _DEFAULT_BUDGET)
     b = parse_braid(args.word, args.strands)
-    started = time.perf_counter()
     results: dict = {}
     if args.components:
         results["components"] = closure_components(b)
@@ -490,18 +446,15 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
             "--linking, --jones, --alexander, --det, --dp, --arf, --hom, "
             "--hom-estimate"
         )
-    report = {
+    return {
         "command": "invariants",
         "input": {"strands": b.strands, "word": list(b.word)},
         "results": results,
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, 0
+    }, 0
 
 
 def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = _flag_or_default(args.budget, "--budget", _budget_default)
+    budget = _limit(args.budget, "--budget", _DEFAULT_BUDGET)
     if args.corpus is not None:
         try:
             with open(args.corpus, encoding="utf-8") as handle:
@@ -512,8 +465,7 @@ def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         text, source = bundled_corpus_text(), "bundled"
     entries = parse_corpus(text, source)
-    groups = _GroupCache()
-    started = time.perf_counter()
+    groups = functools.lru_cache(maxsize=None)(builtin_group)
     entry_reports = []
     passed = failed = skipped = 0
     for entry in entries:
@@ -531,7 +483,7 @@ def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
         if not args.no_timings:
             entry_report["elapsed_s"] = time.perf_counter() - entry_started
         entry_reports.append(entry_report)
-    report = {
+    return {
         "command": "check-table",
         "source": source,
         "entries": entry_reports,
@@ -542,10 +494,7 @@ def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
             "failed": failed,
             "skipped": skipped,
         },
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, 1 if failed else 0
+    }, 1 if failed else 0
 
 
 def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
@@ -556,10 +505,9 @@ def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         p, t0 = args.burau
         spec = RepSpec(family="burau", strands=args.strands, p=p, t0=t0)
-    bound = _flag_or_default(args.bound, "--bound", _image_bound_default)
-    started = time.perf_counter()
+    bound = _limit(args.bound, "--bound", _DEFAULT_BOUND)
     rep = classify_image(spec, bound)
-    report = {
+    return {
         "command": "image",
         "input": {
             "family": spec.family,
@@ -574,19 +522,15 @@ def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
         "witness": None if rep.witness is None else list(rep.witness),
         "generators": rep.generators,
         "notes": list(rep.notes),
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, 0
+    }, 0
 
 
 def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
-    budget = _flag_or_default(args.budget, "--budget", _budget_default)
+    budget = _limit(args.budget, "--budget", _DEFAULT_BUDGET)
     b = parse_braid(args.word, args.strands)
     if args.estimate is not None and args.wirtinger:
         raise UsageError("--estimate and --wirtinger are mutually exclusive")
     group = builtin_group(args.group)
-    started = time.perf_counter()
     results: dict = {"group": args.group, "group_order": group.size}
     if args.estimate is not None:
         results["method"] = "estimate"
@@ -595,14 +539,11 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"
         results["count"] = counter(b, group, budget)
-    report = {
+    return {
         "command": "hom",
         "input": {"strands": b.strands, "word": list(b.word)},
         "results": results,
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, 0
+    }, 0
 
 
 def _cmd_version(args: argparse.Namespace) -> tuple[dict, int]:
@@ -613,11 +554,24 @@ def _cmd_version(args: argparse.Namespace) -> tuple[dict, int]:
 # text rendering
 
 
-def _render_invariants(report: dict) -> str:
-    lines = [
+def _input_lines(report: dict) -> list[str]:
+    return [
         "strands: %d" % report["input"]["strands"],
         "word: %s" % _word_text(tuple(report["input"]["word"])),
     ]
+
+
+def _estimate_text(record: dict) -> str:
+    return "%s +- %s (samples=%d, seed=%d)" % (
+        _json_fraction_text(record["estimate"]),
+        _json_fraction_text(record["stderr"]),
+        record["samples"],
+        record["seed"],
+    )
+
+
+def _render_invariants(report: dict) -> str:
+    lines = _input_lines(report)
     results = report["results"]
     if "components" in results:
         lines.append("components: %d" % results["components"])
@@ -644,17 +598,8 @@ def _render_invariants(report: dict) -> str:
         lines.append("hom[%s]: %d" % (spec, count))
     for record in results.get("hom_estimate", []):
         lines.append(
-            "hom-estimate[%s]: %s +- %s (samples=%d, seed=%d)"
-            % (
-                record["group"],
-                _json_fraction_text(record["estimate"]),
-                _json_fraction_text(record["stderr"]),
-                record["samples"],
-                record["seed"],
-            )
+            "hom-estimate[%s]: %s" % (record["group"], _estimate_text(record))
         )
-    if "timings" in report:
-        lines.append("elapsed: %.3fs" % report["timings"]["total_s"])
     return "\n".join(lines)
 
 
@@ -701,8 +646,6 @@ def _render_check_table(report: dict) -> str:
             summary["skipped"],
         )
     )
-    if "timings" in report:
-        lines.append("elapsed: %.3fs" % report["timings"]["total_s"])
     return "\n".join(lines)
 
 
@@ -728,33 +671,19 @@ def _render_image(report: dict) -> str:
         lines.append("witness: %s" % _word_text(tuple(report["witness"])))
     for note in report["notes"]:
         lines.append("note: %s" % note)
-    if "timings" in report:
-        lines.append("elapsed: %.3fs" % report["timings"]["total_s"])
     return "\n".join(lines)
 
 
 def _render_hom(report: dict) -> str:
     results = report["results"]
-    lines = [
-        "strands: %d" % report["input"]["strands"],
-        "word: %s" % _word_text(tuple(report["input"]["word"])),
+    lines = _input_lines(report) + [
         "group: %s (order %d)" % (results["group"], results["group_order"]),
         "method: %s" % results["method"],
     ]
     if results["method"] == "estimate":
-        lines.append(
-            "estimate: %s +- %s (samples=%d, seed=%d)"
-            % (
-                _json_fraction_text(results["estimate"]),
-                _json_fraction_text(results["stderr"]),
-                results["samples"],
-                results["seed"],
-            )
-        )
+        lines.append("estimate: %s" % _estimate_text(results))
     else:
         lines.append("count: %d" % results["count"])
-    if "timings" in report:
-        lines.append("elapsed: %.3fs" % report["timings"]["total_s"])
     return "\n".join(lines)
 
 
@@ -809,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         metavar="P",
-        help="double-cover homology rank at odd prime P",
+        help="double-cover homology rank at prime P",
     )
     inv.add_argument("--arf", action="store_true", help="Arf invariant (knots)")
     inv.add_argument(
@@ -871,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     version = sub.add_parser("version", help="print package version")
     _add_common_flags(version)
-    version.set_defaults(handler=_cmd_version)
+    version.set_defaults(handler=_cmd_version, no_timings=True)
     return parser
 
 
@@ -881,11 +810,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "cmd", None) is None:
             raise UsageError("a subcommand is required (see --help)")
+        started = time.perf_counter()
         report, code = args.handler(args)
+        if not args.no_timings:
+            report["timings"] = {"total_s": time.perf_counter() - started}
         if args.json:
             text = json.dumps(report, indent=2, sort_keys=True)
         else:
             text = _RENDERERS[report["command"]](report)
+            if not args.no_timings:
+                text += "\nelapsed: %.3fs" % report["timings"]["total_s"]
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -176,14 +176,10 @@ def _word_ops(b: BraidWord):
     return [(abs(letter) - 1, letter > 0) for letter in b.word]
 
 
-def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, ...]:
-    """Act on a strand labelling: a positive letter sends (g_i, g_{i+1}) to
-    (g_i g_{i+1} g_i^-1, g_i); a negative letter is the inverse move."""
-    if len(x) != b.strands:
-        raise UsageError("tuple length %d != strand count %d" % (len(x), b.strands))
-    mul, inv = G.mul, G.inv
-    g = list(x)
-    for i, positive in _word_ops(b):
+def _act(g: list[int], ops, mul, inv) -> None:
+    """The Hurwitz action of the word `ops` (from `_word_ops`) on the
+    labelling g, in place, given the group's tables."""
+    for i, positive in ops:
         a, c = g[i], g[i + 1]
         if positive:
             g[i] = mul[mul[a][c]][inv[a]]
@@ -191,6 +187,15 @@ def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, 
         else:
             g[i] = c
             g[i + 1] = mul[mul[inv[c]][a]][c]
+
+
+def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, ...]:
+    """Act on a strand labelling: a positive letter sends (g_i, g_{i+1}) to
+    (g_i g_{i+1} g_i^-1, g_i); a negative letter is the inverse move."""
+    if len(x) != b.strands:
+        raise UsageError("tuple length %d != strand count %d" % (len(x), b.strands))
+    g = list(x)
+    _act(g, _word_ops(b), G.mul, G.inv)
     return tuple(g)
 
 
@@ -212,14 +217,7 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
     count = 0
     for tup in itertools.product(range(G.size), repeat=n):
         g = list(tup)
-        for i, positive in ops:
-            a, c = g[i], g[i + 1]
-            if positive:
-                g[i] = mul[mul[a][c]][inv[a]]
-                g[i + 1] = a
-            else:
-                g[i] = c
-                g[i + 1] = mul[mul[inv[c]][a]][c]
+        _act(g, ops, mul, inv)
         if tuple(g) == tup:
             count += 1
     return count
@@ -243,14 +241,7 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
         rng = random.Random(digest)
         tup = tuple(rng.randrange(size) for _ in range(n))
         g = list(tup)
-        for i, positive in ops:
-            a, c = g[i], g[i + 1]
-            if positive:
-                g[i] = mul[mul[a][c]][inv[a]]
-                g[i + 1] = a
-            else:
-                g[i] = c
-                g[i + 1] = mul[mul[inv[c]][a]][c]
+        _act(g, ops, mul, inv)
         if tuple(g) == tup:
             hits += 1
     total = size ** n

@@ -578,16 +578,11 @@ def _inverse_letter(g: CycMatrix) -> CycMatrix:
     return h
 
 
-def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
-    """Search words in the generators (shortest first, then by alphabet
-    order sigma_1, sigma_1^-1, sigma_2, ...) for a matrix certified to have
-    infinite projective order; None if no word up to max_len certifies.
-
-    Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
-    N its order, as `rep_generators` builds them (`_inverse_letter` checks
-    it); anything else is a UsageError."""
-    if not gens:
-        return None
+def _witness_search(gens):
+    """Yields one value per word length 1, 2, ...: None, or the first word
+    of that length (in the order of `infinite_order_witness`) certified to
+    have infinite projective order, which ends the search.  A word whose
+    matrix is, up to a scalar, that of an earlier word is not extended."""
     by_letter = {}
     for i, g in enumerate(gens, start=1):
         if not isinstance(g, CycMatrix):
@@ -597,7 +592,7 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     seen = set()
     frontier = [((), gens[0].identity_like())]
-    for _ in range(max_len):
+    while True:
         nxt = []
         for word, M in frontier:
             for a in _reduced_extensions(word, alphabet):
@@ -608,10 +603,31 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
                 if _trace_certificate(M2):
-                    return w2
+                    yield w2
+                    return
                 nxt.append((w2, M2))
         frontier = nxt
+        yield None
+
+
+def _next_witness(search, lengths: int):
+    """Runs `lengths` more word lengths of a `_witness_search`; the witness
+    found, or None."""
+    for _, witness in zip(range(lengths), search):
+        if witness is not None:
+            return witness
     return None
+
+
+def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
+    """Search words in the generators (shortest first, then by alphabet
+    order sigma_1, sigma_1^-1, sigma_2, ...) for a matrix certified to have
+    infinite projective order; None if no word up to max_len certifies.
+
+    Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
+    N its order, as `rep_generators` builds them (`_inverse_letter` checks
+    it); anything else is a UsageError."""
+    return _next_witness(_witness_search(gens), max_len) if gens else None
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +659,17 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     if spec.family == "burau":
         order = _projective_order_fp(gens, bound)
     else:
-        witness = infinite_order_witness(gens, max_len=4)
+        # words up to length 4, then the closure, then the search resumed
+        search = _witness_search(gens)
+        witness, order = _next_witness(search, 4), None
+        if witness is None:
+            order = group_closure(gens, bound, projective=True)
+            if order is None:
+                witness = _next_witness(search, _WITNESS_LEN - 4)
         if witness is not None:
             notes.append("trace bound violated at a power of the witness")
             return ImageReport("infinite", witness=witness,
                                generators=len(gens), notes=tuple(notes))
-        order = group_closure(gens, bound, projective=True)
-        if order is None:
-            witness = infinite_order_witness(gens, max_len=_WITNESS_LEN)
-            if witness is not None:
-                notes.append("trace bound violated at a power of the witness")
-                return ImageReport("infinite", witness=witness,
-                                   generators=len(gens), notes=tuple(notes))
     if order is None:
         notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))

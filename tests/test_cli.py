@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,40 @@ def test_invariants_trefoil_dp3(capsys):
                        "1 1 1", "--dp", "3", "--no-timings")
     assert code == 0
     assert "d3: 1" in out
+
+
+def test_invariants_dp_at_two(capsys):
+    # the connected sum of two Hopf links: H_1 of the double cover is Z2^2
+    code, out, _ = run(capsys, "invariants", "--strands", "3", "--word",
+                       "1 1 2 2", "--dp", "2", "--no-timings")
+    assert code == 0
+    assert "d2: 2" in out.splitlines()
+
+
+def test_invariants_full_text(capsys):
+    code, out, _ = run(
+        capsys, "invariants", "--strands", "3", "--word", "1 -2 1 -2",
+        "--components", "--linking", "--jones", "5", "--jones", "3",
+        "--alexander", "--det", "--dp", "3", "--dp", "2", "--arf",
+        "--hom", "cyclic 3", "--hom-estimate", "symmetric 3", "50", "7",
+        "--budget", "100000", "--no-timings")
+    assert code == 0
+    assert out == (
+        "strands: 3\n"
+        "word: 1 -2 1 -2\n"
+        "components: 1\n"
+        "linking: total=0 matrix=0\n"
+        "jones[3]: 1\n"
+        "jones[5]: (-2*z^4 +2*z^6 in Q(zeta_20)) ~ -1.236068+0.000000i\n"
+        "alexander: t^2 - 3t + 1\n"
+        "det: 5\n"
+        "d2: 0\n"
+        "d3: 0\n"
+        "arf: 1\n"
+        "hom[cyclic 3]: 3\n"
+        "hom-estimate[symmetric 3]: 324/25 +- 4069921419/500000000 "
+        "(samples=50, seed=7)\n"
+    )
 
 
 def test_invariants_hopf_hom_z2(capsys):
@@ -360,6 +395,20 @@ def test_hom_estimate_mode(capsys):
     assert "samples=2000, seed=7" in out
 
 
+def test_hom_estimate_full_text(capsys):
+    code, out, _ = run(capsys, "hom", "--strands", "3", "--word", "1 -2 1 -2",
+                       "--group", "symmetric 3", "--estimate", "100", "5",
+                       "--no-timings")
+    assert code == 0
+    assert out == (
+        "strands: 3\n"
+        "word: 1 -2 1 -2\n"
+        "group: symmetric 3 (order 6)\n"
+        "method: estimate\n"
+        "estimate: 54/5 +- 2541176471/500000000 (samples=100, seed=5)\n"
+    )
+
+
 def test_hom_estimate_error_nonzero_without_hits(capsys):
     # no sample of 20 hits one of the 600 fixed pairs among 120^2
     code, out, _ = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
@@ -437,6 +486,41 @@ def test_explicit_budget_beats_env(capsys, monkeypatch):
                        "--no-timings")
     assert code == 0
     assert "count: 12" in out
+
+
+# ---------------------------------------------------------------------------
+# timings
+
+TIMED = [
+    ("invariants", "--strands", "2", "--word", "1 1 1", "--det"),
+    ("check-table",),
+    ("image", "--strands", "3", "--tl", "3"),
+    ("hom", "--strands", "2", "--word", "1 1 1", "--group", "symmetric 3"),
+]
+
+
+@pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+def test_timed_text_ends_with_one_elapsed_line(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    elapsed = [line for line in lines if line.startswith("elapsed:")]
+    assert elapsed == [lines[-1]]
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s", lines[-1])
+
+
+@pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+def test_timed_json_carries_total(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["timings"]["total_s"] >= 0
+
+
+def test_version_is_untimed(capsys):
+    code, out, _ = run(capsys, "version")
+    assert code == 0 and "elapsed" not in out
+    code, out, _ = run(capsys, "version", "--json")
+    assert code == 0 and "timings" not in json.loads(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from qll.algebra import CycFraction, CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (CycMatrix, FpMatrix, RepSpec, _inverse_letter, _paths,
-                       _projective_order_fp, classify_image,
-                       group_closure, infinite_order_witness,
+                       _projective_order_fp, _trace_certificate,
+                       classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
@@ -392,6 +392,23 @@ def test_tl_closure_runs_once(monkeypatch):
     r = classify_image(RepSpec("tl", 3, l=4), bound=10 ** 6)
     assert bounds == [10 ** 6]
     assert (r.verdict, r.order) == ("unknown", None)
+
+
+def test_tl_witness_search_resumes_after_closure(monkeypatch):
+    # past the bound the search goes on from length 5; lengths 1-4 are not
+    # certified a second time
+    calls = []
+
+    def count(M):
+        calls.append(M)
+        return _trace_certificate(M)
+    monkeypatch.setattr("qll.image._trace_certificate", count)
+    spec = RepSpec("tl", 3, l=4)
+    infinite_order_witness(rep_generators(spec), 6)
+    one_search, calls[:] = len(calls), []
+    r = classify_image(spec, bound=10)
+    assert one_search > 0 and len(calls) == one_search
+    assert (r.verdict, r.witness) == ("unknown", None)
 
 
 def test_burau_over_bound_builds_no_generator(monkeypatch):
