@@ -2,11 +2,15 @@
 
 Two independent routes are implemented.  The fast route counts fixed points
 of the braid's Hurwitz action on G^n (a homomorphism from the closure's
-group is exactly a strand labelling fixed by the braid).  The oracle route
-builds the Wirtinger presentation of the closure diagram — one generator per
-arc, one conjugation relation per crossing — and counts satisfying
-assignments by backtracking with forced propagation.  The two must always
-agree; the test suite enforces it.
+group is exactly a strand labelling fixed by the braid).  Conjugating every
+label by one element of G commutes with the Hurwitz action, so the fixed set
+is a union of orbits of simultaneous conjugation: the route applies the word
+to one tuple per orbit, found position by position down a chain of
+centralisers, and adds the orbit's size when the tuple is fixed.  The oracle
+route builds the Wirtinger presentation of the closure diagram — one
+generator per arc, one conjugation relation per crossing — and counts
+satisfying assignments by backtracking with forced propagation.  The two
+must always agree; the test suite enforces it.
 
 A randomized estimator samples tuples from a seeded, per-index-split stream,
 so the draw set is reproducible and partition-independent.
@@ -205,22 +209,75 @@ def _require_budget(required: int, budget: int, what: str):
                           % (what, required, budget), required=required)
 
 
+def _conjugation_orbits(S, mul, inv) -> list:
+    """Orbits of the subgroup S (a tuple of elements) acting on the whole
+    group by conjugation: one entry [rep, orbit size, None] per orbit, the
+    smallest element standing for it.  `hom_count_exact` fills the None
+    with the rep's centraliser in S and that subgroup's orbits."""
+    rows = [(mul[s], inv[s]) for s in S]
+    seen = bytearray(len(mul))
+    found = []
+    for x in range(len(mul)):
+        if not seen[x]:
+            orbit = {mul[row[x]][si] for row, si in rows}
+            for y in orbit:
+                seen[y] = 1
+            found.append([x, len(orbit), None])
+    return found
+
+
 def hom_count_exact(b: BraidWord, G: FiniteGroup,
                     budget: int = _DEFAULT_BUDGET) -> int:
     """|Hom(link group of the closure, G)|: the number of Hurwitz fixed
-    tuples of the braid."""
+    tuples of the braid, counted over one representative per orbit of G
+    acting on G^n by simultaneous conjugation.
+
+    For a tuple t of length k with centraliser S = C_G(t), let F(t) be the
+    number of y in G^(n-k) with t + y fixed.  Conjugation by s in S fixes t
+    and commutes with the Hurwitz action, so it carries the fixed tuples
+    t + (x,) + y' bijectively onto the fixed tuples t + (s x s^-1,) + y'';
+    hence F(t) = sum over representatives x of the S-orbits on G of
+    |S x| * F(t + (x,)), and C_S(x) = C_G(t + (x,)) is the next
+    centraliser.  The count is F(()), where S = G.  Once every S-orbit is a
+    single element, S is central, no later position can be reduced, and the
+    remaining positions are enumerated plainly.  The price stays |G|^n steps
+    per letter, an upper bound: the word is applied once per representative."""
     n = b.strands
     _require_budget(G.size ** n * max(1, len(b.word)),
                     budget, "exact count over %d^%d tuples" % (G.size, n))
-    mul, inv = G.mul, G.inv
+    mul, inv, size = G.mul, G.inv, G.size
     ops = _word_ops(b)
-    count = 0
-    for tup in itertools.product(range(G.size), repeat=n):
+    act = _act
+    nodes = {}  # subgroup -> (the subgroup, its conjugation orbits on G)
+
+    def node(S):
+        found = nodes.get(S)
+        if found is None:
+            found = nodes[S] = (S, _conjugation_orbits(S, mul, inv))
+        return found
+
+    def is_fixed(tup):
         g = list(tup)
-        _act(g, ops, mul, inv)
-        if tuple(g) == tup:
-            count += 1
-    return count
+        act(g, ops, mul, inv)
+        return tuple(g) == tup
+
+    def fixed(prefix, S, orbits):
+        # F(prefix), S being the centraliser of prefix
+        if len(orbits) == size:  # S is central
+            tails = itertools.product(range(size), repeat=n - len(prefix))
+            return sum(1 for tail in tails if is_fixed(prefix + tail))
+        if len(prefix) == n - 1:
+            return sum(k for x, k, _ in orbits if is_fixed(prefix + (x,)))
+        total = 0
+        for entry in orbits:
+            x, k, child = entry
+            if child is None:
+                C = tuple(s for s in S if mul[s][x] == mul[x][s])
+                child = entry[2] = node(C)
+            total += k * fixed(prefix + (x,), *child)
+        return total
+
+    return fixed((), *node(tuple(range(size))))
 
 
 def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,

@@ -9,13 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qll.homcount
 from qll.algebra import BudgetError, UsageError
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
 from qll.homcount import (FiniteGroup, builtin_group, hom_count_estimate,
                           hom_count_exact, hurwitz_act, wirtinger_hom_count)
+
+import test_cli
 
 Z2 = builtin_group("cyclic 2")
 Z3 = builtin_group("cyclic 3")
@@ -24,7 +27,19 @@ V4 = builtin_group("dihedral 2")
 S3 = builtin_group("symmetric 3")
 D4 = builtin_group("dihedral 4")
 Q8 = builtin_group("quaternion8")
+Q8_S3 = builtin_group("quaternion8 x symmetric 3")
 SMALL_GROUPS = [Z2, Z3, Z6, V4, S3, D4, Q8]
+
+
+def relabelled(G, perm):
+    """G with element a renamed perm[a]."""
+    table = [[0] * G.size for _ in range(G.size)]
+    for a, b in itertools.product(range(G.size), repeat=2):
+        table[perm[a]][perm[b]] = perm[G.mul[a][b]]
+    return FiniteGroup(G.name + " relabelled", tuple(map(tuple, table)))
+
+
+S3_RELABELLED = relabelled(S3, (4, 2, 0, 5, 1, 3))
 
 UNKNOT = BraidWord(1, ())
 UNKNOT_B2 = BraidWord(2, (1,))
@@ -253,6 +268,87 @@ def test_markov_moves_preserve_counts(n, raw, conj, sign):
         base = hom_count_exact(b, G)
         assert hom_count_exact(conjugate(b, g), G) == base
         assert hom_count_exact(stabilize(b, sign), G) == base
+
+
+def naive_hom_count(b, G):
+    return sum(1 for x in itertools.product(range(G.size), repeat=b.strands)
+               if hurwitz_act(b, x, G) == x)
+
+
+def test_relabelled_group_moves_the_identity():
+    assert S3_RELABELLED.identity == 4
+    assert S3_RELABELLED.inv[S3_RELABELLED.identity] == 4
+
+
+@st.composite
+def group_and_braid(draw):
+    # at most 8000 tuples, so the naive enumeration stays cheap
+    G = draw(st.sampled_from([Z6, S3, D4, Q8, Q8_S3, S3_RELABELLED]))
+    n = draw(st.integers(1, max(k for k in range(1, 6) if G.size ** k <= 8000)))
+    letters = [i for i in range(-n + 1, n) if i]
+    word = draw(st.lists(st.sampled_from(letters), max_size=12)) if letters else []
+    return G, BraidWord(n, tuple(word))
+
+
+@given(group_and_braid())
+@example((Q8_S3, BraidWord(1, ())))
+@example((S3_RELABELLED, BraidWord(3, ())))
+# C(i, j) x C((12), (123)) is the centre {+1, -1} of Q8 x S3, so the last
+# position below such a pair is enumerated plainly
+@example((Q8_S3, BraidWord(3, (1, -2, 1, -2))))
+@settings(max_examples=60, deadline=None)
+def test_orbit_count_matches_naive_and_wirtinger(case):
+    G, b = case
+    count = hom_count_exact(b, G)
+    assert count == naive_hom_count(b, G)
+    assert count == wirtinger_hom_count(b, G)
+
+
+def counted_act(monkeypatch):
+    calls = [0]
+    act = qll.homcount._act
+
+    def counting(*args):
+        calls[0] += 1
+        act(*args)
+
+    monkeypatch.setattr(qll.homcount, "_act", counting)
+    return calls
+
+
+@pytest.mark.parametrize("b,G", [
+    (TREFOIL, S3), (FIG8, S3), (GRANNY, Q8), (FIG8, Q8_S3),
+    (BraidWord(4, (1, -2, 3, -2, 1)), D4), (BraidWord(3, (1, 2)), Z6),
+    (BraidWord(6, (1, 2, 3, 4, 5)), S3), (UNLINK2, S3),
+])
+def test_work_stays_within_the_price(monkeypatch, b, G):
+    calls = counted_act(monkeypatch)
+    expected = naive_hom_count(b, G)
+    calls[0] = 0
+    assert hom_count_exact(b, G) == expected
+    price = G.size ** b.strands * max(1, len(b.word))
+    assert calls[0] * max(1, len(b.word)) <= price
+    with pytest.raises(BudgetError) as info:
+        hom_count_exact(b, G, budget=price - 1)
+    assert info.value.required == price
+
+
+def test_orbit_route_skips_tuples(monkeypatch):
+    calls = counted_act(monkeypatch)
+    assert hom_count_exact(SQUARE, S3) == 30
+    assert 0 < calls[0] < 6 ** 3
+
+
+def test_oracles_do_not_use_the_orbit_route(monkeypatch, capsys):
+    def broken(*args):
+        raise AssertionError("orbit route called")
+
+    monkeypatch.setattr(qll.homcount, "_conjugation_orbits", broken)
+    with pytest.raises(AssertionError):
+        hom_count_exact(TREFOIL, S3)
+    assert wirtinger_hom_count(TREFOIL, S3) == 12
+    assert wirtinger_hom_count(FIG8, S3) == 6
+    test_cli.test_hom_estimate_full_text(capsys)  # the estimator's frozen text
 
 
 def test_exact_budget_refusal():
