@@ -13,7 +13,9 @@ classifying.)  For the reduced Burau family the generators are evaluated at
 an invertible residue mod p.
 
 Verdicts are exact certificates in both directions.  Finiteness of a
-diagram-algebra image is an enumerated multiplication closure.  A mod-p
+diagram-algebra image is an enumerated multiplication closure modulo the
+powers of zeta_{4l}, each matrix keyed by its entries times the conjugate
+of its first nonzero entry (`CycMatrix.canonical_key`).  A mod-p
 Burau image is finite outright; its projective order is certified by a base
 and strong generating set (deterministic Schreier-Sims) of its permutation
 action on the points of projective space over F_p.  Infiniteness is a word
@@ -122,20 +124,30 @@ class CycMatrix:
                 tuple(tuple(e.coeffs for e in row) for row in self.rows))
 
     def canonical_key(self, projective: bool):
+        """The key of M = X/den, or in projective mode `den` with every
+        entry of X times conj(f), f the first nonzero entry of X.
+
+        Two matrices of words in Temperley-Lieb letters have equal projective
+        keys exactly when one is a root of unity times the other:
+        - a root of unity u has u conj(u) = 1, so X_ij u conj(u f) =
+          X_ij conj(f) and uM has the key of M;
+        - equal keys put the first nonzero entries f of X and f' of X' at the
+          same place with f conj(f) = f' conj(f'), so M' = lam M with
+          lam = conj(f/f') and lam conj(lam) = 1;
+        - each letter's eigenvalues are A and -A^-3 (`_inverse_letter` checks
+          this), so the determinants of M, M' and hence lam^dim are roots of
+          unity, and lam, a root of unity in Q(zeta_N), N = 4l, is a power
+          of zeta_N.
+        So on such words the key classes are the cosets of <zeta_N>, the
+        scalars a finite projective image is taken modulo."""
         if not projective:
             return self.key()
         first = next((e for row in self.rows for e in row if not e.is_zero()), None)
         if first is None:
             return self.key()
-        best = None
-        for unit in _unit_scalars(self.order):
-            cand = (first * unit).coeffs
-            if best is None or cand < best[0]:
-                best = (cand, unit)
-        unit = best[1]
-        rows = [[e * unit for e in row] for row in self.rows]
+        bar = first.conjugate()
         return ("cyc", self.order, self.den,
-                tuple(tuple(e.coeffs for e in row) for row in rows))
+                tuple(tuple((e * bar).coeffs for e in row) for row in self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
@@ -157,22 +169,6 @@ def _dot(arow, bcol):
         term = a * b
         acc = term if acc is None else acc + term
     return acc if acc is not None else CyclotomicNumber.zero(arow[0].order)
-
-
-@lru_cache(maxsize=None)
-def _unit_scalars(order: int):
-    """The roots of unity of Q(zeta_order): zeta^j, and their negatives when
-    the order is odd (for even order -1 is already a power)."""
-    out = []
-    z = CyclotomicNumber.one(order)
-    step = CyclotomicNumber.zeta(order) if order > 1 else None
-    for _ in range(order):
-        out.append(z)
-        if order % 2:
-            out.append(-z)
-        if step is not None:
-            z = z * step
-    return tuple(out)
 
 
 class FpMatrix:
@@ -351,7 +347,9 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND, projective: bool = False):
     """Exact order of the group generated, or None once `bound` distinct
     elements are exceeded.  A finite multiplicative closure of invertible
     matrices already contains every inverse, so multiplying by the generators
-    alone is enough.  Projective mode counts elements up to scalar.
+    alone is enough.  Projective mode counts elements up to the scalars
+    `canonical_key` identifies: nonzero residues over F_p, and powers of
+    zeta_N on words in Temperley-Lieb letters over Q(zeta_N).
 
     This is the route for diagram-algebra images, and the independent oracle
     in tests for the Schreier-Sims orders of mod-p Burau images."""

@@ -66,22 +66,52 @@ def _label_at_circular(n: int, pos: int) -> int:
     return n + (2 * n - 1 - pos)
 
 
+def _identity_partner(n: int) -> tuple[int, ...]:
+    return tuple(range(n, 2 * n)) + tuple(range(n))
+
+
 def identity_diagram(n: int) -> TLDiagram:
-    p = list(range(2 * n))
-    for i in range(n):
-        p[i], p[n + i] = n + i, i
-    return TLDiagram(n, tuple(p))
+    return TLDiagram(n, _identity_partner(n))
 
 
 def e_diagram(n: int, i: int) -> TLDiagram:
     """The cup-cap generator e_i (1-based, 1 <= i < n)."""
     if not 1 <= i < n:
         raise UsageError("generator index %d out of range for n=%d" % (i, n))
-    p = list(identity_diagram(n).partner)
+    p = list(_identity_partner(n))
     a, b = i - 1, i
     p[a], p[b] = b, a
     p[n + a], p[n + b] = n + b, n + a
     return TLDiagram(n, tuple(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Partner tuples of all planar matchings on 2n points, sorted.  Each is
+    read off a balanced bracket sequence in the circular order, which pairs
+    every closing point with the latest open one, so none needs checking."""
+    m = 2 * n
+    labels = [_label_at_circular(n, pos) for pos in range(m)]
+    p = [0] * m
+    stack, out = [], []
+
+    def rec(pos, opened):
+        if pos == m:
+            out.append(tuple(p))
+            return
+        if opened < n:
+            stack.append(labels[pos])
+            rec(pos + 1, opened + 1)
+            stack.pop()
+        if stack:
+            a, b = stack.pop(), labels[pos]
+            p[a], p[b] = b, a
+            rec(pos + 1, opened)
+            stack.append(a)
+
+    rec(0, 0)
+    out.sort()
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,32 +121,12 @@ def diagram_basis(n: int) -> tuple[TLDiagram, ...]:
     >>> [len(diagram_basis(k)) for k in range(1, 6)]
     [1, 2, 5, 14, 42]
     """
-    m = 2 * n
-
-    def rec(points):
-        if not points:
-            return [()]
-        out = []
-        first = points[0]
-        for k in range(1, len(points), 2):
-            for a in rec(points[1:k]):
-                for b in rec(points[k + 1:]):
-                    out.append(((first, points[k]),) + a + b)
-        return out
-
-    diagrams = []
-    for pairs in rec(tuple(range(m))):
-        p = [0] * m
-        for x, y in pairs:
-            lx, ly = _label_at_circular(n, x), _label_at_circular(n, y)
-            p[lx], p[ly] = ly, lx
-        diagrams.append(TLDiagram(n, tuple(p)))
-    return tuple(sorted(diagrams, key=lambda d: d.partner))
+    return tuple(TLDiagram(n, p) for p in _matchings(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _basis_index(n: int) -> dict:
-    return {d.partner: k for k, d in enumerate(diagram_basis(n))}
+    return {p: k for k, p in enumerate(_matchings(n))}
 
 
 def tl_compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
@@ -172,7 +182,10 @@ def tl_compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
 
 def closure_loop_count(d: TLDiagram) -> int:
     """Loops formed when top point k is joined to bottom point n+k."""
-    n = d.n
+    return _closure_loops(d.n, d.partner)
+
+
+def _closure_loops(n: int, partner: tuple[int, ...]) -> int:
     seen = [False] * (2 * n)
     loops = 0
     for start in range(2 * n):
@@ -182,7 +195,7 @@ def closure_loop_count(d: TLDiagram) -> int:
         x = start
         while not seen[x]:
             seen[x] = True
-            y = d.partner[x]
+            y = partner[x]
             seen[y] = True
             x = y + n if y < n else y - n  # closure arc
     return loops
@@ -190,7 +203,7 @@ def closure_loop_count(d: TLDiagram) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _closure_loops_table(n: int) -> tuple[int, ...]:
-    return tuple(closure_loop_count(d) for d in diagram_basis(n))
+    return tuple(_closure_loops(n, p) for p in _matchings(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,7 +249,7 @@ class TLElement:
     @staticmethod
     def identity(n: int, l: int) -> "TLElement":
         one = CyclotomicNumber.one(4 * l)
-        return TLElement(n, l, {_basis_index(n)[identity_diagram(n).partner]: one})
+        return TLElement(n, l, {_basis_index(n)[_identity_partner(n)]: one})
 
     @staticmethod
     def zero(n: int, l: int) -> "TLElement":
@@ -293,7 +306,7 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     n, n2 = b.strands, 2 * l
     w = (3 ** len(b.word)).bit_length() + 2
     apow = 0
-    cur = {_basis_index(n)[identity_diagram(n).partner]: 1}
+    cur = {_basis_index(n)[_identity_partner(n)]: 1}
     for letter in b.word:
         sgn = 1 if letter > 0 else -1
         apow += sgn

@@ -174,6 +174,44 @@ def test_fp_scalar_multiples_share_canonical_key():
     assert a.canonical_key(True) == b.canonical_key(True)
 
 
+def word_matrix(n, l, word):
+    M = rep_generators(RepSpec("tl", n, l=l))[0].identity_like()
+    for a in word:
+        M = M.mul(path_letter(n, l, a))
+    return M
+
+
+def scaled(M, c):
+    return CycMatrix(M.order, [[e * c for e in row] for row in M.rows], M.den)
+
+
+@st.composite
+def scaled_word_pairs(draw):
+    """(l, n, w1, w2, j, sign): two words of at most 6 TL letters, the
+    second half the time equal to the first, and a scalar +-zeta_{4l}^j."""
+    l, n = draw(st.integers(3, 12)), draw(st.integers(2, 4))
+    letters = st.lists(st.integers(1, n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=6).map(tuple)
+    w1 = draw(letters)
+    w2 = draw(st.one_of(st.just(w1), letters))
+    return l, n, w1, w2, draw(st.integers(0, 4 * l - 1)), draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_word_pairs())
+@example((3, 2, (1,) * 6, (), 5, -1))  # sigma^6 = -1 at l = 3
+@example((5, 3, (1, 2, 1), (2, 1, 2), 7, 1))
+@example((4, 2, (1,), (-1,), 0, 1))
+def test_projective_key_identifies_exactly_root_of_unity_multiples(case):
+    l, n, w1, w2, j, sign = case
+    N = 4 * l
+    M1 = word_matrix(n, l, w1)
+    M2 = scaled(word_matrix(n, l, w2), CyclotomicNumber.zeta(N, j) * sign)
+    oracle = any(M2.key() == scaled(M1, CyclotomicNumber.zeta(N, k)).key()
+                 for k in range(N))
+    assert (M1.canonical_key(True) == M2.canonical_key(True)) == oracle
+
+
 # ---------------------------------------------------------------------------
 # closure enumeration
 

@@ -3,6 +3,7 @@ oracle.  The two Jones routes are independent and must agree exactly."""
 
 import cmath
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,10 @@ from qll.braid import BraidWord, conjugate, stabilize
 from qll.tl_jones import (
     TLDiagram,
     TLElement,
+    _basis_index,
+    _closure_loops_table,
     _compose_right_table,
+    _matchings,
     braid_to_tl,
     closure_loop_count,
     diagram_basis,
@@ -44,6 +48,54 @@ def small_braids(max_strands=4, max_len=10):
 
 def test_catalan_counts():
     assert [len(diagram_basis(n)) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+
+
+def all_matchings(m):
+    """Every perfect matching of 0..m-1, as partner tuples."""
+    if m == 0:
+        return [()]
+    out = []
+    for k in range(1, m):
+        rest = [x for x in range(1, m) if x != k]
+        for sub in all_matchings(m - 2):
+            p = [0] * m
+            p[0], p[k] = k, 0
+            for x, y in enumerate(sub):
+                p[rest[x]] = rest[y]
+            out.append(tuple(p))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matchings_are_the_diagram_basis(n):
+    tuples = _matchings(n)
+    assert list(tuples) == [d.partner for d in diagram_basis(n)]
+    assert len(set(tuples)) == comb(2 * n, n) // (n + 1)
+    for p in tuples:
+        assert TLDiagram(n, p).partner == p
+    if n <= 5:  # against the planar ones among all (2n-1)!! matchings
+        planar = []
+        for p in all_matchings(2 * n):
+            try:
+                TLDiagram(n, p)
+            except UsageError:
+                continue
+            planar.append(p)
+        assert list(tuples) == sorted(planar)
+
+
+def test_jones_builds_no_diagram(monkeypatch):
+    b = BraidWord(4, (1, -2, 3, 1, 2, -3, 2))
+    expected = kauffman_bracket_statesum(b, 5)
+    for cached in (_matchings, _basis_index, _closure_loops_table,
+                   _compose_right_table, diagram_basis):
+        cached.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("built a TLDiagram")
+
+    monkeypatch.setattr(TLDiagram, "__post_init__", refuse)
+    assert jones_at_root(b, 5) == expected
 
 
 def test_diagram_validation():
