@@ -385,14 +385,14 @@ def _limit(text: str | None, flag: str, default: int) -> int:
 
 
 def _hom_estimate(b: BraidWord, group: FiniteGroup, samples_text: str,
-                  seed_text: str) -> dict:
+                  seed_text: str, budget: int) -> dict:
     """Parse SAMPLES and SEED, run the seeded sampling estimate."""
     samples = _positive_int(samples_text, "sample count")
     try:
         seed = int(seed_text)
     except ValueError:
         raise UsageError("seed must be an integer, got %r" % seed_text) from None
-    estimate, stderr = hom_count_estimate(b, group, samples, seed)
+    estimate, stderr = hom_count_estimate(b, group, samples, seed, budget)
     return {
         "samples": samples,
         "seed": seed,
@@ -437,7 +437,8 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
         results["hom"] = hom
     if args.hom_estimate:
         results["hom_estimate"] = [
-            {"group": spec, **_hom_estimate(b, builtin_group(spec), samples, seed)}
+            {"group": spec,
+             **_hom_estimate(b, builtin_group(spec), samples, seed, budget)}
             for spec, samples, seed in args.hom_estimate
         ]
     if not results:
@@ -534,7 +535,7 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     results: dict = {"group": args.group, "group_order": group.size}
     if args.estimate is not None:
         results["method"] = "estimate"
-        results.update(_hom_estimate(b, group, *args.estimate))
+        results.update(_hom_estimate(b, group, *args.estimate, budget))
     else:
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"

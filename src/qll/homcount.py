@@ -13,7 +13,9 @@ satisfying assignments by backtracking with forced propagation.  The two
 must always agree; the test suite enforces it.
 
 A randomized estimator samples tuples from a seeded, per-index-split stream,
-so the draw set is reproducible and partition-independent.
+so the draw set is reproducible and partition-independent.  The stream is a
+contract that the CLI tests freeze: label j of sample idx is the j-th
+``randrange(|G|)`` of ``random.Random(sha256(b"<seed>:<idx>").digest())``.
 """
 
 from __future__ import annotations
@@ -281,27 +283,64 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
 
 
 def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
-                       seed: int) -> tuple[Fraction, Fraction]:
+                       seed: int, budget: int = _DEFAULT_BUDGET
+                       ) -> tuple[Fraction, Fraction]:
     """Monte Carlo estimate of hom_count_exact from uniformly sampled
     tuples; deterministic given (seed, samples).  Returns (estimate, binomial
     standard error), both as exact rationals; the error is an upper bound on
     |G|^n sqrt(p(1-p)/samples) at p = (hits+1)/(samples+2), a multiple of
-    10^-9, and is 0 only for the empty word, where the estimate is exact."""
+    10^-9, and is 0 only for the empty word, where the estimate is exact.
+
+    The stream is a contract, frozen by the CLI tests: label j of sample idx
+    is the j-th ``randrange(|G|)`` of
+    ``random.Random(sha256(b"<seed>:<idx>").digest())``.  It is drawn here by
+    reseeding one generator per call and cutting one ``getrandbits`` into
+    32-bit words, least significant first: the top k = |G|.bit_length() bits
+    of each word are one candidate, rejected when >= |G|.  That is the
+    rejection loop ``randrange`` runs on CPython >= 3.10, where
+    ``getrandbits(k)`` for k <= 32 is the top k bits of one word.  When
+    |G|^n <= samples, each tuple's fixedness is remembered by its code, so the
+    word is applied at most once per distinct tuple.  The price is
+    samples x (letters + n) steps."""
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
+    _require_budget(samples * (len(b.word) + n), budget,
+                    "estimate from %d samples" % samples)
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
+
+    def is_fixed(labels):
+        g = labels[:]
+        _act(g, ops, mul, inv)
+        return g == labels
+
+    total = size ** n
+    memo = bytearray(total) if total <= samples else None  # 0 unknown, 1 fixed, 2 not
+    rng = random.Random()
+    reseed, getrandbits, sha256 = rng.seed, rng.getrandbits, hashlib.sha256
+    k = size.bit_length()
+    mask = (1 << k) - 1
+    words = n + 2  # enough for n labels unless several are rejected
+    shifts = range(32 - k, 32 * words, 32)
     hits = 0
     for idx in range(samples):
-        digest = hashlib.sha256(b"%d:%d" % (seed, idx)).digest()
-        rng = random.Random(digest)
-        tup = tuple(rng.randrange(size) for _ in range(n))
-        g = list(tup)
-        _act(g, ops, mul, inv)
-        if tuple(g) == tup:
-            hits += 1
-    total = size ** n
+        reseed(sha256(b"%d:%d" % (seed, idx)).digest())
+        labels = []
+        while len(labels) < n:
+            bits = getrandbits(32 * words)
+            labels += [x for s in shifts if (x := bits >> s & mask) < size]
+        del labels[n:]
+        if memo is None:
+            hits += is_fixed(labels)
+            continue
+        code = 0
+        for x in labels:
+            code = code * size + x
+        state = memo[code]
+        if not state:
+            state = memo[code] = 1 if is_fixed(labels) else 2
+        hits += state == 1
     estimate = Fraction(hits * total, samples)
     if not b.word:  # every tuple is fixed: the estimate is exact
         return estimate, Fraction(0)

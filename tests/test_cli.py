@@ -409,6 +409,31 @@ def test_hom_estimate_full_text(capsys):
     )
 
 
+def test_hom_estimate_budget_refusal(capsys):
+    # the price is samples x (letters + strands): 100 x (4 + 3) = 700
+    argv = ("hom", "--strands", "3", "--word", "1 -2 1 -2", "--group",
+            "symmetric 3", "--estimate", "100", "5", "--no-timings")
+    code, _, err = run(capsys, *argv, "--budget", "699")
+    assert code == 3
+    assert "needs 700 elementary steps (budget 699)" in err
+    code, out, _ = run(capsys, *argv, "--budget", "700")
+    assert code == 0
+    assert "estimate: 54/5 +- 2541176471/500000000 (samples=100, seed=5)" in out
+    code, _, err = run(capsys, "invariants", "--strands", "3", "--word",
+                       "1 -2 1 -2", "--hom-estimate", "symmetric 3", "100",
+                       "5", "--budget", "699")
+    assert code == 3
+    assert "budget refused" in err
+
+
+def test_hom_estimate_unbounded_samples_refused(capsys):
+    code, _, err = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
+                       "--group", "symmetric 3", "--estimate",
+                       "1000000000000", "7")
+    assert code == 3
+    assert "needs 5000000000000 elementary steps" in err
+
+
 def test_hom_estimate_error_nonzero_without_hits(capsys):
     # no sample of 20 hits one of the 600 fixed pairs among 120^2
     code, out, _ = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",

@@ -1,10 +1,13 @@
 """Homomorphism counting: builtin group tables, the Hurwitz action, exact
 counts against a Wirtinger-presentation oracle, and the seeded estimator."""
 
+import hashlib
 import itertools
 import math
+import random
 import runpy
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,6 +420,150 @@ def test_estimate_near_exact_value():
 def test_estimate_rejects_zero_samples():
     with pytest.raises(UsageError):
         hom_count_estimate(TREFOIL, S3, samples=0, seed=1)
+
+
+def reference_estimate(b, G, samples, seed):
+    """The estimator's original loop, kept as the oracle for its stream: one
+    `random.Random(digest)` per sample and one `randrange` per label."""
+    n, size = b.strands, G.size
+    hits = 0
+    for idx in range(samples):
+        digest = hashlib.sha256(b"%d:%d" % (seed, idx)).digest()
+        rng = random.Random(digest)
+        tup = tuple(rng.randrange(size) for _ in range(n))
+        g = list(tup)
+        for i, positive in ((abs(x) - 1, x > 0) for x in b.word):
+            a, c = g[i], g[i + 1]
+            if positive:
+                g[i], g[i + 1] = G.mul[G.mul[a][c]][G.inv[a]], a
+            else:
+                g[i], g[i + 1] = c, G.mul[G.mul[G.inv[c]][a]][c]
+        if tuple(g) == tup:
+            hits += 1
+    total = size ** n
+    estimate = Fraction(hits * total, samples)
+    if not b.word:
+        return estimate, Fraction(0)
+    D = 10 ** 9
+    var = Fraction(D * D * total * total * (hits + 1) * (samples + 1 - hits),
+                   (samples + 2) ** 2 * samples)
+    c = -(-var.numerator // var.denominator)
+    r = math.isqrt(c)
+    return estimate, Fraction(r + (r * r < c), D)
+
+
+class LazySymmetric:
+    """The symmetric group on k points, labelled as `builtin_group` labels
+    it, with products computed on demand: a stand-in for "symmetric 7",
+    whose full table would hold 5040^2 entries.  The estimator reads only
+    `size`, `mul[a][b]` and `inv[a]`."""
+
+    class Row:
+        __slots__ = ("group", "p")
+
+        def __init__(self, group, p):
+            self.group, self.p = group, p
+
+        def __getitem__(self, b):  # apply p first, then q
+            p, q = self.p, self.group.elements[b]
+            return self.group.index[tuple(q[x] for x in p)]
+
+    def __init__(self, k):
+        self.elements = list(itertools.permutations(range(k)))
+        self.index = {p: i for i, p in enumerate(self.elements)}
+        self.size = len(self.elements)
+        self.mul = self
+        self.inv = tuple(self.index[tuple(sorted(range(k), key=p.__getitem__))]
+                         for p in self.elements)
+
+    def __getitem__(self, a):
+        return LazySymmetric.Row(self, self.elements[a])
+
+
+S7_LAZY = LazySymmetric(7)
+ESTIMATOR_GROUPS = [builtin_group("cyclic 1"), Z2, Z3, S3, Q8,
+                    builtin_group("symmetric 4"), builtin_group("symmetric 5"),
+                    S7_LAZY]
+
+
+def test_lazy_symmetric_matches_the_builtin_table():
+    G, lazy = builtin_group("symmetric 4"), LazySymmetric(4)
+    assert lazy.inv == G.inv
+    assert all(lazy.mul[a][b] == G.mul[a][b]
+               for a in range(G.size) for b in range(G.size))
+    assert S7_LAZY.size == 5040
+
+
+@st.composite
+def estimator_case(draw):
+    G = draw(st.sampled_from(ESTIMATOR_GROUPS))
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(1 - n, n - 1).filter(lambda x: x != 0),
+                        max_size=8)) if n > 1 else []
+    samples = draw(st.integers(1, 300))
+    seed = draw(st.integers(-10 ** 12, 10 ** 12))
+    return BraidWord(n, tuple(raw)), G, samples, seed
+
+
+@given(estimator_case())
+@example((BraidWord(3, ()), S3, 40, -7))
+@example((BraidWord(1, ()), ESTIMATOR_GROUPS[0], 1, 0))
+@example((BraidWord(3, (1, -2, 1, -2)), S3, 300, -1))
+@example((BraidWord(6, (1, 2, -3, 4, 5)), ESTIMATOR_GROUPS[0], 7, 3))
+@example((BraidWord(6, (5, -4, 3, 2, -1)), Z3, 300, -10 ** 12))
+@example((BraidWord(6, (1, -2, 3, -4, 5, 1)), S7_LAZY, 60, -5))
+@settings(max_examples=120, deadline=None)
+def test_estimate_matches_the_reference_stream(case):
+    # orders 1..5040 cover bit lengths 1..13, powers of two and not; a
+    # label is rejected with chance up to 1/2, so some samples need words
+    # beyond the first n + 2, and |G|^n <= samples turns the memo on
+    b, G, samples, seed = case
+    assert hom_count_estimate(b, G, samples, seed) == \
+        reference_estimate(b, G, samples, seed)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_on_a_huge_tuple_space_allocates_no_memo():
+    b = BraidWord(6, (1, -2, 3, 4, -5, 2))
+    result, peak = traced_peak(lambda: hom_count_estimate(b, S7_LAZY, 200, 11))
+    assert result == reference_estimate(b, S7_LAZY, 200, 11)
+    assert peak < 10 ** 6
+
+
+def test_estimate_memo_costs_at_most_a_byte_per_sample():
+    b = BraidWord(5, (1, -2, 3, 4, -2, 1))
+    total = S3.size ** 5
+    _, below = traced_peak(lambda: hom_count_estimate(b, S3, total - 1, 2))
+    _, at = traced_peak(lambda: hom_count_estimate(b, S3, total, 2))
+    assert below < total <= at
+
+
+def test_estimate_acts_once_per_distinct_tuple(monkeypatch):
+    calls = counted_act(monkeypatch)
+    b = BraidWord(3, (1, -2, 1, -2, 2, 1))
+    assert hom_count_estimate(b, S3, 2000, 4) == \
+        reference_estimate(b, S3, 2000, 4)
+    assert calls[0] <= 6 ** 3
+    calls[0] = 0
+    hom_count_estimate(b, S3, 200, 4)  # 216 tuples > 200 samples: no memo
+    assert calls[0] == 200
+
+
+def test_estimate_budget():
+    price = 100 * (len(FIG8.word) + FIG8.strands)
+    with pytest.raises(BudgetError) as info:
+        hom_count_estimate(FIG8, S3, 100, 5, budget=price - 1)
+    assert info.value.required == price
+    assert hom_count_estimate(FIG8, S3, 100, 5, budget=price) == \
+        hom_count_estimate(FIG8, S3, 100, 5)
 
 
 def test_calibrate_script_smoke(monkeypatch, capsys):
