@@ -293,15 +293,9 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
 
     The stream is a contract, frozen by the CLI tests: label j of sample idx
     is the j-th ``randrange(|G|)`` of
-    ``random.Random(sha256(b"<seed>:<idx>").digest())``.  It is drawn here by
-    reseeding one generator per call and cutting one ``getrandbits`` into
-    32-bit words, least significant first: the top k = |G|.bit_length() bits
-    of each word are one candidate, rejected when >= |G|.  That is the
-    rejection loop ``randrange`` runs on CPython >= 3.10, where
-    ``getrandbits(k)`` for k <= 32 is the top k bits of one word.  When
-    |G|^n <= samples, each tuple's fixedness is remembered by its code, so the
-    word is applied at most once per distinct tuple.  The price is
-    samples x (letters + n) steps."""
+    ``random.Random(sha256(b"<seed>:<idx>").digest())``; one generator is
+    made per call and reseeded per sample.  The price is samples x
+    (letters + n) steps."""
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
@@ -310,37 +304,16 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
 
-    def is_fixed(labels):
-        g = labels[:]
-        _act(g, ops, mul, inv)
-        return g == labels
-
-    total = size ** n
-    memo = bytearray(total) if total <= samples else None  # 0 unknown, 1 fixed, 2 not
     rng = random.Random()
-    reseed, getrandbits, sha256 = rng.seed, rng.getrandbits, hashlib.sha256
-    k = size.bit_length()
-    mask = (1 << k) - 1
-    words = n + 2  # enough for n labels unless several are rejected
-    shifts = range(32 - k, 32 * words, 32)
+    reseed, randrange, sha256 = rng.seed, rng.randrange, hashlib.sha256
     hits = 0
     for idx in range(samples):
         reseed(sha256(b"%d:%d" % (seed, idx)).digest())
-        labels = []
-        while len(labels) < n:
-            bits = getrandbits(32 * words)
-            labels += [x for s in shifts if (x := bits >> s & mask) < size]
-        del labels[n:]
-        if memo is None:
-            hits += is_fixed(labels)
-            continue
-        code = 0
-        for x in labels:
-            code = code * size + x
-        state = memo[code]
-        if not state:
-            state = memo[code] = 1 if is_fixed(labels) else 2
-        hits += state == 1
+        tup = [randrange(size) for _ in range(n)]
+        g = tup[:]
+        _act(g, ops, mul, inv)
+        hits += g == tup
+    total = size ** n
     estimate = Fraction(hits * total, samples)
     if not b.word:  # every tuple is fixed: the estimate is exact
         return estimate, Fraction(0)
