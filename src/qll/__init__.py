@@ -10,7 +10,6 @@ rationals, and integer linear algebra throughout.
 """
 from .algebra import (
     BudgetError,
-    CycFraction,
     CyclotomicNumber,
     LaurentPoly,
     UsageError,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "BraidWord",
-    "CycFraction",
     "CyclotomicNumber",
     "FiniteGroup",
     "ImageReport",

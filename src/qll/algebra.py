@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -34,6 +33,15 @@ class BudgetError(RuntimeError):
     def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
+
+
+_DEFAULT_BUDGET = 10 ** 9
+
+
+def _require_budget(required: int, budget: int, what: str):
+    if required > budget:
+        raise BudgetError("%s needs %d elementary steps (budget %d)"
+                          % (what, required, budget), required=required)
 
 
 # ---------------------------------------------------------------------------
@@ -315,100 +323,22 @@ class CyclotomicNumber:
         return "CyclotomicNumber(%d, %r)" % (self.order, list(self.coeffs))
 
 
-def cyc_inverse(x: CyclotomicNumber) -> "CycFraction":
-    """Exact inverse in Q(z_n): product of the other conjugates over the norm."""
+def cyc_inverse(x: CyclotomicNumber) -> tuple[CyclotomicNumber, int]:
+    """Exact inverse in Q(z_n) as a pair (c, m) with 1/x = c/m: c is the
+    product of the other Galois conjugates of x, and m = x c, the norm, a
+    nonzero integer.
+
+    >>> c, m = cyc_inverse(CyclotomicNumber.zeta(4) + 1)
+    >>> m, (CyclotomicNumber.zeta(4) + 1) * c == m
+    (2, True)
+    """
     if x.is_zero():
         raise ZeroDivisionError("cyclotomic inverse of zero")
     prod = CyclotomicNumber.one(x.order)
     for a in _units(x.order):
         if a != 1:
             prod = prod * x.galois(a)
-    n = (x * prod).as_int()
-    return CycFraction(prod, n)
-
-
-class CycFraction:
-    """num/den with a cyclotomic-integer numerator and a positive integer
-    denominator, kept in lowest terms.
-
-    Arithmetic and equality embed orders as needed.  The hash is the
-    normalised trace Tr(num) / (phi(order) * den), which embedding into a
-    larger order leaves unchanged, so equal values of different orders hash
-    alike; ``key()`` is the raw identity, valid between values of one order.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: CyclotomicNumber, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num.content(), den)
-        if g > 1:
-            num = CyclotomicNumber(num.order, [c // g for c in num.coeffs])
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycFraction is immutable")
-
-    @staticmethod
-    def from_cyc(x) -> "CycFraction":
-        if isinstance(x, CycFraction):
-            return x
-        if isinstance(x, int):
-            x = CyclotomicNumber.from_int(x)
-        return CycFraction(x, 1)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def key(self):
-        return (self.num.order, self.num.coeffs, self.den)
-
-    def __add__(self, other):
-        o = CycFraction.from_cyc(other)
-        return CycFraction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self.__add__(-CycFraction.from_cyc(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = CycFraction.from_cyc(other)
-        return CycFraction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CycFraction":
-        inv = cyc_inverse(self.num)
-        return CycFraction(inv.num * self.den, inv.den)
-
-    def __truediv__(self, other):
-        return self * CycFraction.from_cyc(other).inverse()
-
-    def __eq__(self, other):
-        o = CycFraction.from_cyc(other)
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        num = self.num
-        return hash(Fraction(num.trace_to_int(), euler_phi(num.order) * self.den))
-
-    def to_complex(self) -> complex:
-        return self.num.to_complex() / self.den
-
-    def __repr__(self):
-        return "CycFraction(%r, %d)" % (self.num, self.den)
+    return prod, (x * prod).as_int()
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .algebra import BudgetError, CyclotomicNumber, LaurentPoly, UsageError
+from .algebra import (_DEFAULT_BUDGET, BudgetError, CyclotomicNumber, LaurentPoly,
+                      UsageError)
 from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
-    _DEFAULT_BUDGET,
     FiniteGroup,
     builtin_group,
     hom_count_estimate,
@@ -279,7 +279,7 @@ def run_entry_checks(
     # (i) closed form vs state-sum oracle, exact cyclotomic equality
     try:
         for l in ORACLE_LEVELS:
-            lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l)
+            lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l, budget)
             if lhs != rhs:
                 ok, detail = False, "l=%d: closed form %s, state sum %s" % (
                     l, _cyc_text(lhs), _cyc_text(rhs))

@@ -27,10 +27,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BudgetError, UsageError
+from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget
 from .braid import BraidWord
 
-_DEFAULT_BUDGET = 10 ** 9
 _MAX_ORDER = 10 ** 4
 
 
@@ -136,7 +135,7 @@ def _product_table(ta, tb):
     return tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
 
 
-def builtin_group(spec: str, max_order: int = _MAX_ORDER) -> FiniteGroup:
+def builtin_group(spec: str) -> FiniteGroup:
     """Construct a named group: ``cyclic k``, ``dihedral k`` (order 2k),
     ``symmetric k``, ``quaternion8``, or products joined with ``x``.
 
@@ -167,8 +166,8 @@ def builtin_group(spec: str, max_order: int = _MAX_ORDER) -> FiniteGroup:
         else:
             raise UsageError("unknown group spec %r" % part)
         order *= builders[-1][2]
-        if order > max_order:
-            raise UsageError("group order %d exceeds the cap %d" % (order, max_order))
+        if order > _MAX_ORDER:
+            raise UsageError("group order %d exceeds the cap %d" % (order, _MAX_ORDER))
     table = builders[0][0](builders[0][1])
     for fn, arg, _ in builders[1:]:
         table = _product_table(table, fn(arg))
@@ -203,12 +202,6 @@ def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, 
     g = list(x)
     _act(g, _word_ops(b), G.mul, G.inv)
     return tuple(g)
-
-
-def _require_budget(required: int, budget: int, what: str):
-    if required > budget:
-        raise BudgetError("%s needs %d elementary steps (budget %d)"
-                          % (what, required, budget), required=required)
 
 
 def _conjugation_orbits(S, mul, inv) -> list:

@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from .algebra import (CycFraction, CyclotomicNumber, UsageError, _is_prime,
-                      cyc_inverse, euler_phi)
+from .algebra import (CyclotomicNumber, UsageError, _is_prime, cyc_inverse,
+                      euler_phi)
 from .braid import BraidWord
 from .burau import burau_mod_p
 
@@ -80,15 +80,6 @@ class CycMatrix:
         raise AttributeError("CycMatrix is immutable")
 
     @staticmethod
-    def from_fractions(order: int, rows) -> "CycMatrix":
-        den = 1
-        for row in rows:
-            for e in row:
-                den = den * e.den // gcd(den, e.den)
-        nums = [[e.num.embed(order) * (den // e.den) for e in row] for row in rows]
-        return CycMatrix(order, nums, den)
-
-    @staticmethod
     def identity(order: int, dim: int) -> "CycMatrix":
         one = CyclotomicNumber.one(order)
         zero = CyclotomicNumber.zero(order)
@@ -113,19 +104,20 @@ class CycMatrix:
             rows.append([_dot(arow, bcols[c]) for c in range(n)])
         return CycMatrix(self.order, rows, self.den * other.den)
 
-    def trace(self) -> CycFraction:
+    def trace(self) -> CyclotomicNumber:
+        """The trace of the numerator X; the trace of M is this over `den`."""
         acc = CyclotomicNumber.zero(self.order)
         for i in range(self.dim):
             acc = acc + self.rows[i][i]
-        return CycFraction(acc, self.den)
+        return acc
 
     def key(self):
         return ("cyc", self.order, self.den,
                 tuple(tuple(e.coeffs for e in row) for row in self.rows))
 
-    def canonical_key(self, projective: bool):
-        """The key of M = X/den, or in projective mode `den` with every
-        entry of X times conj(f), f the first nonzero entry of X.
+    def canonical_key(self):
+        """For M = X/den: `den` with every entry of X times conj(f), f the
+        first nonzero entry of X.
 
         Two matrices of words in Temperley-Lieb letters have equal projective
         keys exactly when one is a root of unity times the other:
@@ -140,8 +132,6 @@ class CycMatrix:
           of zeta_N.
         So on such words the key classes are the cosets of <zeta_N>, the
         scalars a finite projective image is taken modulo."""
-        if not projective:
-            return self.key()
         first = next((e for row in self.rows for e in row if not e.is_zero()), None)
         if first is None:
             return self.key()
@@ -208,9 +198,9 @@ class FpMatrix:
     def key(self):
         return ("fp", self.p, self.rows)
 
-    def canonical_key(self, projective: bool):
-        if not projective:
-            return self.key()
+    def canonical_key(self):
+        """Every entry times the inverse of the first nonzero entry, which
+        identifies the matrices that differ by a nonzero scalar."""
         first = next((x for row in self.rows for x in row if x), None)
         if first is None:
             return self.key()
@@ -300,7 +290,8 @@ def _tl_generators(n: int, l: int):
     [p_i + 1]/[k + 1] in both columns p_i = k-1 and k+1.  This is the unitary
     Jones-Wenzl form conjugated by the diagonal prod_j sqrt([p_j + 1]), so no
     square root appears.  The quantum integers are taken at q = -A^2, so
-    that [2] = q + 1/q = d and [m+1] = d [m] - [m-1]."""
+    that [2] = q + 1/q = d and [m+1] = d [m] - [m-1].  Every entry is
+    built over one denominator, the lcm of the norms of the [k + 1]."""
     if n == 1:
         return ()
     N = 4 * l
@@ -308,10 +299,12 @@ def _tl_generators(n: int, l: int):
     qint = [CyclotomicNumber.zero(N), CyclotomicNumber.one(N)]  # [m]
     while len(qint) < l:
         qint.append(d * qint[-1] - qint[-2])
-    inv = [cyc_inverse(x) for x in qint[1:]]  # 1/[k+1]
-    A = CycFraction(CyclotomicNumber.zeta(N))
-    Ainv = CycFraction(CyclotomicNumber.zeta(N, -1))
-    zero = CycFraction(CyclotomicNumber.zero(N))
+    inv = [cyc_inverse(x) for x in qint[1:]]  # 1/[k+1] = c_k/m_k
+    den = lcm(*(m for _, m in inv))
+    scaled = [c * (den // m) for c, m in inv]  # den/[k+1]
+    A = CyclotomicNumber.zeta(N) * den
+    Ainv = CyclotomicNumber.zeta(N, -1)
+    zero = CyclotomicNumber.zero(N)
     paths = _paths(n, l)
     index = {p: r for r, p in enumerate(paths)}
     gens = []
@@ -322,12 +315,12 @@ def _tl_generators(n: int, l: int):
             k = p[i - 1]
             if p[i + 1] != k:
                 continue
-            w = Ainv * CycFraction(qint[p[i] + 1]) * inv[k]
+            w = Ainv * qint[p[i] + 1] * scaled[k]
             for b in (k - 1, k + 1):
                 c = index.get(p[:i] + (b,) + p[i + 1:])
                 if c is not None:
                     M[r][c] = M[r][c] + w
-        gens.append(CycMatrix.from_fractions(N, M))
+        gens.append(CycMatrix(N, M, den))
     return tuple(gens)
 
 
@@ -343,11 +336,11 @@ def rep_generators(spec: RepSpec):
 # ---------------------------------------------------------------------------
 # closure enumeration
 
-def group_closure(gens, bound: int = _DEFAULT_BOUND, projective: bool = False):
-    """Exact order of the group generated, or None once `bound` distinct
-    elements are exceeded.  A finite multiplicative closure of invertible
-    matrices already contains every inverse, so multiplying by the generators
-    alone is enough.  Projective mode counts elements up to the scalars
+def group_closure(gens, bound: int = _DEFAULT_BOUND):
+    """Exact projective order of the group generated, or None once `bound`
+    distinct elements are exceeded.  A finite multiplicative closure of
+    invertible matrices already contains every inverse, so multiplying by the
+    generators alone is enough.  Elements are counted up to the scalars
     `canonical_key` identifies: nonzero residues over F_p, and powers of
     zeta_N on words in Temperley-Lieb letters over Q(zeta_N).
 
@@ -356,14 +349,14 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND, projective: bool = False):
     if not gens:
         return 1
     ident = gens[0].identity_like()
-    seen = {ident.canonical_key(projective)}
+    seen = {ident.canonical_key()}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
                 w = m.mul(g)
-                k = w.canonical_key(projective)
+                k = w.canonical_key()
                 if k not in seen:
                     if len(seen) >= bound:
                         return None
@@ -527,17 +520,17 @@ def _trace_certificate(M: CycMatrix) -> bool:
     projective order, M = scalar * U with U of finite order, and
     |det M| = 1 at every embedding forces |scalar| = 1 everywhere; then
     every Galois conjugate of tr(M^m) has magnitude <= dim.  Writing the
-    trace as x / d, a rational trace of (x conj(x))^r above
-    phi(N) * (dim*d)^(2r) therefore certifies some conjugate exceeds the
-    bound — an exact integer comparison."""
+    trace as x / d, x the trace of the numerator and d = den, a rational
+    trace of (x conj(x))^r above phi(N) * (dim*d)^(2r) therefore certifies
+    some conjugate exceeds the bound — an exact integer comparison, which a
+    common factor of x and d scales on both sides alike."""
     dim, N = M.dim, M.order
     phi_n = euler_phi(N)
     P = M
     for m in range(1, _TRACE_POWERS + 1):
         if m > 1:
             P = P.mul(M)
-        tr = P.trace()
-        x, d = tr.num, tr.den
+        x, d = P.trace(), P.den
         if x.is_zero():
             continue
         y = x * x.conjugate()
@@ -596,7 +589,7 @@ def _witness_search(gens):
             for a in _reduced_extensions(word, alphabet):
                 w2 = word + (a,)
                 M2 = M.mul(by_letter[a])
-                k = M2.canonical_key(True)
+                k = M2.canonical_key()
                 if k in seen:
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
@@ -661,7 +654,7 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         search = _witness_search(gens)
         witness, order = _next_witness(search, 4), None
         if witness is None:
-            order = group_closure(gens, bound, projective=True)
+            order = group_closure(gens, bound)
             if order is None:
                 witness = _next_witness(search, _WITNESS_LEN - 4)
         if witness is not None:
@@ -672,8 +665,8 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
 
-    abelian = all(gens[i].mul(gens[j]).canonical_key(True) ==
-                  gens[j].mul(gens[i]).canonical_key(True)
+    abelian = all(gens[i].mul(gens[j]).canonical_key() ==
+                  gens[j].mul(gens[i]).canonical_key()
                   for i in range(len(gens)) for j in range(i))
     verdict = "finite-abelian" if abelian else "finite"
     notes.append("projective order %d" % order)

@@ -30,7 +30,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import BudgetError, CyclotomicNumber, UsageError
+from .algebra import _DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget
 from .braid import BraidWord, writhe
 
 
@@ -401,16 +401,15 @@ def _bracket_profile(strands: int, word: tuple[int, ...]) -> tuple:
 
 
 def kauffman_bracket_statesum(b: BraidWord, l: int,
-                              max_crossings: int = 24) -> CyclotomicNumber:
+                              budget: int = _DEFAULT_BUDGET) -> CyclotomicNumber:
     """Brute-force Kauffman bracket of the braid closure, normalized exactly
-    like jones_at_root.  Must agree with it on every input."""
+    like jones_at_root.  Must agree with it on every input.  Priced at
+    2^m (n + m) steps for m crossings on n strands: each of the 2^m states
+    walks the word and then the n closing arcs."""
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
     m = len(b.word)
-    if m > max_crossings:
-        raise BudgetError(
-            "state sum needs 2^%d states (cap %d crossings)" % (m, max_crossings),
-            required=1 << m)
+    _require_budget((1 << m) * (b.strands + m), budget, "state sum")
     order = 4 * l
     delta = loop_parameter(l)
     dpow = [CyclotomicNumber.one(order)]

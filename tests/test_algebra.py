@@ -9,7 +9,6 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import (
-    CycFraction,
     CyclotomicNumber,
     LaurentPoly,
     UsageError,
@@ -148,53 +147,13 @@ def test_embed_roundtrip_preserves_value():
 
 
 @settings(max_examples=80)
-@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(cyc_strategy))
+@given(st.sampled_from([3, 4, 5, 8, 12, 20, 24, 28, 40, 48]).flatmap(cyc_strategy))
 def test_exact_inverse(a):
     if a.is_zero():
         return
-    inv = cyc_inverse(a)
-    assert CycFraction(a.num if isinstance(a, CycFraction) else a) * inv == CycFraction.from_cyc(1)
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic fractions
-
-@settings(max_examples=120)
-@given(st.sampled_from([4, 5, 12]).flatmap(
-    lambda n: st.tuples(cyc_strategy(n), cyc_strategy(n),
-                        st.integers(1, 40), st.integers(1, 40))))
-def test_fraction_field_axioms(quad):
-    na, nb, da, db = quad
-    a = CycFraction(na, da)
-    b = CycFraction(nb, db)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a - a == CycFraction.from_cyc(0)
-    if not b.is_zero():
-        q = a / b
-        assert q * b == a
-
-
-def test_fraction_lowest_terms():
-    a = CycFraction(CyclotomicNumber(4, (6, 10)), 4)
-    assert a.den == 2
-    assert a.num.coeffs == (3, 5)
-    assert CycFraction(CyclotomicNumber.from_int(-3), -6) == CycFraction(
-        CyclotomicNumber.from_int(1), 2)
-
-
-def test_fraction_hash_consistent_with_eq():
-    a = CycFraction(CyclotomicNumber(12, (2, 0, 4, 0)), 6)
-    b = CycFraction(CyclotomicNumber(12, (1, 0, 2, 0)), 3)
-    assert a == b
-    assert hash(a) == hash(b)
-
-
-def test_fraction_hash_across_orders():
-    a = CycFraction(CyclotomicNumber.zeta(4), 3)
-    b = CycFraction(CyclotomicNumber.zeta(8, 2), 3)  # the same i/3, order 8
-    assert a == b
-    assert len({a, b}) == 1
+    c, m = cyc_inverse(a)
+    assert m != 0
+    assert a * c == m
 
 
 # ---------------------------------------------------------------------------

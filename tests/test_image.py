@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qll.algebra import CycFraction, CyclotomicNumber, UsageError
+from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (CycMatrix, FpMatrix, RepSpec, _inverse_letter, _paths,
@@ -98,12 +98,11 @@ def test_path_trace_matches_markov_trace(b, l):
     rho = rep_generators(RepSpec("tl", n, l=l))[0].identity_like()
     for letter in b.word:
         rho = rho.mul(path_letter(n, l, letter))
-    weighted = sum((CycFraction(quantum_integer(p[-1] + 1, l) * rho.rows[r][r],
-                                rho.den)
+    weighted = sum((quantum_integer(p[-1] + 1, l) * rho.rows[r][r]
                     for r, p in enumerate(_paths(n, l))),
-                   CycFraction(CyclotomicNumber.zero(4 * l)))
+                   CyclotomicNumber.zero(4 * l))
     jones_side = loop_parameter(l) * markov_trace(braid_to_tl(b, l))
-    assert weighted == CycFraction(jones_side)
+    assert weighted == jones_side * rho.den
 
 
 def test_path_dimensions_at_l5_n6():
@@ -116,10 +115,9 @@ def test_tl_two_strand_generator_spectrum():
     (g,) = rep_generators(RepSpec("tl", 2, l=4))
     assert g.dim == 2
     z = CyclotomicNumber.zeta(16)
-    assert g.trace() == CycFraction(z - z ** 13, 1)
+    assert g.trace() == (z - z ** 13) * g.den
     (r00, r01), (r10, r11) = g.rows
-    det = CycFraction(r00 * r11 - r01 * r10, g.den ** 2)
-    assert det == CycFraction(-(z ** 14), 1)
+    assert r00 * r11 - r01 * r10 == -(z ** 14) * g.den ** 2
 
 
 def test_burau_generators_satisfy_braid_relations():
@@ -162,16 +160,16 @@ def test_scalar_multiples_share_canonical_key():
         scaled = CycMatrix(g.order, [[e * z ** j for e in row] for row in g.rows],
                            g.den)
         assert scaled.key() != g.key()
-        assert scaled.canonical_key(True) == g.canonical_key(True)
+        assert scaled.canonical_key() == g.canonical_key()
     neg = CycMatrix(g.order, [[-e for e in row] for row in g.rows], g.den)
-    assert neg.canonical_key(True) == g.canonical_key(True)
+    assert neg.canonical_key() == g.canonical_key()
 
 
 def test_fp_scalar_multiples_share_canonical_key():
     a = FpMatrix(7, ((2, 0), (1, 3)))
     b = FpMatrix(7, ((6, 0), (3, 2)))  # 3 * a mod 7
     assert a.key() != b.key()
-    assert a.canonical_key(True) == b.canonical_key(True)
+    assert a.canonical_key() == b.canonical_key()
 
 
 def word_matrix(n, l, word):
@@ -209,7 +207,7 @@ def test_projective_key_identifies_exactly_root_of_unity_multiples(case):
     M2 = scaled(word_matrix(n, l, w2), CyclotomicNumber.zeta(N, j) * sign)
     oracle = any(M2.key() == scaled(M1, CyclotomicNumber.zeta(N, k)).key()
                  for k in range(N))
-    assert (M1.canonical_key(True) == M2.canonical_key(True)) == oracle
+    assert (M1.canonical_key() == M2.canonical_key()) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +221,9 @@ def test_closure_of_nothing_and_identity():
 
 def test_closure_of_scalars():
     minus_one = cyc_mat(1, [[-1]])
-    assert group_closure([minus_one]) == 2
-    assert group_closure([minus_one], projective=True) == 1
+    assert group_closure([minus_one]) == 1
     i = CycMatrix(4, [[CyclotomicNumber.zeta(4)]])
-    assert group_closure([i]) == 4
-    assert group_closure([i], projective=True) == 1
+    assert group_closure([i]) == 1
 
 
 def test_closure_respects_bound():
@@ -237,9 +233,7 @@ def test_closure_respects_bound():
 
 def test_burau_closure_orders():
     g = rep_generators(RepSpec("burau", 3, p=5, t0=2))
-    full = group_closure(g, 2000)
-    proj = group_closure(g, 2000, projective=True)
-    assert full == 96 and 480 % full == 0  # Lagrange in GL2(F5)
+    proj = group_closure(g, 2000)
     assert proj == 24 and 120 % proj == 0  # Lagrange in PGL2(F5)
 
 
@@ -354,7 +348,7 @@ def burau_specs():
 @settings(max_examples=30, deadline=None)
 @given(burau_specs())
 def test_burau_order_matches_closure(spec):
-    reference = group_closure(rep_generators(spec), 20000, projective=True)
+    reference = group_closure(rep_generators(spec), 20000)
     if reference is None:
         return
     assert classify_image(spec).order == reference
@@ -377,7 +371,7 @@ def monomial_groups():
 @example([FpMatrix(7, ((1, 0, 0), (0, 6, 0), (0, 0, 1))),
           FpMatrix(7, ((0, 3, 0), (4, 0, 0), (0, 0, 5)))])  # order 24, not 8
 def test_schreier_sims_matches_closure_on_monomial_groups(gens):
-    reference = group_closure(gens, 20000, projective=True)
+    reference = group_closure(gens, 20000)
     if reference is None:
         return
     assert _projective_order_fp(gens, 10 ** 6) == reference
@@ -423,7 +417,7 @@ def test_tl_closure_runs_once(monkeypatch):
     # one breadth-first closure up to the bound, not a staged restart
     bounds = []
 
-    def record(gens, bound, projective=False):
+    def record(gens, bound):
         bounds.append(bound)
         return None
     monkeypatch.setattr("qll.image.group_closure", record)

@@ -366,10 +366,11 @@ def test_statesum_equals_tl_route(b, l):
 def test_statesum_cap():
     with pytest.raises(BudgetError) as exc:
         kauffman_bracket_statesum(BraidWord(2, (1,) * 30), 5)
-    assert exc.value.required == 2 ** 30
-    # explicit larger cap lifts the refusal; closure is the 2-unlink here
+    assert exc.value.required == 2 ** 30 * 32
+    # a budget of the exact price 2^m (n + m) admits the sum; closure is the
+    # 2-unlink here
     long_word = BraidWord(2, (1, -1) * 5)
-    assert kauffman_bracket_statesum(long_word, 5, max_crossings=10) == \
+    assert kauffman_bracket_statesum(long_word, 5, budget=2 ** 10 * 12) == \
         jones_at_root(long_word, 5)
     assert jones_at_root(long_word, 5) == loop_parameter(5)
 
