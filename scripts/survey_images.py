@@ -31,7 +31,8 @@ def _cell(spec: RepSpec, bound: int) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--levels", type=int, nargs="+", default=[3, 4, 5, 6, 7])
+    parser.add_argument("--levels", type=int, nargs="+",
+                        default=list(range(3, 13)))
     parser.add_argument("--strands", type=int, nargs="+", default=[2, 3, 4])
     parser.add_argument("--burau-primes", type=int, nargs="*", default=[3, 5])
     parser.add_argument("--bound", type=int, default=10**6)

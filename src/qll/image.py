@@ -12,19 +12,23 @@ verdict would be "infinite", so the semisimple part is the one worth
 classifying.)  For the reduced Burau family the generators are evaluated at
 an invertible residue mod p.
 
-Verdicts are exact certificates in both directions.  Finiteness of a
-diagram-algebra image is an enumerated multiplication closure modulo the
+Verdicts are exact certificates in both directions.  A diagram-algebra
+image has two: finiteness is an enumerated multiplication closure modulo the
 powers of zeta_{4l}, each matrix keyed by its entries times the conjugate
-of its first nonzero entry (`CycMatrix.canonical_key`).  A mod-p
-Burau image is finite outright; its projective order is certified by a base
-and strong generating set (deterministic Schreier-Sims) of its permutation
-action on the points of projective space over F_p.  Infiniteness is a word
-whose matrix violates the Galois-trace bound satisfied by every matrix of
-finite projective order (all eigenvalue magnitudes 1 at every complex
-embedding, so every conjugate of tr(M^m) has magnitude at most the
-dimension).  Each letter sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3)
-= 0, so its inverse is a polynomial in it and its determinant a root of
-unity: no matrix is inverted or eliminated.
+of its first nonzero entry (`CycMatrix.canonical_key`), and infiniteness is
+a word whose matrix violates the Galois-trace bound satisfied by every
+matrix of finite projective order (all eigenvalue magnitudes 1 at every
+complex embedding, so every conjugate of tr(M^m) has magnitude at most the
+dimension).  Which one runs first follows Jones (1986) and
+Freedman-Larsen-Wang (2002): on n >= 3 strands the image is finite iff
+l in {3, 4, 6} or (l, n) = (10, 3), and on n <= 2 it is cyclic.  There the
+closure runs first, elsewhere the word search; the order costs time, never
+a verdict (`classify_image`).  A mod-p Burau image is finite outright; its
+projective order is certified by a base and strong generating set
+(deterministic Schreier-Sims) of its permutation action on the points of
+projective space over F_p.  Each letter sigma = A + A^-1 E obeys
+(sigma - A)(sigma + A^-3) = 0, so its inverse is a polynomial in it and its
+determinant a root of unity: no matrix is inverted or eliminated.
 """
 
 from __future__ import annotations
@@ -573,7 +577,13 @@ def _witness_search(gens):
     """Yields one value per word length 1, 2, ...: None, or the first word
     of that length (in the order of `infinite_order_witness`) certified to
     have infinite projective order, which ends the search.  A word whose
-    matrix is, up to a scalar, that of an earlier word is not extended."""
+    matrix is, up to a scalar, that of an earlier word is not extended.
+
+    A power sigma_i^(+-k) of one letter is keyed and extended but never
+    certified: sigma_i has the two distinct root-of-unity eigenvalues A and
+    -A^-3 (`_inverse_letter`), so it is diagonalisable of finite projective
+    order and the certificate is False on its powers.  A reduced word in
+    the letters +-i alone is such a power."""
     by_letter = {}
     for i, g in enumerate(gens, start=1):
         if not isinstance(g, CycMatrix):
@@ -593,7 +603,7 @@ def _witness_search(gens):
                 if k in seen:
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
-                if _trace_certificate(M2):
+                if word.count(a) < len(word) and _trace_certificate(M2):
                     yield w2
                     return
                 nxt.append((w2, M2))
@@ -626,7 +636,18 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
 
 def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     """Classify the projective closure of the braid image as finite abelian,
-    finite (with exact order), infinite (with witness word), or unknown."""
+    finite (with exact order), infinite (with witness word), or unknown.
+
+    On a Temperley-Lieb spec the closure (up to `bound` elements) and the
+    word search (lengths 1 to `_WITNESS_LEN`) run in the order Jones's
+    classification suggests: the closure first where the image is finite
+    (n <= 2, l in {3, 4, 6}, or (l, n) = (10, 3)), the search first
+    elsewhere, the other only if the first decides nothing.  The order
+    cannot change the report: the certificate is sound, so a finite image
+    yields no witness, and the closure of an infinite image never
+    completes under any bound.  So whichever runs first either decides
+    alone, or both fail and the report is `unknown` with the same note.  A
+    wrong table entry would cost time on its spec, never change a verdict."""
     if spec.family == "tl":
         notes = ["path representation of dimension %d; semisimple quotient "
                  "dimension %d" % (len(_paths(spec.strands, spec.l)),
@@ -650,13 +671,13 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     if spec.family == "burau":
         order = _projective_order_fp(gens, bound)
     else:
-        # words up to length 4, then the closure, then the search resumed
-        search = _witness_search(gens)
-        witness, order = _next_witness(search, 4), None
-        if witness is None:
+        n, l = spec.strands, spec.l
+        if n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3):  # finite image
             order = group_closure(gens, bound)
-            if order is None:
-                witness = _next_witness(search, _WITNESS_LEN - 4)
+            witness = infinite_order_witness(gens) if order is None else None
+        else:
+            witness = infinite_order_witness(gens)
+            order = group_closure(gens, bound) if witness is None else None
         if witness is not None:
             notes.append("trace bound violated at a power of the witness")
             return ImageReport("infinite", witness=witness,

@@ -319,3 +319,60 @@ def test_criterion_10_representation_soundness(groups, verdict):
                     failures.append(("hurwitz", group.name, left, x))
     verdict(10, not failures)
     assert not failures, failures[:5]
+
+
+# (l, n): verdict, projective order, witness, as classify_image reports them
+# at the default bound
+PARADIGM_TABLE = {
+    (3, 2): ("finite-abelian", 1, None),
+    (3, 3): ("finite-abelian", 1, None),
+    (3, 4): ("finite-abelian", 1, None),
+    (4, 2): ("finite-abelian", 4, None),
+    (4, 3): ("finite", 24, None),
+    (4, 4): ("finite", 192, None),
+    (5, 2): ("finite-abelian", 10, None),
+    (5, 3): ("infinite", None, (1, -2)),
+    (5, 4): ("infinite", None, (1, -2)),
+    (6, 2): ("finite-abelian", 3, None),
+    (6, 3): ("finite", 24, None),
+    (6, 4): ("finite", 648, None),
+    (7, 2): ("finite-abelian", 14, None),
+    (7, 3): ("infinite", None, (1, -2)),
+    (7, 4): ("infinite", None, (1, -2)),
+    (8, 2): ("finite-abelian", 8, None),
+    (8, 3): ("infinite", None, (1, -2)),
+    (8, 4): ("infinite", None, (1, -2)),
+    (9, 2): ("finite-abelian", 18, None),
+    (9, 3): ("infinite", None, (1, -2)),
+    (9, 4): ("infinite", None, (1, -2)),
+    (10, 2): ("finite-abelian", 5, None),
+    (10, 3): ("finite", 600, None),
+    (10, 4): ("infinite", None, (1, 2, -3)),
+    (11, 2): ("finite-abelian", 22, None),
+    (11, 3): ("infinite", None, (1, -2)),
+    (11, 4): ("infinite", None, (1, -2)),
+    (12, 2): ("finite-abelian", 12, None),
+    (12, 3): ("infinite", None, (1, -2)),
+    (12, 4): ("infinite", None, (1, -2)),
+}
+
+
+def jones_finite(l, n):
+    """Jones (1986), Freedman-Larsen-Wang (2002): the Temperley-Lieb image
+    of B_n at level l is finite iff n <= 2 (a cyclic group), l in {3, 4, 6},
+    or (l, n) = (10, 3)."""
+    return n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3)
+
+
+def test_criterion_11_paradigm_table(verdict):
+    failures = []
+    for (l, n), expected in sorted(PARADIGM_TABLE.items()):
+        if (expected[0] != "infinite") != jones_finite(l, n):
+            failures.append(("table", l, n, expected[0]))
+        report = classify_image(RepSpec(family="tl", strands=n, l=l))
+        if (report.verdict, report.order, report.witness) != expected:
+            failures.append((l, n, report.verdict, report.order, report.witness))
+    grid = {(l, n) for l in range(3, 13) for n in (2, 3, 4)}
+    ok = not failures and set(PARADIGM_TABLE) == grid
+    verdict(11, ok)
+    assert not failures, failures

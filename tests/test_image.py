@@ -13,10 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
-from qll.image import (CycMatrix, FpMatrix, RepSpec, _inverse_letter, _paths,
+from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
+                       _inverse_letter, _next_witness, _paths,
                        _projective_order_fp, _trace_certificate,
-                       classify_image, group_closure, infinite_order_witness,
-                       quotient_dimension, rep_generators)
+                       _witness_search, classify_image, group_closure,
+                       infinite_order_witness, quotient_dimension,
+                       rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 
@@ -474,3 +476,118 @@ def test_survey_script_smoke(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "p=5  n=3  finite(60)" in out
     assert "l=4  n=3  finite(24)" in out
+
+
+# ---------------------------------------------------------------------------
+# the order of the two certificates on Temperley-Lieb specs
+
+TL_GRID = [(l, n) for l in range(3, 13) for n in range(2, 5)]
+
+
+def test_certificate_never_fires_on_powers_of_one_letter():
+    # sigma_i has the two distinct root-of-unity eigenvalues A and -A^-3, so
+    # every sigma_i^(+-k) has finite projective order and the sound
+    # certificate is False on it: the law behind the search skipping them
+    for l, n in TL_GRID:
+        for g in rep_generators(RepSpec("tl", n, l=l)):
+            for letter in (g, _inverse_letter(g)):
+                M = letter
+                for k in range(1, 9):
+                    assert not _trace_certificate(M), (l, n, k)
+                    M = M.mul(letter)
+
+
+def certifying_search(gens, max_len):
+    """The witness search with the certificate tried on every new word,
+    powers of one letter included: shortest words first, each length in the
+    order sigma_1, sigma_1^-1, sigma_2, ...; a word whose projective key was
+    seen before is dropped."""
+    by_letter = {}
+    for i, g in enumerate(gens, start=1):
+        by_letter[i], by_letter[-i] = g, _inverse_letter(g)
+    alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
+    seen, frontier = set(), [((), gens[0].identity_like())]
+    for _ in range(max_len):
+        nxt = []
+        for word, M in frontier:
+            for a in alphabet:
+                if word and a == -word[-1]:
+                    continue
+                M2 = M.mul(by_letter[a])
+                k = M2.canonical_key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                if _trace_certificate(M2):
+                    return word + (a,)
+                nxt.append((word + (a,), M2))
+        frontier = nxt
+    return None
+
+
+@pytest.mark.parametrize("l,n", TL_GRID)
+def test_skipping_powers_keeps_the_witness(l, n):
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    assert (infinite_order_witness(gens, _WITNESS_LEN)
+            == certifying_search(gens, _WITNESS_LEN))
+
+
+def fixed_route(spec, bound):
+    """The Temperley-Lieb report by one fixed order for every spec: words of
+    lengths 1-4, then the closure, then the search resumed at lengths 5-6."""
+    n, l = spec.strands, spec.l
+    notes = ["path representation of dimension %d; semisimple quotient "
+             "dimension %d" % (len(_paths(n, l)), quotient_dimension(n, l))]
+    gens = rep_generators(spec)
+    if not gens:
+        return ImageReport("finite-abelian", order=1, generators=0,
+                           notes=tuple(notes + ["no generators: trivial image"]))
+    search = _witness_search(gens)
+    witness, order = _next_witness(search, 4), None
+    if witness is None:
+        order = group_closure(gens, bound)
+        if order is None:
+            witness = _next_witness(search, 2)
+    if witness is not None:
+        notes.append("trace bound violated at a power of the witness")
+        return ImageReport("infinite", witness=witness, generators=len(gens),
+                           notes=tuple(notes))
+    if order is None:
+        notes.append("closure exceeded bound %d without a certificate" % bound)
+        return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
+    abelian = all(gens[i].mul(gens[j]).canonical_key() ==
+                  gens[j].mul(gens[i]).canonical_key()
+                  for i in range(len(gens)) for j in range(i))
+    notes.append("projective order %d" % order)
+    return ImageReport("finite-abelian" if abelian else "finite", order=order,
+                       generators=len(gens), notes=tuple(notes))
+
+
+@pytest.mark.parametrize("l,n,bound", [
+    (l, n, bound) for bound in (10 ** 6, 50)
+    for l in range(3, 13) for n in range(1, 5)
+] + [(4, 5, 10 ** 6), (5, 5, 10 ** 6), (5, 6, 10 ** 6)])
+def test_route_order_does_not_change_the_report(l, n, bound):
+    spec = RepSpec("tl", n, l=l)
+    assert classify_image(spec, bound) == fixed_route(spec, bound)
+
+
+def test_certificates_only_where_they_can_fire(monkeypatch):
+    # finite by the classification: the closure decides and no word is
+    # certified; (5, 3): two words are certified, (1, 2) and then the
+    # witness (1, -2), and no closure runs
+    calls = []
+
+    def count(M):
+        calls.append(M)
+        return _trace_certificate(M)
+
+    def closure(gens, bound):
+        raise AssertionError("closure run on an infinite image")
+    monkeypatch.setattr("qll.image._trace_certificate", count)
+    for l, n in ((4, 3), (6, 3), (10, 3), (4, 4)):
+        assert classify_image(RepSpec("tl", n, l=l)).verdict == "finite"
+    assert calls == []
+    monkeypatch.setattr("qll.image.group_closure", closure)
+    r = classify_image(RepSpec("tl", 3, l=5))
+    assert (r.verdict, r.witness, len(calls)) == ("infinite", (1, -2), 2)
