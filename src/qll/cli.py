@@ -41,14 +41,16 @@ from importlib import resources
 
 from . import __version__
 from .algebra import (_DEFAULT_BUDGET, BudgetError, CyclotomicNumber, LaurentPoly,
-                      UsageError)
+                      UsageError, _require_budget)
 from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
     FiniteGroup,
     builtin_group,
+    group_order,
     hom_count_estimate,
     hom_count_exact,
+    hom_count_price,
     wirtinger_hom_count,
 )
 from .image import _DEFAULT_BOUND, RepSpec, classify_image
@@ -433,12 +435,12 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
         hom: dict = {}
         for spec in args.hom:
             if spec not in hom:
-                hom[spec] = hom_count_exact(b, builtin_group(spec), budget)
+                hom[spec] = hom_count_exact(b, builtin_group(spec, budget), budget)
         results["hom"] = hom
     if args.hom_estimate:
         results["hom_estimate"] = [
             {"group": spec,
-             **_hom_estimate(b, builtin_group(spec), samples, seed, budget)}
+             **_hom_estimate(b, builtin_group(spec, budget), samples, seed, budget)}
             for spec, samples, seed in args.hom_estimate
         ]
     if not results:
@@ -466,7 +468,8 @@ def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         text, source = bundled_corpus_text(), "bundled"
     entries = parse_corpus(text, source)
-    groups = functools.lru_cache(maxsize=None)(builtin_group)
+    groups = functools.lru_cache(maxsize=None)(
+        functools.partial(builtin_group, budget=budget))
     entry_reports = []
     passed = failed = skipped = 0
     for entry in entries:
@@ -531,7 +534,10 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     b = parse_braid(args.word, args.strands)
     if args.estimate is not None and args.wirtinger:
         raise UsageError("--estimate and --wirtinger are mutually exclusive")
-    group = builtin_group(args.group)
+    if args.estimate is None:  # a refused count builds no group table
+        steps, what = hom_count_price(b, group_order(args.group), args.wirtinger)
+        _require_budget(steps, budget, what)
+    group = builtin_group(args.group, budget)
     results: dict = {"group": args.group, "group_order": group.size}
     if args.estimate is not None:
         results["method"] = "estimate"

@@ -135,15 +135,8 @@ def _product_table(ta, tb):
     return tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
 
 
-def builtin_group(spec: str) -> FiniteGroup:
-    """Construct a named group: ``cyclic k``, ``dihedral k`` (order 2k),
-    ``symmetric k``, ``quaternion8``, or products joined with ``x``.
-
-    >>> builtin_group("symmetric 3").size
-    6
-    >>> builtin_group("cyclic 2 x cyclic 3").size
-    6
-    """
+def _parse_group(spec: str):
+    """The table builders of a group spec and the group's order."""
     builders = []
     order = 1
     for part in spec.split(" x "):
@@ -168,10 +161,47 @@ def builtin_group(spec: str) -> FiniteGroup:
         order *= builders[-1][2]
         if order > _MAX_ORDER:
             raise UsageError("group order %d exceeds the cap %d" % (order, _MAX_ORDER))
+    return builders, order
+
+
+def group_order(spec: str) -> int:
+    """The order of ``builtin_group(spec)``, read from the spec alone.
+
+    >>> group_order("symmetric 7")
+    5040
+    """
+    return _parse_group(spec)[1]
+
+
+def builtin_group(spec: str, budget: int = _DEFAULT_BUDGET) -> FiniteGroup:
+    """Construct a named group: ``cyclic k``, ``dihedral k`` (order 2k),
+    ``symmetric k``, ``quaternion8``, or products joined with ``x``.  The
+    multiplication table is priced at order^2 steps; at the default budget
+    every group under the order cap is built.
+
+    >>> builtin_group("symmetric 3").size
+    6
+    >>> builtin_group("cyclic 2 x cyclic 3").size
+    6
+    """
+    builders, order = _parse_group(spec)
+    _require_budget(order * order, budget,
+                    "multiplication table of order %d" % order)
     table = builders[0][0](builders[0][1])
     for fn, arg, _ in builders[1:]:
         table = _product_table(table, fn(arg))
     return FiniteGroup(spec.strip(), table)
+
+
+def hom_count_price(b: BraidWord, order: int, wirtinger: bool = False):
+    """(steps, what): the price of `hom_count_exact`, or of
+    `wirtinger_hom_count`, over a group of the given order."""
+    if wirtinger:
+        n_arcs = _closure_diagram(b)[0]
+        return (order ** b.strands * max(1, n_arcs),
+                "Wirtinger count over %d arcs" % n_arcs)
+    return (order ** b.strands * max(1, len(b.word)),
+            "exact count over %d^%d tuples" % (order, b.strands))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +268,8 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
     remaining positions are enumerated plainly.  The price stays |G|^n steps
     per letter, an upper bound: the word is applied once per representative."""
     n = b.strands
-    _require_budget(G.size ** n * max(1, len(b.word)),
-                    budget, "exact count over %d^%d tuples" % (G.size, n))
+    steps, what = hom_count_price(b, G.size)
+    _require_budget(steps, budget, what)
     mul, inv, size = G.mul, G.inv, G.size
     ops = _word_ops(b)
     act = _act
@@ -373,9 +403,9 @@ def wirtinger_hom_count(b: BraidWord, G: FiniteGroup,
                         budget: int = _DEFAULT_BUDGET) -> int:
     """Independent oracle: count G-labellings of the closure diagram's arcs
     satisfying every crossing relation."""
+    steps, what = hom_count_price(b, G.size, wirtinger=True)
+    _require_budget(steps, budget, what)
     n_arcs, _, relations = _closure_diagram(b)
-    _require_budget(G.size ** b.strands * max(1, n_arcs), budget,
-                    "Wirtinger count over %d arcs" % n_arcs)
     mul, inv = G.mul, G.inv
     assign = [-1] * n_arcs
 

@@ -19,7 +19,12 @@ of its first nonzero entry (`CycMatrix.canonical_key`), and infiniteness is
 a word whose matrix violates the Galois-trace bound satisfied by every
 matrix of finite projective order (all eigenvalue magnitudes 1 at every
 complex embedding, so every conjugate of tr(M^m) has magnitude at most the
-dimension).  Which one runs first follows Jones (1986) and
+dimension).  The word search never certifies a word in pairwise commuting
+letters, nor one in two adjacent letters whose image in
+SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
+central in the braid group of its letters, its eigenvalues are roots of
+unity, and the bound cannot break on it (`_witness_search`).  Which one
+runs first follows Jones (1986) and
 Freedman-Larsen-Wang (2002): on n >= 3 strands the image is finite iff
 l in {3, 4, 6} or (l, n) = (10, 3), and on n <= 2 it is cyclic.  There the
 closure runs first, elsewhere the word search; the order costs time, never
@@ -527,14 +532,23 @@ def _trace_certificate(M: CycMatrix) -> bool:
     trace as x / d, x the trace of the numerator and d = den, a rational
     trace of (x conj(x))^r above phi(N) * (dim*d)^(2r) therefore certifies
     some conjugate exceeds the bound — an exact integer comparison, which a
-    common factor of x and d scales on both sides alike."""
+    common factor of x and d scales on both sides alike.
+
+    So x / d need not be in lowest terms, and only the powers up to
+    M^ceil(m/2) are built: tr(M^(a+b)) = sum_ij (M^a)_ij (M^b)_ji, over
+    den_a * den_b.  Up to M^6 that is two dense products, M^2 and M^3."""
     dim, N = M.dim, M.order
     phi_n = euler_phi(N)
-    P = M
+    half = (_TRACE_POWERS + 1) // 2
+    powers = [None, M]  # powers[k] = M^k for k <= half, built when reached
     for m in range(1, _TRACE_POWERS + 1):
-        if m > 1:
-            P = P.mul(M)
-        x, d = P.trace(), P.den
+        if m <= half:
+            if m > 1:
+                powers.append(powers[-1].mul(M))
+            x, d = powers[m].trace(), powers[m].den
+        else:
+            P, Q = powers[m // 2], powers[m - m // 2]
+            x, d = _trace_of_product(P, Q), P.den * Q.den
         if x.is_zero():
             continue
         y = x * x.conjugate()
@@ -548,6 +562,16 @@ def _trace_certificate(M: CycMatrix) -> bool:
     return False
 
 
+def _trace_of_product(P: CycMatrix, Q: CycMatrix) -> CyclotomicNumber:
+    """The trace of the numerator of P Q, whose denominator is
+    P.den * Q.den (not reduced): dim^2 entry products, no matrix product."""
+    n = P.dim
+    acc = CyclotomicNumber.zero(P.order)
+    for i in range(n):
+        acc = acc + _dot(P.rows[i], [Q.rows[k][i] for k in range(n)])
+    return acc
+
+
 def _reduced_extensions(word, alphabet):
     last = word[-1] if word else None
     for a in alphabet:
@@ -556,11 +580,13 @@ def _reduced_extensions(word, alphabet):
         yield a
 
 
+@lru_cache(maxsize=None)
 def _inverse_letter(g: CycMatrix) -> CycMatrix:
     """sigma^-1 = A^2 sigma + (A^-1 - A^3) for a letter sigma = A + A^-1 E
     with E^2 = d E, d = -A^2 - A^-2, A = zeta_N: such a sigma satisfies
     (sigma - A)(sigma + A^-3) = 0.  The product with g is checked exactly,
-    and it proves that every eigenvalue of g is A or -A^-3."""
+    and it proves that every eigenvalue of g is A or -A^-3.  Built and
+    checked once per generator."""
     N = g.order
     a2 = CyclotomicNumber.zeta(N, 2)
     shift = (CyclotomicNumber.zeta(N, -1) - CyclotomicNumber.zeta(N, 3)) * g.den
@@ -573,23 +599,82 @@ def _inverse_letter(g: CycMatrix) -> CycMatrix:
     return h
 
 
+@lru_cache(maxsize=None)
+def _braided(gens) -> bool:
+    """True if the matrices sigma_1, sigma_2, ... satisfy the braid
+    relations exactly: sigma_i sigma_(i+1) sigma_i = sigma_(i+1) sigma_i
+    sigma_(i+1), and sigma_i sigma_j = sigma_j sigma_i for |i - j| >= 2.
+    Checked once per generator tuple."""
+    for i, a in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            b = gens[j]
+            if j == i + 1:
+                if a.mul(b).mul(a) != b.mul(a).mul(b):
+                    return False
+            elif a.mul(b) != b.mul(a):
+                return False
+    return True
+
+
+def _periodic(word) -> bool:
+    """True on two kinds of braid word that have a power central in the
+    braid group of their letters, so that `_trace_certificate` cannot fire
+    on their matrices:
+    - the letter indices pairwise commute (|i - j| >= 2 or i = j), powers
+      of one letter included;
+    - the letters lie in one <sigma_i, sigma_(i+1)>, and the word's image
+      under sigma_i -> [[1, 1], [0, 1]], sigma_(i+1) -> [[1, 0], [-1, 1]]
+      in SL(2, Z) = B_3 / <Delta^4> has |trace| < 2 or is +-I.  That image
+      then has order dividing 12 (orders 1, 2, 3, 4 or 6), so the twelfth
+      power of the word is a power of the central Delta^4 =
+      (sigma_i sigma_(i+1))^6.
+    `_witness_search` proves that the certificate is False on both."""
+    letters = sorted({abs(a) for a in word})
+    if all(j - i >= 2 for i, j in zip(letters, letters[1:])):
+        return True
+    if len(letters) != 2 or letters[1] - letters[0] != 1:
+        return False
+    a, b, c, d = 1, 0, 0, 1  # [[a, b], [c, d]], the image so far
+    for x in word:
+        s = 1 if x > 0 else -1
+        if abs(x) == letters[0]:  # times [[1, s], [0, 1]]
+            b, d = b + s * a, d + s * c
+        else:  # times [[1, 0], [-s, 1]]
+            a, c = a - s * b, c - s * d
+    return abs(a + d) < 2 or (b == c == 0 and a == d)
+
+
 def _witness_search(gens):
     """Yields one value per word length 1, 2, ...: None, or the first word
     of that length (in the order of `infinite_order_witness`) certified to
     have infinite projective order, which ends the search.  A word whose
     matrix is, up to a scalar, that of an earlier word is not extended.
 
-    A power sigma_i^(+-k) of one letter is keyed and extended but never
-    certified: sigma_i has the two distinct root-of-unity eigenvalues A and
-    -A^-3 (`_inverse_letter`), so it is diagonalisable of finite projective
-    order and the certificate is False on its powers.  A reduced word in
-    the letters +-i alone is such a power."""
+    A `_periodic` word is keyed and extended but never certified, once the
+    generators are checked to satisfy the braid relations (`_braided`);
+    otherwise only the powers sigma_i^(+-k) of one letter are skipped.  The
+    certificate is False on such a word W.  Each letter is annihilated by
+    (x - A)(x + A^-3) (`_inverse_letter`), so it has root-of-unity
+    eigenvalues on every subquotient of the path module.  A power of one
+    letter has those eigenvalues' powers.  If W's letters pairwise commute,
+    they are simultaneously triangularisable and W's eigenvalues are
+    products of theirs.  Otherwise some power W^k is a power of
+    Delta^2 = (sigma_i sigma_(i+1))^3, central in the B_3 its two letters
+    generate.  On each composition factor of the module under that B_3, of
+    dimension r, Delta^2 acts as a scalar c (Schur), and c^r is the factor's
+    determinant of (sigma_i sigma_(i+1))^3, a root of unity; so W^k is
+    block-triangular with root-of-unity scalars on the diagonal blocks.
+    Either way every eigenvalue of W is a root of unity, at every embedding,
+    so every conjugate of tr(W^m) has magnitude at most dim.  No
+    semisimplicity is needed."""
+    gens = tuple(gens)
     by_letter = {}
     for i, g in enumerate(gens, start=1):
         if not isinstance(g, CycMatrix):
             raise UsageError("the certificate needs cyclotomic entries")
         by_letter[i] = g
         by_letter[-i] = _inverse_letter(g)
+    periodic = _periodic if _braided(gens) else _one_letter
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     seen = set()
     frontier = [((), gens[0].identity_like())]
@@ -603,12 +688,17 @@ def _witness_search(gens):
                 if k in seen:
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
-                if word.count(a) < len(word) and _trace_certificate(M2):
+                if not periodic(w2) and _trace_certificate(M2):
                     yield w2
                     return
                 nxt.append((w2, M2))
         frontier = nxt
         yield None
+
+
+def _one_letter(word) -> bool:
+    """True if the reduced word is a power sigma_i^(+-k) of one letter."""
+    return len(set(word)) == 1
 
 
 def _next_witness(search, lengths: int):
@@ -624,6 +714,9 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     """Search words in the generators (shortest first, then by alphabet
     order sigma_1, sigma_1^-1, sigma_2, ...) for a matrix certified to have
     infinite projective order; None if no word up to max_len certifies.
+    Words that provably cannot certify are never tried: powers of commuting
+    letters, and words in two adjacent letters that have a central power in
+    their B_3 (`_periodic`, proved in `_witness_search`).
 
     Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
     N its order, as `rep_generators` builds them (`_inverse_letter` checks

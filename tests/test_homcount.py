@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import qll.homcount
 from qll.algebra import BudgetError, UsageError
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
-from qll.homcount import (FiniteGroup, builtin_group, hom_count_estimate,
-                          hom_count_exact, hurwitz_act, wirtinger_hom_count)
+from qll.homcount import (FiniteGroup, builtin_group, group_order,
+                          hom_count_estimate, hom_count_exact, hurwitz_act,
+                          wirtinger_hom_count)
 
 import test_cli
 
@@ -139,6 +140,40 @@ def test_builtin_rejects_bad_specs(spec):
 
 def test_large_group_uses_spot_checked_validation():
     assert builtin_group("cyclic 100").size == 100
+
+
+@pytest.mark.parametrize("spec", ["cyclic 1", "dihedral 5", "symmetric 4",
+                                  "quaternion8 x symmetric 3",
+                                  "cyclic 2 x cyclic 3 x dihedral 2"])
+def test_group_table_priced_at_order_squared(spec):
+    order = group_order(spec)
+    assert builtin_group(spec, budget=order ** 2).size == order
+    with pytest.raises(BudgetError) as exc:
+        builtin_group(spec, budget=order ** 2 - 1)
+    assert exc.value.required == order ** 2
+
+
+def no_table(k):
+    raise AssertionError("symmetric %d table built" % k)
+
+
+def test_refused_group_builds_no_table(monkeypatch, capsys):
+    # symmetric 7 has 5040^2 = 25,401,600 table entries; under a budget of
+    # 10^6 neither builtin_group nor any hom method starts building them
+    monkeypatch.setattr(qll.homcount, "_symmetric_table", no_table)
+    with pytest.raises(BudgetError):
+        builtin_group("symmetric 7", budget=10 ** 6)
+    argv = ("hom", "--strands", "2", "--word", "1 1 1", "--group",
+            "symmetric 7", "--budget", "1000000")
+    for extra in ((), ("--wirtinger",), ("--estimate", "10", "1")):
+        code, _, err = test_cli.run(capsys, *argv, *extra)
+        assert code == 3, extra
+        assert "budget refused" in err
+    code, _, err = test_cli.run(capsys, "invariants", "--strands", "2",
+                                "--word", "1 1 1", "--hom", "symmetric 7",
+                                "--budget", "1000000")
+    assert code == 3
+    assert "multiplication table of order 5040 needs 25401600" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Image classification: exact matrices, closure enumeration, the
 infinite-order trace certificate, and end-to-end verdicts."""
 
+import random
 import runpy
 import sys
 from functools import lru_cache
@@ -13,12 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
-from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
-                       _inverse_letter, _next_witness, _paths,
+from qll.algebra import euler_phi
+from qll.image import (_TRACE_DOUBLINGS, _TRACE_POWERS, _WITNESS_LEN, CycMatrix,
+                       FpMatrix, ImageReport, RepSpec, _braided,
+                       _inverse_letter, _next_witness, _paths, _periodic,
                        _projective_order_fp, _trace_certificate,
-                       _witness_search, classify_image, group_closure,
-                       infinite_order_witness, quotient_dimension,
-                       rep_generators)
+                       _trace_of_product, _witness_search, classify_image,
+                       group_closure, infinite_order_witness,
+                       quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 
@@ -574,8 +577,8 @@ def test_route_order_does_not_change_the_report(l, n, bound):
 
 def test_certificates_only_where_they_can_fire(monkeypatch):
     # finite by the classification: the closure decides and no word is
-    # certified; (5, 3): two words are certified, (1, 2) and then the
-    # witness (1, -2), and no closure runs
+    # certified; (5, 3): only the witness (1, -2) is certified, since (1, 2)
+    # is periodic, and no closure runs
     calls = []
 
     def count(M):
@@ -590,4 +593,101 @@ def test_certificates_only_where_they_can_fire(monkeypatch):
     assert calls == []
     monkeypatch.setattr("qll.image.group_closure", closure)
     r = classify_image(RepSpec("tl", 3, l=5))
-    assert (r.verdict, r.witness, len(calls)) == ("infinite", (1, -2), 2)
+    assert (r.verdict, r.witness, len(calls)) == ("infinite", (1, -2), 1)
+
+
+# ---------------------------------------------------------------------------
+# words the search never certifies, and the two-product certificate
+
+
+def test_periodic_fixed_cases():
+    # (1, 2) and (1, 2, 1) map to elements of orders 6 and 4 in SL(2, Z),
+    # (1, 1, 2) to one of trace 0; 1 and 3 commute
+    for word in [(1, 2), (1, 2, 1), (1, 1, 2), (1, 3, -1), (-2, -3), (2,),
+                 (1, 2) * 3, (1, 3, 5, -3)]:
+        assert _periodic(word), word
+    # (1, -2) has trace 3, (1, 1, 2, 2) trace -2 and is not -I
+    for word in [(1, -2), (1, 1, 2, 2), (2, -3), (1, 2, 3)]:
+        assert not _periodic(word), word
+
+
+def test_certificate_never_fires_on_periodic_words():
+    # the law behind the skip: on every reduced periodic word of length
+    # <= 4 (one per projective key) the unskipped certificate is False
+    for l, n in TL_GRID:
+        gens = rep_generators(RepSpec("tl", n, l=l))
+        assert _braided(gens)
+        letters = {}
+        for i, g in enumerate(gens, start=1):
+            letters[i], letters[-i] = g, _inverse_letter(g)
+        seen, frontier = set(), [((), gens[0].identity_like())]
+        for _ in range(4):
+            nxt = []
+            for word, M in frontier:
+                for a in letters:
+                    if word and a == -word[-1]:
+                        continue
+                    w, P = word + (a,), M.mul(letters[a])
+                    nxt.append((w, P))
+                    key = P.canonical_key()
+                    if _periodic(w) and key not in seen:
+                        seen.add(key)
+                        assert not _trace_certificate(P), (l, n, w)
+            frontier = nxt
+
+
+def test_unbraided_generators_keep_the_one_letter_rule(monkeypatch):
+    # sigma_1 and a second copy of sigma_2 in place of sigma_3 break the
+    # far commutation, so only powers of one letter are skipped: (1, 2) is
+    # certified again before the witness (1, -2)
+    g1, g2 = rep_generators(RepSpec("tl", 3, l=5))
+    assert _braided((g1, g2)) and not _braided((g1, g2, g2))
+    calls = []
+
+    def count(M):
+        calls.append(M)
+        return _trace_certificate(M)
+    monkeypatch.setattr("qll.image._trace_certificate", count)
+    assert infinite_order_witness((g1, g2)) == (1, -2) and len(calls) == 1
+    calls.clear()
+    assert infinite_order_witness((g1, g2, g2)) == (1, -2) and len(calls) == 2
+
+
+def power_by_power_certificate(M):
+    """The trace certificate with every power M^1 .. M^6 built by a dense
+    product and its trace read in lowest terms."""
+    dim, N = M.dim, M.order
+    phi_n = euler_phi(N)
+    P = M
+    for m in range(1, _TRACE_POWERS + 1):
+        if m > 1:
+            P = P.mul(M)
+        x, d = P.trace(), P.den
+        if x.is_zero():
+            continue
+        y = x * x.conjugate()
+        base = (dim * d) ** 2
+        r = 1
+        for _ in range(_TRACE_DOUBLINGS + 1):
+            if y.trace_to_int() > phi_n * base ** r:
+                return True
+            y = y * y
+            r *= 2
+    return False
+
+
+@pytest.mark.parametrize("l,n", TL_GRID)
+def test_two_product_certificate_matches_power_by_power(l, n):
+    rng = random.Random(100 * l + n)
+    words = [(1,), (1, -2)] if n > 2 else [(1,), (1, 1)]
+    for _ in range(4):
+        words.append(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                           for _ in range(rng.randint(1, 8))))
+    for word in words:
+        M = word_matrix(n, l, word)
+        assert _trace_certificate(M) == power_by_power_certificate(M), word
+        M2, M3 = M.mul(M), M.mul(M).mul(M)
+        for P, Q in ((M2, M2), (M2, M3), (M3, M3)):
+            PQ = P.mul(Q)
+            assert (_trace_of_product(P, Q) * PQ.den
+                    == PQ.trace() * (P.den * Q.den))
