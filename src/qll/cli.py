@@ -46,8 +46,8 @@ from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
     FiniteGroup,
+    _parse_group,
     builtin_group,
-    group_order,
     hom_count_estimate,
     hom_count_exact,
     hom_count_price,
@@ -535,7 +535,7 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     if args.estimate is not None and args.wirtinger:
         raise UsageError("--estimate and --wirtinger are mutually exclusive")
     if args.estimate is None:  # a refused count builds no group table
-        steps, what = hom_count_price(b, group_order(args.group), args.wirtinger)
+        steps, what = hom_count_price(b, _parse_group(args.group)[1], args.wirtinger)
         _require_budget(steps, budget, what)
     group = builtin_group(args.group, budget)
     results: dict = {"group": args.group, "group_order": group.size}

@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget
 from .braid import BraidWord
@@ -162,15 +163,6 @@ def _parse_group(spec: str):
         if order > _MAX_ORDER:
             raise UsageError("group order %d exceeds the cap %d" % (order, _MAX_ORDER))
     return builders, order
-
-
-def group_order(spec: str) -> int:
-    """The order of ``builtin_group(spec)``, read from the spec alone.
-
-    >>> group_order("symmetric 7")
-    5040
-    """
-    return _parse_group(spec)[1]
 
 
 def builtin_group(spec: str, budget: int = _DEFAULT_BUDGET) -> FiniteGroup:
@@ -353,12 +345,14 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
 # ---------------------------------------------------------------------------
 # Wirtinger oracle
 
+@lru_cache(maxsize=1)
 def _closure_diagram(b: BraidWord):
     """Arcs and crossing relations of the standard closure diagram.
 
     Returns (arc count, arc id per initial strand, relations), a relation
     being (out, over, inn, positive): the under-strand enters as ``inn`` and
-    leaves as ``out``, conjugated by ``over``.
+    leaves as ``out``, conjugated by ``over``.  The last braid's diagram is
+    kept, so pricing a Wirtinger count and running it build it once.
     """
     n = b.strands
     seg = list(range(n))
@@ -394,8 +388,8 @@ def _closure_diagram(b: BraidWord):
     roots = sorted({find(a) for a in range(ids)})
     arc_of = {r: k for k, r in enumerate(roots)}
     arcs = [arc_of[find(a)] for a in range(ids)]
-    rel = [(arcs[o], arcs[v], arcs[i], pos) for o, v, i, pos in relations]
-    strand_arcs = [arcs[p] for p in range(n)]
+    rel = tuple((arcs[o], arcs[v], arcs[i], pos) for o, v, i, pos in relations)
+    strand_arcs = tuple(arcs[p] for p in range(n))
     return len(roots), strand_arcs, rel
 
 

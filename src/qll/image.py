@@ -532,23 +532,14 @@ def _trace_certificate(M: CycMatrix) -> bool:
     trace as x / d, x the trace of the numerator and d = den, a rational
     trace of (x conj(x))^r above phi(N) * (dim*d)^(2r) therefore certifies
     some conjugate exceeds the bound — an exact integer comparison, which a
-    common factor of x and d scales on both sides alike.
-
-    So x / d need not be in lowest terms, and only the powers up to
-    M^ceil(m/2) are built: tr(M^(a+b)) = sum_ij (M^a)_ij (M^b)_ji, over
-    den_a * den_b.  Up to M^6 that is two dense products, M^2 and M^3."""
+    common factor of x and d scales on both sides alike."""
     dim, N = M.dim, M.order
     phi_n = euler_phi(N)
-    half = (_TRACE_POWERS + 1) // 2
-    powers = [None, M]  # powers[k] = M^k for k <= half, built when reached
+    P = M
     for m in range(1, _TRACE_POWERS + 1):
-        if m <= half:
-            if m > 1:
-                powers.append(powers[-1].mul(M))
-            x, d = powers[m].trace(), powers[m].den
-        else:
-            P, Q = powers[m // 2], powers[m - m // 2]
-            x, d = _trace_of_product(P, Q), P.den * Q.den
+        if m > 1:
+            P = P.mul(M)
+        x, d = P.trace(), P.den
         if x.is_zero():
             continue
         y = x * x.conjugate()
@@ -560,16 +551,6 @@ def _trace_certificate(M: CycMatrix) -> bool:
             y = y * y
             r *= 2
     return False
-
-
-def _trace_of_product(P: CycMatrix, Q: CycMatrix) -> CyclotomicNumber:
-    """The trace of the numerator of P Q, whose denominator is
-    P.den * Q.den (not reduced): dim^2 entry products, no matrix product."""
-    n = P.dim
-    acc = CyclotomicNumber.zero(P.order)
-    for i in range(n):
-        acc = acc + _dot(P.rows[i], [Q.rows[k][i] for k in range(n)])
-    return acc
 
 
 def _reduced_extensions(word, alphabet):
@@ -650,10 +631,10 @@ def _witness_search(gens):
     have infinite projective order, which ends the search.  A word whose
     matrix is, up to a scalar, that of an earlier word is not extended.
 
-    A `_periodic` word is keyed and extended but never certified, once the
-    generators are checked to satisfy the braid relations (`_braided`);
-    otherwise only the powers sigma_i^(+-k) of one letter are skipped.  The
-    certificate is False on such a word W.  Each letter is annihilated by
+    A `_periodic` word is keyed and extended but never certified; the
+    generators are first checked to satisfy the braid relations exactly
+    (`_braided`), and a UsageError otherwise.  The certificate is False on
+    such a word W.  Each letter is annihilated by
     (x - A)(x + A^-3) (`_inverse_letter`), so it has root-of-unity
     eigenvalues on every subquotient of the path module.  A power of one
     letter has those eigenvalues' powers.  If W's letters pairwise commute,
@@ -674,7 +655,8 @@ def _witness_search(gens):
             raise UsageError("the certificate needs cyclotomic entries")
         by_letter[i] = g
         by_letter[-i] = _inverse_letter(g)
-    periodic = _periodic if _braided(gens) else _one_letter
+    if not _braided(gens):
+        raise UsageError("generators do not satisfy the braid relations")
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     seen = set()
     frontier = [((), gens[0].identity_like())]
@@ -688,17 +670,12 @@ def _witness_search(gens):
                 if k in seen:
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
-                if not periodic(w2) and _trace_certificate(M2):
+                if not _periodic(w2) and _trace_certificate(M2):
                     yield w2
                     return
                 nxt.append((w2, M2))
         frontier = nxt
         yield None
-
-
-def _one_letter(word) -> bool:
-    """True if the reduced word is a power sigma_i^(+-k) of one letter."""
-    return len(set(word)) == 1
 
 
 def _next_witness(search, lengths: int):
@@ -719,7 +696,8 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     their B_3 (`_periodic`, proved in `_witness_search`).
 
     Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
-    N its order, as `rep_generators` builds them (`_inverse_letter` checks
+    N its order, and together they must satisfy the braid relations, as
+    `rep_generators` builds them (`_inverse_letter` and `_braided` check
     it); anything else is a UsageError."""
     return _next_witness(_witness_search(gens), max_len) if gens else None
 

@@ -1,7 +1,6 @@
 """Image classification: exact matrices, closure enumeration, the
 infinite-order trace certificate, and end-to-end verdicts."""
 
-import random
 import runpy
 import sys
 from functools import lru_cache
@@ -14,14 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
-from qll.algebra import euler_phi
-from qll.image import (_TRACE_DOUBLINGS, _TRACE_POWERS, _WITNESS_LEN, CycMatrix,
-                       FpMatrix, ImageReport, RepSpec, _braided,
-                       _inverse_letter, _next_witness, _paths, _periodic,
-                       _projective_order_fp, _trace_certificate,
-                       _trace_of_product, _witness_search, classify_image,
-                       group_closure, infinite_order_witness,
-                       quotient_dimension, rep_generators)
+from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
+                       _braided, _inverse_letter, _next_witness, _paths,
+                       _periodic, _projective_order_fp, _trace_certificate,
+                       _witness_search, classify_image, group_closure,
+                       infinite_order_witness, quotient_dimension,
+                       rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 
@@ -597,7 +594,7 @@ def test_certificates_only_where_they_can_fire(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# words the search never certifies, and the two-product certificate
+# words the search never certifies
 
 
 def test_periodic_fixed_cases():
@@ -636,58 +633,11 @@ def test_certificate_never_fires_on_periodic_words():
             frontier = nxt
 
 
-def test_unbraided_generators_keep_the_one_letter_rule(monkeypatch):
+def test_unbraided_generators_are_refused():
     # sigma_1 and a second copy of sigma_2 in place of sigma_3 break the
-    # far commutation, so only powers of one letter are skipped: (1, 2) is
-    # certified again before the witness (1, -2)
+    # far commutation, so the periodic-word skip would be unsound on them
     g1, g2 = rep_generators(RepSpec("tl", 3, l=5))
     assert _braided((g1, g2)) and not _braided((g1, g2, g2))
-    calls = []
-
-    def count(M):
-        calls.append(M)
-        return _trace_certificate(M)
-    monkeypatch.setattr("qll.image._trace_certificate", count)
-    assert infinite_order_witness((g1, g2)) == (1, -2) and len(calls) == 1
-    calls.clear()
-    assert infinite_order_witness((g1, g2, g2)) == (1, -2) and len(calls) == 2
-
-
-def power_by_power_certificate(M):
-    """The trace certificate with every power M^1 .. M^6 built by a dense
-    product and its trace read in lowest terms."""
-    dim, N = M.dim, M.order
-    phi_n = euler_phi(N)
-    P = M
-    for m in range(1, _TRACE_POWERS + 1):
-        if m > 1:
-            P = P.mul(M)
-        x, d = P.trace(), P.den
-        if x.is_zero():
-            continue
-        y = x * x.conjugate()
-        base = (dim * d) ** 2
-        r = 1
-        for _ in range(_TRACE_DOUBLINGS + 1):
-            if y.trace_to_int() > phi_n * base ** r:
-                return True
-            y = y * y
-            r *= 2
-    return False
-
-
-@pytest.mark.parametrize("l,n", TL_GRID)
-def test_two_product_certificate_matches_power_by_power(l, n):
-    rng = random.Random(100 * l + n)
-    words = [(1,), (1, -2)] if n > 2 else [(1,), (1, 1)]
-    for _ in range(4):
-        words.append(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
-                           for _ in range(rng.randint(1, 8))))
-    for word in words:
-        M = word_matrix(n, l, word)
-        assert _trace_certificate(M) == power_by_power_certificate(M), word
-        M2, M3 = M.mul(M), M.mul(M).mul(M)
-        for P, Q in ((M2, M2), (M2, M3), (M3, M3)):
-            PQ = P.mul(Q)
-            assert (_trace_of_product(P, Q) * PQ.den
-                    == PQ.trace() * (P.den * Q.den))
+    assert infinite_order_witness((g1, g2)) == (1, -2)
+    with pytest.raises(UsageError, match="braid relations"):
+        infinite_order_witness((g1, g2, g2))
