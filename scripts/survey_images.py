@@ -4,6 +4,8 @@
 Tabulates the verdict (finite-abelian / finite / infinite / unknown), the
 projective order where finite, and the infinite-order witness word where
 one was certified, for Temperley-Lieb levels and small Burau reductions.
+An unknown cell ends with its report's last note, which tells a closure or
+point count past --bound apart from a search that found no witness.
 
 Example:
     python3 scripts/survey_images.py --levels 3 4 5 6 7 --strands 2 3 4
@@ -20,13 +22,14 @@ def _cell(spec: RepSpec, bound: int) -> str:
     started = time.perf_counter()
     report = classify_image(spec, bound)
     elapsed = time.perf_counter() - started
+    note = ""
     if report.verdict in ("finite", "finite-abelian"):
         body = "%s(%d)" % (report.verdict, report.order)
     elif report.verdict == "infinite":
         body = "infinite[%s]" % " ".join(map(str, report.witness))
-    else:
-        body = "unknown"
-    return "%-24s %6.2fs" % (body, elapsed)
+    else:  # the last note says which certificate ran and why it stopped
+        body, note = "unknown", "  " + report.notes[-1]
+    return "%-24s %6.2fs%s" % (body, elapsed, note)
 
 
 def main() -> int:

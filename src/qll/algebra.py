@@ -65,7 +65,8 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod_monic(a, b):
-    # b must be monic; exact integer division steps.
+    """Quotient and remainder of a by the monic b.  The remainder is the
+    first deg b coefficients, untrimmed: the loop zeroes every one above."""
     a = list(a)
     db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
@@ -75,7 +76,7 @@ def _poly_divmod_monic(a, b):
             q[i - db] = c
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
-    return q, _trim(a)
+    return q, a[:db]
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,8 +126,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     rem = num
     for d in range(1, n):
         if n % d == 0:
-            rem, r = _poly_divmod_monic(rem, list(cyclotomic_polynomial(d)))
-            assert not r
+            rem, r = _poly_divmod_monic(rem, cyclotomic_polynomial(d))
+            assert not any(r)
     return tuple(rem)
 
 
@@ -153,11 +154,12 @@ class CyclotomicNumber:
             raise UsageError("cyclotomic order must be >= 1")
         phi = euler_phi(order)
         c = list(coeffs)
-        if len(c) >= phi + 1:
-            _, c = _poly_divmod_monic(c, list(cyclotomic_polynomial(order)))
-        c += [0] * (phi - len(c))
+        if len(c) > phi:
+            _, c = _poly_divmod_monic(c, cyclotomic_polynomial(order))
+        else:
+            c += [0] * (phi - len(c))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(c[:phi]))
+        object.__setattr__(self, "coeffs", tuple(c))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -454,7 +456,7 @@ class LaurentPoly:
             if len(self.coeffs) == 1:
                 c = self.coeffs[0]
                 if c in (1, -1):
-                    return LaurentPoly(self.low * k, (c if k % 2 == 0 or c == 1 else -1,))
+                    return LaurentPoly(self.low * k, (c ** (k % 2),))
             raise UsageError("negative power of a non-unit Laurent polynomial")
         r = LaurentPoly.one()
         b = self

@@ -23,12 +23,12 @@ dimension).  The word search never certifies a word in pairwise commuting
 letters, nor one in two adjacent letters whose image in
 SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
 central in the braid group of its letters, its eigenvalues are roots of
-unity, and the bound cannot break on it (`_witness_search`).  Which one
-runs first follows Jones (1986) and
+unity, and the bound cannot break on it (`infinite_order_witness`).  Each
+spec runs one of the two, chosen by Jones (1986) and
 Freedman-Larsen-Wang (2002): on n >= 3 strands the image is finite iff
 l in {3, 4, 6} or (l, n) = (10, 3), and on n <= 2 it is cyclic.  There the
-closure runs first, elsewhere the word search; the order costs time, never
-a verdict (`classify_image`).  A mod-p Burau image is finite outright; its
+closure runs, elsewhere the word search; the other could decide nothing
+(`classify_image`).  A mod-p Burau image is finite outright; its
 projective order is certified by a base and strong generating set
 (deterministic Schreier-Sims) of its permutation action on the points of
 projective space over F_p.  Each letter sigma = A + A^-1 E obeys
@@ -553,14 +553,6 @@ def _trace_certificate(M: CycMatrix) -> bool:
     return False
 
 
-def _reduced_extensions(word, alphabet):
-    last = word[-1] if word else None
-    for a in alphabet:
-        if last is not None and a == -last:
-            continue
-        yield a
-
-
 @lru_cache(maxsize=None)
 def _inverse_letter(g: CycMatrix) -> CycMatrix:
     """sigma^-1 = A^2 sigma + (A^-1 - A^3) for a letter sigma = A + A^-1 E
@@ -609,7 +601,7 @@ def _periodic(word) -> bool:
       then has order dividing 12 (orders 1, 2, 3, 4 or 6), so the twelfth
       power of the word is a power of the central Delta^4 =
       (sigma_i sigma_(i+1))^6.
-    `_witness_search` proves that the certificate is False on both."""
+    `infinite_order_witness` proves that the certificate is False on both."""
     letters = sorted({abs(a) for a in word})
     if all(j - i >= 2 for i, j in zip(letters, letters[1:])):
         return True
@@ -625,16 +617,22 @@ def _periodic(word) -> bool:
     return abs(a + d) < 2 or (b == c == 0 and a == d)
 
 
-def _witness_search(gens):
-    """Yields one value per word length 1, 2, ...: None, or the first word
-    of that length (in the order of `infinite_order_witness`) certified to
-    have infinite projective order, which ends the search.  A word whose
-    matrix is, up to a scalar, that of an earlier word is not extended.
+def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
+    """Search words in the generators for a matrix certified to have
+    infinite projective order; None if no word up to max_len certifies.
+    Words run shortest first, each length in the alphabet order sigma_1,
+    sigma_1^-1, sigma_2, ...; a word whose matrix is, up to a scalar, that
+    of an earlier word is dropped and not extended.
 
-    A `_periodic` word is keyed and extended but never certified; the
-    generators are first checked to satisfy the braid relations exactly
-    (`_braided`), and a UsageError otherwise.  The certificate is False on
-    such a word W.  Each letter is annihilated by
+    Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
+    N its order, and together they must satisfy the braid relations, as
+    `rep_generators` builds them (`_inverse_letter` and `_braided` check
+    it); anything else is a UsageError.
+
+    Words that provably cannot certify are keyed and extended but never
+    certified: powers of commuting letters, and words in two adjacent
+    letters that have a central power in their B_3 (`_periodic`).  The
+    certificate is False on such a word W.  Each letter is annihilated by
     (x - A)(x + A^-3) (`_inverse_letter`), so it has root-of-unity
     eigenvalues on every subquotient of the path module.  A power of one
     letter has those eigenvalues' powers.  If W's letters pairwise commute,
@@ -648,6 +646,8 @@ def _witness_search(gens):
     Either way every eigenvalue of W is a root of unity, at every embedding,
     so every conjugate of tr(W^m) has magnitude at most dim.  No
     semisimplicity is needed."""
+    if not gens:
+        return None
     gens = tuple(gens)
     by_letter = {}
     for i, g in enumerate(gens, start=1):
@@ -660,10 +660,12 @@ def _witness_search(gens):
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     seen = set()
     frontier = [((), gens[0].identity_like())]
-    while True:
+    for _ in range(max_len):
         nxt = []
         for word, M in frontier:
-            for a in _reduced_extensions(word, alphabet):
+            for a in alphabet:
+                if word and a == -word[-1]:
+                    continue
                 w2 = word + (a,)
                 M2 = M.mul(by_letter[a])
                 k = M2.canonical_key()
@@ -671,35 +673,10 @@ def _witness_search(gens):
                     continue  # same subtree of products, found earlier/shorter
                 seen.add(k)
                 if not _periodic(w2) and _trace_certificate(M2):
-                    yield w2
-                    return
+                    return w2
                 nxt.append((w2, M2))
         frontier = nxt
-        yield None
-
-
-def _next_witness(search, lengths: int):
-    """Runs `lengths` more word lengths of a `_witness_search`; the witness
-    found, or None."""
-    for _, witness in zip(range(lengths), search):
-        if witness is not None:
-            return witness
     return None
-
-
-def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
-    """Search words in the generators (shortest first, then by alphabet
-    order sigma_1, sigma_1^-1, sigma_2, ...) for a matrix certified to have
-    infinite projective order; None if no word up to max_len certifies.
-    Words that provably cannot certify are never tried: powers of commuting
-    letters, and words in two adjacent letters that have a central power in
-    their B_3 (`_periodic`, proved in `_witness_search`).
-
-    Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
-    N its order, and together they must satisfy the braid relations, as
-    `rep_generators` builds them (`_inverse_letter` and `_braided` check
-    it); anything else is a UsageError."""
-    return _next_witness(_witness_search(gens), max_len) if gens else None
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +686,16 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     """Classify the projective closure of the braid image as finite abelian,
     finite (with exact order), infinite (with witness word), or unknown.
 
-    On a Temperley-Lieb spec the closure (up to `bound` elements) and the
-    word search (lengths 1 to `_WITNESS_LEN`) run in the order Jones's
-    classification suggests: the closure first where the image is finite
-    (n <= 2, l in {3, 4, 6}, or (l, n) = (10, 3)), the search first
-    elsewhere, the other only if the first decides nothing.  The order
-    cannot change the report: the certificate is sound, so a finite image
-    yields no witness, and the closure of an infinite image never
-    completes under any bound.  So whichever runs first either decides
-    alone, or both fail and the report is `unknown` with the same note.  A
-    wrong table entry would cost time on its spec, never change a verdict."""
+    A Temperley-Lieb spec runs exactly one certificate, chosen by Jones's
+    classification: the closure (up to `bound` elements) where the image is
+    finite (n <= 2, l in {3, 4, 6}, or (l, n) = (10, 3)), the word search
+    (lengths 1 to `_WITNESS_LEN`, not limited by `bound`) everywhere else.
+    The other could decide nothing there: the certificate is sound, so a
+    finite image has no witness, and the closure of an infinite image never
+    completes under any bound.  If the one that runs decides nothing, the
+    report is `unknown`, with a note naming what ran.  Verdicts still rest
+    only on the two certificates: a wrong table entry could turn a verdict
+    on its spec into `unknown`, never into a wrong verdict."""
     if spec.family == "tl":
         notes = ["path representation of dimension %d; semisimple quotient "
                  "dimension %d" % (len(_paths(spec.strands, spec.l)),
@@ -739,20 +716,21 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         return ImageReport("finite-abelian", order=1, generators=0,
                            notes=tuple(notes + ["no generators: trivial image"]))
 
+    n, l = spec.strands, spec.l
     if spec.family == "burau":
         order = _projective_order_fp(gens, bound)
+    elif n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3):  # finite image
+        order = group_closure(gens, bound)
     else:
-        n, l = spec.strands, spec.l
-        if n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3):  # finite image
-            order = group_closure(gens, bound)
-            witness = infinite_order_witness(gens) if order is None else None
-        else:
-            witness = infinite_order_witness(gens)
-            order = group_closure(gens, bound) if witness is None else None
-        if witness is not None:
-            notes.append("trace bound violated at a power of the witness")
-            return ImageReport("infinite", witness=witness,
-                               generators=len(gens), notes=tuple(notes))
+        witness = infinite_order_witness(gens)
+        if witness is None:
+            notes.append("no word of up to %d letters certified infinite "
+                         "order" % _WITNESS_LEN)
+            return ImageReport("unknown", generators=len(gens),
+                               notes=tuple(notes))
+        notes.append("trace bound violated at a power of the witness")
+        return ImageReport("infinite", witness=witness, generators=len(gens),
+                           notes=tuple(notes))
     if order is None:
         notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))

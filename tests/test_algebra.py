@@ -156,6 +156,20 @@ def test_exact_inverse(a):
     assert a * c == m
 
 
+@settings(max_examples=150)
+@given(st.sampled_from(ORDERS + [7, 15, 40]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-9, 9),
+                                             max_size=3 * euler_phi(n)))))
+def test_reduction_keeps_the_value(case):
+    # a coefficient list of any length up to 3 phi(N), reduced modulo the
+    # N-th cyclotomic polynomial, still sums to sum_j c_j zeta_N^j
+    n, c = case
+    z = sum((x * cmath.exp(2j * cmath.pi * j / n) for j, x in enumerate(c)), 0j)
+    a = CyclotomicNumber(n, c)
+    assert len(a.coeffs) == euler_phi(n)
+    assert cmath.isclose(a.to_complex(), z, rel_tol=1e-9, abs_tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
@@ -212,6 +226,15 @@ def test_laurent_evaluate_mod(p, prime):
     num, den = sympy.fraction(sympy.together(expr))
     expected = (int(num) * pow(int(den), -1, prime)) % prime
     assert p.evaluate_mod(t0, prime) == expected
+
+
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("a", [-2, 0, 1, 3])
+def test_laurent_unit_powers_invert(a, c):
+    u = LaurentPoly.t(a, c)
+    for k in range(-4, 5):
+        assert u ** k * u ** -k == LaurentPoly.one(), (a, c, k)
+    assert LaurentPoly(1, (-1,)) ** -2 == LaurentPoly.t(-2)
 
 
 def test_laurent_canonical():

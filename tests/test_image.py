@@ -14,11 +14,10 @@ from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
-                       _braided, _inverse_letter, _next_witness, _paths,
-                       _periodic, _projective_order_fp, _trace_certificate,
-                       _witness_search, classify_image, group_closure,
-                       infinite_order_witness, quotient_dimension,
-                       rep_generators)
+                       _braided, _inverse_letter, _paths, _periodic,
+                       _projective_order_fp, _trace_certificate,
+                       classify_image, group_closure, infinite_order_witness,
+                       quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 
@@ -428,21 +427,34 @@ def test_tl_closure_runs_once(monkeypatch):
     assert (r.verdict, r.order) == ("unknown", None)
 
 
-def test_tl_witness_search_resumes_after_closure(monkeypatch):
-    # past the bound the search goes on from length 5; lengths 1-4 are not
-    # certified a second time
+def test_tl_finite_spec_past_the_bound_runs_no_search(monkeypatch):
+    # finite by the classification: past the bound the report is unknown at
+    # once, and no word is certified
     calls = []
 
     def count(M):
         calls.append(M)
         return _trace_certificate(M)
     monkeypatch.setattr("qll.image._trace_certificate", count)
-    spec = RepSpec("tl", 3, l=4)
-    infinite_order_witness(rep_generators(spec), 6)
-    one_search, calls[:] = len(calls), []
-    r = classify_image(spec, bound=10)
-    assert one_search > 0 and len(calls) == one_search
-    assert (r.verdict, r.witness) == ("unknown", None)
+    for l, n in ((4, 4), (6, 4), (10, 3)):
+        r = classify_image(RepSpec("tl", n, l=l), bound=50)
+        assert (r.verdict, r.order, r.witness) == ("unknown", None, None)
+        assert r.notes[-1] == "closure exceeded bound 50 without a certificate"
+    assert calls == []
+
+
+def test_tl_infinite_spec_without_witness_runs_no_closure(monkeypatch):
+    # infinite by the classification: a search that certifies no word gives
+    # unknown, with a note naming the search, not the closure
+    def closure(gens, bound):
+        raise AssertionError("closure run on an infinite image")
+    monkeypatch.setattr("qll.image._trace_certificate", lambda M: False)
+    monkeypatch.setattr("qll.image.group_closure", closure)
+    r = classify_image(RepSpec("tl", 3, l=5), bound=50)
+    assert (r.verdict, r.order, r.witness) == ("unknown", None, None)
+    assert r.notes[-1] == ("no word of up to %d letters certified infinite "
+                           "order" % _WITNESS_LEN)
+    assert not any("bound" in note for note in r.notes)
 
 
 def test_burau_over_bound_builds_no_generator(monkeypatch):
@@ -476,6 +488,13 @@ def test_survey_script_smoke(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "p=5  n=3  finite(60)" in out
     assert "l=4  n=3  finite(24)" in out
+    monkeypatch.setattr(sys, "argv", ["survey_images.py", "--levels", "4",
+                                      "--strands", "3", "--burau-primes",
+                                      "--bound", "10"])
+    assert survey["main"]() == 0
+    line, = [x for x in capsys.readouterr().out.splitlines() if "l=4" in x]
+    assert line.startswith("  l=4  n=3  unknown")
+    assert line.endswith("closure exceeded bound 10 without a certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +553,7 @@ def test_skipping_powers_keeps_the_witness(l, n):
 
 def fixed_route(spec, bound):
     """The Temperley-Lieb report by one fixed order for every spec: words of
-    lengths 1-4, then the closure, then the search resumed at lengths 5-6."""
+    lengths 1-4, then the closure, then words of lengths 1-6."""
     n, l = spec.strands, spec.l
     notes = ["path representation of dimension %d; semisimple quotient "
              "dimension %d" % (len(_paths(n, l)), quotient_dimension(n, l))]
@@ -542,12 +561,11 @@ def fixed_route(spec, bound):
     if not gens:
         return ImageReport("finite-abelian", order=1, generators=0,
                            notes=tuple(notes + ["no generators: trivial image"]))
-    search = _witness_search(gens)
-    witness, order = _next_witness(search, 4), None
+    witness, order = infinite_order_witness(gens, 4), None
     if witness is None:
         order = group_closure(gens, bound)
         if order is None:
-            witness = _next_witness(search, 2)
+            witness = infinite_order_witness(gens, _WITNESS_LEN)
     if witness is not None:
         notes.append("trace bound violated at a power of the witness")
         return ImageReport("infinite", witness=witness, generators=len(gens),
