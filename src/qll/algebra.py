@@ -2,7 +2,7 @@
 and integer/modular matrix reductions.
 
 Ranks over F_p and determinants over Z[t, 1/t] come from one fraction-free
-elimination, ``_bareiss``; ``smith_normal_form`` reduces over Z unimodularly.
+elimination, ``_bareiss``.
 
 Cyclotomic integers are stored in the power basis 1, z, ..., z^(phi(n)-1) of
 Z[z] with z a primitive n-th root of unity; every operation reduces modulo the
@@ -547,7 +547,7 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: primality, Smith form, fraction-free elimination
+# integer matrices: primality, fraction-free elimination
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -568,54 +568,6 @@ def _is_prime(p: int) -> bool:
     return all(pow(a, (p - 1) >> s, p) == 1 or any(
         pow(a, (p - 1) >> r, p) == p - 1 for r in range(1, s + 1))
         for a in _PRIME_BASES)
-
-
-def smith_normal_form(mat) -> tuple[int, ...]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
-
-    >>> smith_normal_form([[2, 4], [-2, 6]])
-    (2, 10)
-    >>> smith_normal_form([[0, 0]])
-    ()
-    """
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors = []
-    for t in range(min(m, n)):
-        while True:
-            # the smallest nonzero entry of the trailing submatrix is the
-            # pivot; each pass leaves a smaller one or finishes the pivot
-            entries = [(abs(a[i][j]), i, j) for i in range(t, m)
-                       for j in range(t, n) if a[i][j]]
-            if not entries:
-                return tuple(factors)
-            _, i0, j0 = min(entries)
-            a[t], a[i0] = a[i0], a[t]
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            p = a[t][t]
-            for i in range(t + 1, m):
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-            for j in range(t + 1, n):
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:]):
-                continue
-            # pivot row and column are clear: the pivot must divide the rest
-            offender = next((i for i in range(t + 1, m)
-                             if any(x % p for x in a[i][t + 1:])), None)
-            if offender is None:
-                break
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-        factors.append(abs(a[t][t]))
-    return tuple(factors)
 
 
 def _bareiss(rows, step):

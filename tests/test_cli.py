@@ -333,6 +333,16 @@ def test_image_requires_exactly_one_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("strands,message", [
+    ("0", "strand count must be >= 1"),
+    ("7", "TL images are capped at 6 strands"),
+])
+def test_image_tl_strand_count_messages(capsys, strands, message):
+    code, _, err = run(capsys, "image", "--tl", "5", "--strands", strands)
+    assert code == 2
+    assert err == "usage error: %s\n" % message
+
+
 def test_image_unknown_on_tiny_bound(capsys):
     code, out, _ = run(capsys, "image", "--burau", "7", "3", "--strands", "4",
                        "--bound", "10", "--no-timings")

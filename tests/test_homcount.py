@@ -130,6 +130,27 @@ def test_group_validation_rejects_bad_tables():
         FiniteGroup("bad", ((0, 1, 2), (1, 2, 0), (2, 2, 1)))
 
 
+def test_identity_and_inverses_are_not_settable():
+    for kwargs in (dict(identity=1), dict(inv=(0, 1))):
+        with pytest.raises(TypeError):
+            FiniteGroup("c2", Z2.mul, **kwargs)
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic 1", "cyclic 2", "cyclic 3", "cyclic 6", "cyclic 100",
+    "dihedral 2", "dihedral 4", "dihedral 5", "symmetric 3", "symmetric 4",
+    "symmetric 5", "quaternion8", "quaternion8 x symmetric 3",
+    "cyclic 2 x cyclic 3",
+])
+def test_builtin_identity_and_inverses(spec):
+    # both are unique in a group, so values that satisfy the axioms are the
+    # ones read off the table before; every builtin puts its identity at 0
+    G = builtin_group(spec)
+    assert G.identity == 0
+    assert all(G.mul[0][x] == x == G.mul[x][0] for x in range(G.size))
+    assert all(G.mul[a][b] == 0 == G.mul[b][a] for a, b in enumerate(G.inv))
+
+
 @pytest.mark.parametrize("spec", ["", "cyclic", "cyclic -3", "cyclic x",
                                   "symmetric 9", "frobnitz 5",
                                   "cyclic 200 x cyclic 200"])

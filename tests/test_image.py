@@ -144,6 +144,16 @@ def test_rep_spec_validation(kwargs):
         RepSpec(**kwargs)
 
 
+@pytest.mark.parametrize("strands,message", [
+    (0, "strand count must be >= 1"),
+    (-1, "strand count must be >= 1"),
+    (7, "TL images are capped at 6 strands"),
+])
+def test_tl_strand_count_messages(strands, message):
+    with pytest.raises(UsageError, match=message):
+        RepSpec("tl", strands, l=5)
+
+
 # ---------------------------------------------------------------------------
 # matrices and projective identification
 
