@@ -66,16 +66,20 @@ def _poly_mul(a, b):
 
 def _poly_divmod_monic(a, b):
     """Quotient and remainder of a by the monic b.  The remainder is the
-    first deg b coefficients, untrimmed: the loop zeroes every one above."""
+    first deg b coefficients, untrimmed.  Only the nonzero lower
+    coefficients of b are subtracted: the leading one would zero a[i],
+    which the downward loop never reads again."""
     a = list(a)
     db = len(b) - 1
+    lower = [(j, x) for j, x in enumerate(b[:db]) if x]
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
+            s = i - db
+            q[s] = c
+            for j, x in lower:
+                a[s + j] -= c * x
     return q, a[:db]
 
 

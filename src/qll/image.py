@@ -12,28 +12,35 @@ verdict would be "infinite", so the semisimple part is the one worth
 classifying.)  For the reduced Burau family the generators are evaluated at
 an invertible residue mod p.
 
-Verdicts are exact certificates in both directions.  A diagram-algebra
-image has two: finiteness is an enumerated multiplication closure modulo the
-powers of zeta_{4l}, each matrix keyed by its entries times the conjugate
-of its first nonzero entry (`CycMatrix.canonical_key`), and infiniteness is
-a word whose matrix violates the Galois-trace bound satisfied by every
-matrix of finite projective order (all eigenvalue magnitudes 1 at every
-complex embedding, so every conjugate of tr(M^m) has magnitude at most the
-dimension).  The word search never certifies a word in pairwise commuting
-letters, nor one in two adjacent letters whose image in
-SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
-central in the braid group of its letters, its eigenvalues are roots of
-unity, and the bound cannot break on it (`infinite_order_witness`).  Each
-spec runs one of the two, chosen by Jones (1986) and
-Freedman-Larsen-Wang (2002): on n >= 3 strands the image is finite iff
-l in {3, 4, 6} or (l, n) = (10, 3), and on n <= 2 it is cyclic.  There the
-closure runs, elsewhere the word search; the other could decide nothing
-(`classify_image`).  A mod-p Burau image is finite outright; its
-projective order is certified by a base and strong generating set
-(deterministic Schreier-Sims) of its permutation action on the points of
-projective space over F_p.  Each letter sigma = A + A^-1 E obeys
-(sigma - A)(sigma + A^-3) = 0, so its inverse is a polynomial in it and its
-determinant a root of unity: no matrix is inverted or eliminated.
+Verdicts are exact certificates in both directions.  Each diagram-algebra
+spec runs one, chosen by Jones (1986) and Freedman-Larsen-Wang (2002): on
+n >= 3 strands the image is finite iff l in {3, 4, 6} or (l, n) = (10, 3),
+and on n <= 2 it is cyclic; the other certificate could decide nothing
+(`classify_image`).  Finiteness and the order come from reduction mod p
+wherever Coxeter (1957) proves the image finite: each sigma_i^k is exactly a
+scalar, k the order of -A^-4, and 1/n + 1/k > 1/2, which holds on every
+n <= 2 and at (4, 3), (6, 3..5) and (10, 3).  The generators are reduced at
+a degree-one prime p = 1 mod 4l, which is injective on the finite group and
+keeps its scalars apart, and the order is that of a permutation group on a
+faithful list of projective points over F_p (`_order_mod_p`).  Elsewhere
+(l = 3 on n >= 3 strands, l = 4 on n >= 4, and (6, 6)) finiteness is an
+enumerated multiplication closure modulo the powers of zeta_{4l}, each
+matrix keyed by its entries times the conjugate of its first nonzero entry
+(`CycMatrix.canonical_key`).  Infiniteness is a word whose matrix violates
+the Galois-trace bound satisfied by every matrix of finite projective order
+(all eigenvalue magnitudes 1 at every complex embedding, so every conjugate
+of tr(M^m) has magnitude at most the dimension).  The word search never
+certifies a word in pairwise commuting letters, nor one in two adjacent
+letters whose image in SL(2, Z) = B_3 / <Delta^4> has finite order: a power
+of such a word is central in the braid group of its letters, its
+eigenvalues are roots of unity, and the bound cannot break on it
+(`infinite_order_witness`).  A mod-p Burau image is finite outright; its
+projective order is that of its permutation action on the points of
+projective space over F_p.  Both permutation actions go through one
+deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
+sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
+polynomial in it and its determinant a root of unity: no matrix is
+inverted or eliminated.
 """
 
 from __future__ import annotations
@@ -355,8 +362,9 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
     `canonical_key` identifies: nonzero residues over F_p, and powers of
     zeta_N on words in Temperley-Lieb letters over Q(zeta_N).
 
-    This is the route for diagram-algebra images, and the independent oracle
-    in tests for the Schreier-Sims orders of mod-p Burau images."""
+    This is the route for the finite diagram-algebra images that Coxeter's
+    theorem does not cover (`classify_image`), and the independent oracle in
+    tests for both permutation-group routes."""
     if not gens:
         return 1
     ident = gens[0].identity_like()
@@ -378,26 +386,7 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
 
 
 # ---------------------------------------------------------------------------
-# Schreier-Sims on projective points
-
-def _projective_points(p: int, d: int):
-    """The points of projective space over F_p^d: the vectors whose first
-    nonzero coordinate is 1."""
-    return [(0,) * k + (1,) + tail for k in range(d)
-            for tail in product(range(p), repeat=d - k - 1)]
-
-
-def _point_permutation(g: FpMatrix, points, index):
-    """The permutation v -> g v of the projective points, as a tuple of
-    point indices."""
-    p = g.p
-    perm = []
-    for v in points:
-        w = [sum(a * x for a, x in zip(row, v)) % p for row in g.rows]
-        s = pow(next(x for x in w if x), -1, p)
-        perm.append(index[tuple(x * s % p for x in w)])
-    return tuple(perm)
-
+# Schreier-Sims on permutations of points
 
 def _perm_inverse(a):
     inv = [0] * len(a)
@@ -406,30 +395,27 @@ def _perm_inverse(a):
     return tuple(inv)
 
 
-def _projective_order_fp(gens, bound: int):
-    """Order of the image of the F_p matrices `gens` in PGL_d(F_p), or None
-    once the work would exceed `bound`.
+def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
+    """Order of the group generated by `perms`, permutations of
+    0 .. npoints - 1 as tuples of images, or None once more than
+    `max_stored` permutations would be stored (transversal entries plus
+    strong generators, checked before each store) or once the product of the
+    basic orbit lengths so far exceeds `max_order`.
 
-    PGL_d(F_p) acts faithfully on the (p^d - 1)/(p - 1) projective points,
-    so this is the order of a permutation group.  Deterministic Schreier-Sims
-    (Sims 1970; Seress, Permutation Group Algorithms, 2003) builds a base
-    b_0, b_1, ... and strong generators S_i of the point stabilisers G_i of
-    b_0 .. b_{i-1}, with a transversal of the orbit of b_i under S_i: each
-    orbit point x maps to v_x, with v_x(x) = b_i.  Once every Schreier
-    generator of every level sifts to the identity through the levels below
-    it, the order is the product of the orbit lengths.  Each pair (x, s) of
-    a level is sifted once: transversals only grow, so a pair that sifted to
-    the identity still does, and a pair whose residue h was added to
-    S_{i+1} .. S_j has its Schreier generator in <S_{i+1}>.  Those lower
-    levels are then checked again, from j up.
+    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003) builds a base b_0, b_1, ... and strong generators S_i
+    of the point stabilisers G_i of b_0 .. b_{i-1}, with a transversal of
+    the orbit of b_i under S_i: each orbit point x maps to v_x, with
+    v_x(x) = b_i.  Once every Schreier generator of every level sifts to the
+    identity through the levels below it, the order is the product of the
+    orbit lengths.  Each pair (x, s) of a level is sifted once: transversals
+    only grow, so a pair that sifted to the identity still does, and a pair
+    whose residue h was added to S_{i+1} .. S_j has its Schreier generator
+    in <S_{i+1}>.  Those lower levels are then checked again, from j up.
 
-    `bound` caps the points times the stored permutations (transversal
-    entries plus strong generators), checked before each store;
-    `classify_image` checks that one permutation fits."""
-    p, d = gens[0].p, gens[0].dim
-    npoints = (p ** d - 1) // (p - 1)
-    points = _projective_points(p, d)
-    index = {v: i for i, v in enumerate(points)}
+    Every S_{i+1} lies in the stabiliser of b_i in <S_i>, so at any moment
+    |<S_i>| >= (orbit length at level i) * |<S_{i+1}>|, and the product of
+    the orbit lengths so far is a lower bound on the order."""
     ident = tuple(range(npoints))
     stored = 0
     base, strong, trans, sifted = [], [], [], []
@@ -440,7 +426,7 @@ def _projective_order_fp(gens, bound: int):
     def store():
         nonlocal stored
         stored += 1
-        return stored * npoints <= bound
+        return max_stored is None or stored <= max_stored
 
     def extend_orbit(i):
         t, gs, invs = trans[i], strong[i], {}
@@ -455,6 +441,8 @@ def _projective_order_fp(gens, bound: int):
                         invs[k] = _perm_inverse(s)
                     t[y] = mul(invs[k], t[x])
                     queue.append(y)
+                    if max_order is not None and prod(map(len, trans)) > max_order:
+                        return False
         return True
 
     def add_strong(h, first, last):
@@ -501,8 +489,7 @@ def _projective_order_fp(gens, bound: int):
                     return h, j
         return None
 
-    for g in gens:
-        perm = _point_permutation(g, points, index)
+    for perm in perms:
         if perm == ident or (strong and perm in strong[0]):
             continue
         if not add_strong(perm, 0, 0):
@@ -518,6 +505,44 @@ def _projective_order_fp(gens, bound: int):
             return None
         i = j
     return prod(len(t) for t in trans)
+
+
+# ---------------------------------------------------------------------------
+# mod-p Burau images on projective points
+
+def _projective_points(p: int, d: int):
+    """The points of projective space over F_p^d: the vectors whose first
+    nonzero coordinate is 1."""
+    return [(0,) * k + (1,) + tail for k in range(d)
+            for tail in product(range(p), repeat=d - k - 1)]
+
+
+def _point_permutation(g: FpMatrix, points, index):
+    """The permutation v -> g v of the projective points, as a tuple of
+    point indices."""
+    p = g.p
+    perm = []
+    for v in points:
+        w = [sum(a * x for a, x in zip(row, v)) % p for row in g.rows]
+        s = pow(next(x for x in w if x), -1, p)
+        perm.append(index[tuple(x * s % p for x in w)])
+    return tuple(perm)
+
+
+def _projective_order_fp(gens, bound: int):
+    """Order of the image of the F_p matrices `gens` in PGL_d(F_p), or None
+    once the work would exceed `bound`.
+
+    PGL_d(F_p) acts faithfully on the (p^d - 1)/(p - 1) projective points,
+    so this is the order of a permutation group (`_perm_group_order`).
+    `bound` caps the points times the stored permutations, checked before
+    each store; `classify_image` checks that one permutation fits."""
+    p, d = gens[0].p, gens[0].dim
+    npoints = (p ** d - 1) // (p - 1)
+    points = _projective_points(p, d)
+    index = {v: i for i, v in enumerate(points)}
+    perms = (_point_permutation(g, points, index) for g in gens)
+    return _perm_group_order(perms, npoints, max_stored=bound // npoints)
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +707,165 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
 
 
 # ---------------------------------------------------------------------------
+# finite Temperley-Lieb images: orders by reduction mod p
+
+@lru_cache(maxsize=None)
+def _coxeter_finite(gens) -> bool:
+    """True if Coxeter (1957) proves the projective image of the
+    Temperley-Lieb letters `gens` finite: they satisfy the braid relations
+    (`_braided`), each is a letter A + A^-1 E at A = zeta_N
+    (`_inverse_letter`), each sigma_i^k is exactly a scalar, k the order of
+    -A^-4 (the ratio of a letter's two eigenvalues), and 2(n + k) > n k on
+    n = len(gens) + 1 strands.  The projective image is then a quotient of
+    B_n / <<sigma_1^k>>, finite exactly when 1/n + 1/k > 1/2.  Checked once
+    per generator tuple."""
+    N, n = gens[0].order, len(gens) + 1
+    k = N // gcd(N, (N // 2 - 4) % N)  # -A^-4 = zeta_N^(N/2 - 4)
+    if 2 * (n + k) <= n * k or not _braided(gens):
+        return False
+    for g in gens:
+        _inverse_letter(g)
+        P = g
+        for _ in range(k - 1):
+            P = P.mul(g)
+        d = P.rows[0][0]
+        if any(e != (d if r == c else 0)
+               for r, row in enumerate(P.rows) for c, e in enumerate(row)):
+            return False
+    return True
+
+
+def _admissible_primes(gens):
+    """The primes p = 1 mod N, N = gens[0].order, that divide no
+    denominator of `gens`, smallest first."""
+    N = gens[0].order
+    den = lcm(*(g.den for g in gens))
+    p = 1
+    while True:
+        p += N
+        if den % p and _is_prime(p):
+            yield p
+
+
+@lru_cache(maxsize=None)
+def _reduce_mod_p(gens, p: int):
+    """`gens` at the prime above p where zeta_N -> z, the first
+    a^((p - 1)/N), a = 2, 3, ..., of order N in F_p (p = 1 mod N): each
+    matrix as its columns, each column the (row, entry) pairs with a nonzero
+    entry mod p.  Built once per generator tuple and prime."""
+    N = gens[0].order
+    primes = [q for q in range(2, N + 1) if N % q == 0 and _is_prime(q)]
+    z = next(z for z in (pow(a, (p - 1) // N, p) for a in range(2, p))
+             if all(pow(z, N // q, p) != 1 for q in primes))
+    powers = [pow(z, j, p) for j in range(euler_phi(N))]
+    mats = []
+    for g in gens:
+        dinv = pow(g.den, -1, p)
+        rows = [[sum(c * w for c, w in zip(e.coeffs, powers)) * dinv % p
+                 for e in row] for row in g.rows]
+        mats.append(tuple(tuple((r, row[c]) for r, row in enumerate(rows)
+                                if row[c]) for c in range(len(rows))))
+    return tuple(mats)
+
+
+def _order_mod_p(gens, bound: int, p: int):
+    """(order, abelian) for the projective image of the Temperley-Lieb
+    letters `gens`, from their reduction at a degree-one prime above p (an
+    admissible prime, `_admissible_primes`); (None, None) once the order
+    provably exceeds `bound`.  Only for generators `_coxeter_finite` accepts.
+
+    The order is exact.  Let G be the group the letters generate, in
+    GL_r(O[1/den]), O = Z[zeta_N], N = 4l.
+    - Its projective image is a quotient of B_n / <<sigma_1^k>>, finite by
+      Coxeter (`_coxeter_finite`).  Each letter's eigenvalues are A and
+      -A^-3 (`_inverse_letter`), so determinants are roots of unity.  A
+      scalar lam I in G then has lam^r a root of unity, so the scalars of G
+      lie in the roots of unity of Q(zeta_N), which N even makes the powers
+      of zeta_N; G is finite.
+    - The reduction G -> GL_r(F_p) at the prime P = (p, zeta_N - z) is
+      injective on G: p = 1 mod N is odd, unramified and prime to every
+      denominator, and the kernel of reduction at an unramified prime above
+      an odd p is torsion-free (Minkowski; Serre).
+    - Suppose g in G reduces to a scalar c.  Write its order as p^a m' with
+      p not dividing m'.  The reduction of g^m' is the scalar c^m', of order
+      dividing both p^a and p - 1, so it is 1, and g^m' = 1 by the step
+      above: a = 0.  The eigenvalues of g are then roots of unity of order
+      prime to p, all congruent to c modulo a prime above P, and such roots
+      stay distinct modulo it, so they are all one lam.  g has finite order,
+      so it is diagonalisable and equals lam I, a power of zeta_N times I:
+      one of the scalars `canonical_key` identifies.
+    So the image of G in PGL_r(F_p) has the order of its projective image
+    in characteristic 0, the order `group_closure` enumerates.
+
+    That image acts on a list of projective points over F_p^r (first
+    nonzero coordinate 1): the orbits of e_1 .. e_r, then the orbits of
+    e_a + e_b until the supports of the points connect every coordinate.
+    The action is faithful: a matrix fixing every e_i is diagonal, and
+    fixing a point with support S makes its diagonal constant on S.  The
+    order is that of the permutation group (`_perm_group_order`), and
+    abelian exactly when the permutations commute.  One orbit, and the
+    product of the basic orbit lengths at any stage, are lower bounds on
+    the order, so the work stops once one exceeds `bound`."""
+    mats = _reduce_mod_p(gens, p)
+    r = len(mats[0])
+    points, index = [], {}
+    perms = [[] for _ in mats]  # perms[g][x]: the image of point x under g
+    comp = list(range(r))  # union-find over the coordinates
+
+    def find(a):
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    def add_orbit(v):
+        start = len(index)
+        index[v] = start
+        points.append(v)
+        x = start
+        while x < len(points):
+            v = points[x]
+            x += 1
+            support = [j for j, c in enumerate(v) if c]
+            for j in support[1:]:
+                comp[find(j)] = find(support[0])
+            for g, cols in enumerate(mats):
+                w = [0] * r
+                for j in support:
+                    c = v[j]
+                    for i, m in cols[j]:
+                        w[i] += c * m
+                s = pow(next(c for c in w if c % p), -1, p)
+                u = tuple(c * s % p for c in w)
+                t = index.get(u)
+                if t is None:
+                    t = index[u] = len(points)
+                    points.append(u)
+                    if len(points) - start > bound:
+                        return False
+                perms[g].append(t)
+        return True
+
+    for a in range(r):
+        e = tuple(int(j == a) for j in range(r))
+        if e not in index and not add_orbit(e):
+            return None, None
+    for a in range(r):
+        for b in range(a + 1, r):
+            if find(a) != find(b):
+                e = tuple(int(j in (a, b)) for j in range(r))
+                if not add_orbit(e):
+                    return None, None
+    perms = [tuple(q) for q in perms]
+    order = _perm_group_order(perms, len(points), max_order=bound)
+    if order is None:
+        return None, None
+    abelian = all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
+                  for i, a in enumerate(perms) for b in perms[:i])
+    return order, abelian
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
@@ -689,15 +873,18 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     finite (with exact order), infinite (with witness word), or unknown.
 
     A Temperley-Lieb spec runs exactly one certificate, chosen by Jones's
-    classification: the closure (up to `bound` elements) where the image is
-    finite (n <= 2, l in {3, 4, 6}, or (l, n) = (10, 3)), the word search
-    (lengths 1 to `_WITNESS_LEN`, not limited by `bound`) everywhere else.
+    classification.  Where the image is finite (n <= 2, l in {3, 4, 6}, or
+    (l, n) = (10, 3)) it is the order: by reduction mod p wherever Coxeter's
+    theorem applies (`_coxeter_finite`: every n <= 2, (4, 3), (6, 3..5) and
+    (10, 3)), by the closure elsewhere; either way the report is `unknown`
+    exactly when the order exceeds `bound` elements.  Everywhere else it is
+    the word search (lengths 1 to `_WITNESS_LEN`, not limited by `bound`).
     The other could decide nothing there: the certificate is sound, so a
-    finite image has no witness, and the closure of an infinite image never
-    completes under any bound.  If the one that runs decides nothing, the
+    finite image has no witness, and the order of an infinite image is never
+    reached under any bound.  If the one that runs decides nothing, the
     report is `unknown`, with a note naming what ran.  Verdicts still rest
-    only on the two certificates: a wrong table entry could turn a verdict
-    on its spec into `unknown`, never into a wrong verdict."""
+    only on the certificates: a wrong table entry could turn a verdict on
+    its spec into `unknown`, never into a wrong verdict."""
     if spec.family == "tl":
         notes = ["path representation of dimension %d; semisimple quotient "
                  "dimension %d" % (len(_paths(spec.strands, spec.l)),
@@ -719,10 +906,15 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
                            notes=tuple(notes + ["no generators: trivial image"]))
 
     n, l = spec.strands, spec.l
+    abelian = None
     if spec.family == "burau":
         order = _projective_order_fp(gens, bound)
     elif n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3):  # finite image
-        order = group_closure(gens, bound)
+        if _coxeter_finite(gens):
+            order, abelian = _order_mod_p(gens, bound,
+                                          next(_admissible_primes(gens)))
+        else:
+            order = group_closure(gens, bound)
     else:
         witness = infinite_order_witness(gens)
         if witness is None:
@@ -737,9 +929,10 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
 
-    abelian = all(gens[i].mul(gens[j]).canonical_key() ==
-                  gens[j].mul(gens[i]).canonical_key()
-                  for i in range(len(gens)) for j in range(i))
+    if abelian is None:
+        abelian = all(gens[i].mul(gens[j]).canonical_key() ==
+                      gens[j].mul(gens[i]).canonical_key()
+                      for i in range(len(gens)) for j in range(i))
     verdict = "finite-abelian" if abelian else "finite"
     notes.append("projective order %d" % order)
     return ImageReport(verdict, order=order, generators=len(gens),

@@ -14,6 +14,7 @@ from qll.algebra import (
     UsageError,
     _PRIME_LIMIT,
     _is_prime,
+    _poly_divmod_monic,
     corank_mod_p,
     cyc_inverse,
     cyclotomic_polynomial,
@@ -49,6 +50,28 @@ def test_cyclotomic_polynomial_matches_sympy(n):
 def test_cyclotomic_polynomial_first_nontrivial_coefficient():
     # smallest order with a coefficient outside {-1, 0, 1}
     assert -2 in cyclotomic_polynomial(105)
+
+
+def dense_divmod_monic(a, b):
+    """Long division by the monic b through every coefficient of b."""
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        q[i - db] = c
+        for j in range(db + 1):
+            a[i - db + j] -= c * b[j]
+    assert not any(a[db:])
+    return q, a[:db]
+
+
+@pytest.mark.parametrize("N", [12, 20, 24, 40])
+def test_sparse_reduction_matches_dense_division(N):
+    rng = random.Random(N)
+    phi = cyclotomic_polynomial(N)
+    for length in [0, 1, len(phi) - 1, len(phi), 2 * len(phi) - 3] * 20:
+        a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(length)]
+        assert _poly_divmod_monic(a, phi) == dense_divmod_monic(a, phi)
 
 
 @pytest.mark.parametrize("n", range(1, 60))

@@ -325,6 +325,22 @@ def test_image_burau_pgl4_f5(capsys):
     assert (report["verdict"], report["order"]) == ("finite", 29016000000)
 
 
+def test_image_tl6_five_strands(capsys):
+    # |W(E6)| = 51,840, by reduction mod p; under 1,000 elements, unknown
+    code, out, _ = run(capsys, "image", "--tl", "6", "--strands", "5",
+                       "--json", "--no-timings")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["order"]) == ("finite", 51840)
+    code, out, _ = run(capsys, "image", "--tl", "6", "--strands", "5",
+                       "--bound", "1000", "--json", "--no-timings")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["order"]) == ("unknown", None)
+    assert report["notes"][-1] == ("closure exceeded bound 1000 without a "
+                                   "certificate")
+
+
 def test_image_requires_exactly_one_family(capsys):
     code, _, err = run(capsys, "image", "--strands", "3")
     assert code == 2

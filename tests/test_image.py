@@ -4,6 +4,7 @@ infinite-order trace certificate, and end-to-end verdicts."""
 import runpy
 import sys
 from functools import lru_cache
+from itertools import islice
 from math import factorial
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from qll.algebra import CyclotomicNumber, UsageError
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
-                       _braided, _inverse_letter, _paths, _periodic,
-                       _projective_order_fp, _trace_certificate,
+                       _admissible_primes, _braided, _coxeter_finite,
+                       _inverse_letter, _order_mod_p, _paths, _periodic,
+                       _perm_group_order, _projective_order_fp, _trace_certificate,
                        classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
@@ -432,6 +434,23 @@ def test_tl_closure_runs_once(monkeypatch):
         bounds.append(bound)
         return None
     monkeypatch.setattr("qll.image.group_closure", record)
+    r = classify_image(RepSpec("tl", 4, l=4), bound=10 ** 6)
+    assert bounds == [10 ** 6]
+    assert (r.verdict, r.order) == ("unknown", None)
+
+
+def test_tl_mod_p_route_runs_once(monkeypatch):
+    # one reduction mod p with the caller's bound, and no closure after it
+    bounds = []
+
+    def record(gens, bound, p):
+        bounds.append(bound)
+        return None, None
+
+    def closure(gens, bound):
+        raise AssertionError("closure run on a Coxeter-finite spec")
+    monkeypatch.setattr("qll.image._order_mod_p", record)
+    monkeypatch.setattr("qll.image.group_closure", closure)
     r = classify_image(RepSpec("tl", 3, l=4), bound=10 ** 6)
     assert bounds == [10 ** 6]
     assert (r.verdict, r.order) == ("unknown", None)
@@ -505,6 +524,10 @@ def test_survey_script_smoke(monkeypatch, capsys):
     line, = [x for x in capsys.readouterr().out.splitlines() if "l=4" in x]
     assert line.startswith("  l=4  n=3  unknown")
     assert line.endswith("closure exceeded bound 10 without a certificate")
+    monkeypatch.setattr(sys, "argv", ["survey_images.py", "--levels", "6",
+                                      "--strands", "5", "--burau-primes"])
+    assert survey["main"]() == 0
+    assert "l=6  n=5  finite(51840)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -669,3 +692,82 @@ def test_unbraided_generators_are_refused():
     assert infinite_order_witness((g1, g2)) == (1, -2)
     with pytest.raises(UsageError, match="braid relations"):
         infinite_order_witness((g1, g2, g2))
+
+
+# ---------------------------------------------------------------------------
+# finite Temperley-Lieb orders by reduction mod p
+
+# sigma^k is scalar for k = 6, 4, 3, 5 at l = 3, 4, 6, 10, and Coxeter's
+# B_n / <<sigma_1^k>> is finite exactly when 2(n + k) > n k
+COXETER_SPECS = [(3, 2), (4, 2), (4, 3), (6, 2), (6, 3), (6, 4), (10, 2), (10, 3)]
+
+
+def test_coxeter_finite_specs():
+    for l in range(3, 13):
+        for n in range(2, 7):
+            covered = n == 2 or (l, n) in COXETER_SPECS or (l, n) == (6, 5)
+            gens = rep_generators(RepSpec("tl", n, l=l))
+            assert _coxeter_finite(gens) == covered, (l, n)
+
+
+@pytest.mark.parametrize("l,n", COXETER_SPECS)
+def test_mod_p_order_matches_closure_at_two_primes(l, n):
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    order = group_closure(gens)
+    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+                  for a in gens for b in gens)
+    for p in islice(_admissible_primes(gens), 2):
+        assert p % (4 * l) == 1
+        assert _order_mod_p(gens, 10 ** 6, p) == (order, abelian), p
+
+
+@pytest.mark.parametrize("l,n,order", [(4, 3, 24), (6, 3, 24), (10, 3, 600),
+                                       (6, 4, 648)])
+def test_mod_p_report_at_the_bound_matches_the_closure(monkeypatch, l, n, order):
+    spec = RepSpec("tl", n, l=l)
+    routed = [classify_image(spec, bound) for bound in (order - 1, order)]
+    assert [r.order for r in routed] == [None, order]
+    assert routed[0].notes[-1] == ("closure exceeded bound %d without a "
+                                   "certificate" % (order - 1))
+    monkeypatch.setattr("qll.image._coxeter_finite", lambda gens: False)
+    assert routed == [classify_image(spec, bound) for bound in (order - 1, order)]
+
+
+def test_coxeter_specs_never_reach_the_closure(monkeypatch):
+    def closure(gens, bound):
+        raise AssertionError("closure run on a Coxeter-finite spec")
+    monkeypatch.setattr("qll.image.group_closure", closure)
+    for l, n, order in ((4, 3, 24), (6, 3, 24), (10, 3, 600), (6, 4, 648),
+                        (6, 5, 51840)):
+        r = classify_image(RepSpec("tl", n, l=l))
+        assert (r.verdict, r.order) == ("finite", order)
+
+
+def test_l6_five_strands_is_the_e6_weyl_group():
+    # 51,840 = |W(E6)| = 2 |PSp4(3)|, the same at the two smallest primes
+    gens = rep_generators(RepSpec("tl", 5, l=6))
+    orders = [_order_mod_p(gens, 10 ** 6, p)
+              for p in islice(_admissible_primes(gens), 2)]
+    assert orders == [(51840, False)] * 2
+    r = classify_image(RepSpec("tl", 5, l=6))
+    assert (r.verdict, r.order) == ("finite", 51840)
+    assert r.notes[-1] == "projective order 51840"
+
+
+def test_mod_p_route_stops_at_the_first_orbit_past_the_bound(monkeypatch):
+    # the orbit of e_1 alone exceeds the bound: no permutation group is built
+    def group(*args, **kwargs):
+        raise AssertionError("Schreier-Sims run past the bound")
+    monkeypatch.setattr("qll.image._perm_group_order", group)
+    r = classify_image(RepSpec("tl", 4, l=6), bound=2)
+    assert (r.verdict, r.order) == ("unknown", None)
+    assert r.notes[-1] == "closure exceeded bound 2 without a certificate"
+
+
+def test_perm_group_order_stops_past_max_order():
+    # S_6 from a transposition and a 6-cycle, order 720
+    perms = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    assert _perm_group_order(perms, 6) == 720
+    assert _perm_group_order(perms, 6, max_order=720) == 720
+    assert _perm_group_order(perms, 6, max_order=719) is None
+    assert _perm_group_order(perms, 6, max_order=6) is None
