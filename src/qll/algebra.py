@@ -64,6 +64,13 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_terms(b: tuple) -> tuple:
+    """The nonzero coefficients of the monic b below its leading one, as
+    (degree, coefficient) pairs."""
+    return tuple((j, x) for j, x in enumerate(b[:-1]) if x)
+
+
 def _poly_divmod_monic(a, b):
     """Quotient and remainder of a by the monic b.  The remainder is the
     first deg b coefficients, untrimmed.  Only the nonzero lower
@@ -71,7 +78,7 @@ def _poly_divmod_monic(a, b):
     which the downward loop never reads again."""
     a = list(a)
     db = len(b) - 1
-    lower = [(j, x) for j, x in enumerate(b[:db]) if x]
+    lower = _lower_terms(tuple(b))
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
