@@ -263,36 +263,13 @@ def _check_expected(
     return _row(name, actual == value, "expected %d, got %s" % (value, actual))
 
 
-def run_entry_checks(
-    entry: CorpusEntry, budget: int, groups: Callable[[str], FiniteGroup]
-) -> list[dict]:
-    """All identity checks for one corpus entry, in a fixed order; `groups`
-    builds a group from its spec (one cache per run)."""
-    b = entry.braid
-    c = closure_components(b)
+JONES_LAW_CHECKS = ("l3-component-sign", "l4-modulus-arf", "l6-d3-identity")
+
+
+def _jones_law_rows(b: BraidWord, c: int, jones_at) -> list[dict]:
+    """The rows of JONES_LAW_CHECKS.  The Jones route's price does not depend
+    on the level, so a budget refusal skips all three."""
     rows: list[dict] = []
-    jones_cache: dict[int, CyclotomicNumber] = {}
-
-    def jones_at(l: int) -> CyclotomicNumber:
-        if l not in jones_cache:
-            jones_cache[l] = jones_at_root(b, l)
-        return jones_cache[l]
-
-    # (i) closed form vs state-sum oracle, exact cyclotomic equality
-    try:
-        for l in ORACLE_LEVELS:
-            lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l, budget)
-            if lhs != rhs:
-                ok, detail = False, "l=%d: closed form %s, state sum %s" % (
-                    l, _cyc_text(lhs), _cyc_text(rhs))
-                break
-        else:
-            ok = True
-            detail = "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS)
-        rows.append(_row("jones-vs-statesum", ok, detail))
-    except BudgetError as exc:
-        rows.append(_skip("jones-vs-statesum", str(exc)))
-
     # (ii) level 3: V = (-1)^(c-1)
     sign = -1 if (c - 1) % 2 else 1
     v3 = jones_at(3)
@@ -339,6 +316,44 @@ def run_entry_checks(
             % (_cyc_text(v6), _cyc_text(plus), d3, observed),
         )
     )
+    return rows
+
+
+def run_entry_checks(
+    entry: CorpusEntry, budget: int, groups: Callable[[str], FiniteGroup]
+) -> list[dict]:
+    """All identity checks for one corpus entry, in a fixed order; `groups`
+    builds a group from its spec (one cache per run)."""
+    b = entry.braid
+    c = closure_components(b)
+    rows: list[dict] = []
+    jones_cache: dict[int, CyclotomicNumber] = {}
+
+    def jones_at(l: int) -> CyclotomicNumber:
+        if l not in jones_cache:
+            jones_cache[l] = jones_at_root(b, l, budget)
+        return jones_cache[l]
+
+    # (i) closed form vs state-sum oracle, exact cyclotomic equality
+    try:
+        for l in ORACLE_LEVELS:
+            lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l, budget)
+            if lhs != rhs:
+                ok, detail = False, "l=%d: closed form %s, state sum %s" % (
+                    l, _cyc_text(lhs), _cyc_text(rhs))
+                break
+        else:
+            ok = True
+            detail = "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS)
+        rows.append(_row("jones-vs-statesum", ok, detail))
+    except BudgetError as exc:
+        rows.append(_skip("jones-vs-statesum", str(exc)))
+
+    # (ii)-(iv) the level-3, level-4 and level-6 laws
+    try:
+        rows += _jones_law_rows(b, c, jones_at)
+    except BudgetError as exc:
+        rows += [_skip(name, str(exc)) for name in JONES_LAW_CHECKS]
 
     # (v) frozen expected literals
     for key, value in entry.expected:
@@ -419,7 +434,8 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
         results["linking"] = {"matrix": [list(r) for r in matrix], "total": total}
     if args.jones:
         results["jones"] = {
-            str(l): _cyc_json(jones_at_root(b, l)) for l in sorted(set(args.jones))
+            str(l): _cyc_json(jones_at_root(b, l, budget))
+            for l in sorted(set(args.jones))
         }
     if args.alexander:
         results["alexander"] = _poly_json(alexander_poly(b))

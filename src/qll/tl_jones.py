@@ -13,11 +13,17 @@ must evaluate to -t^-4 + t^-3 + t^-1 numerically.  Loops contribute
 d = -A^2 - A^-2, and the closure trace weights a diagram by d^{loops-1},
 normalizing the unknot to 1.
 
-braid_to_tl computes in Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}]: one
-global power of A is factored out of every letter, and each coefficient is
-one int holding 2l signed digits of a width proved sufficient from the word
-length, so a letter costs digit rotations and int additions per live term.
-Its e_i tables rewire two chords of each basis diagram, O(n) per entry.
+A TLElement keeps each coefficient packed: one int holding 2l signed
+digits of an element of Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}], of a
+width that bounds the digit mass of the whole element.  braid_to_tl works
+in that form: one global power of A is factored out of every letter, and
+the width is proved sufficient from the word length, so a letter costs
+digit rotations and int additions per live term.  Its e_i tables rewire two
+chords of each basis diagram, O(n) per entry.  markov_trace adds the packed
+coefficients by closure-loop count and reduces only those at most n sums
+modulo the cyclotomic polynomial; TLElement.coeffs reduces each coefficient
+on first access, for equality and display.  jones_at_root is priced at
+C_n (m + n^2) steps and refuses before it builds anything.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from math import comb
 
 from .algebra import _DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget
 from .braid import BraidWord, writhe
@@ -134,15 +141,63 @@ def loop_parameter(l: int) -> CyclotomicNumber:
     return -(CyclotomicNumber.zeta(4 * l, 2) + CyclotomicNumber.zeta(4 * l, -2))
 
 
-class TLElement:
-    """Sparse element of TL_n with coefficients in Z[zeta_{4l}]."""
+def _unpack(v: int, n2: int, w: int) -> list[int]:
+    # the n2 signed base-2^w digits of v, lowest first; exact while every
+    # digit has magnitude below 2^(w-1)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    digits = []
+    for _ in range(n2):
+        digits.append(((v + half) & mask) - half)
+        v = (v - digits[-1]) >> w
+    return digits
 
-    __slots__ = ("n", "l", "coeffs")
+
+class TLElement:
+    """Sparse element of TL_n with coefficients in Z[zeta_{4l}].
+
+    Each coefficient is kept packed: one int holding 2l signed base-2^w
+    digits, the coefficients of 1, A, ..., A^{2l-1} of an element of
+    Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}] at A = zeta_{4l}.  The
+    total |digit| mass of all coefficients together stays below 2^(w-2), so
+    any sum of them unpacks exactly.  ``packed`` maps basis indices to these
+    ints; ``coeffs`` maps them to the nonzero coefficients reduced to
+    CyclotomicNumbers, computed on first access.  Equality compares
+    ``coeffs``, since distinct packed ints can reduce to one value.
+
+    The constructor packs a dict of CyclotomicNumbers of order dividing 4l,
+    with w taken from their total digit mass."""
+
+    __slots__ = ("n", "l", "w", "packed", "_coeffs")
 
     def __init__(self, n: int, l: int, coeffs: dict):
-        self.n = n
-        self.l = l
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        digits = {k: c.embed(4 * l).coeffs for k, c in coeffs.items()}
+        mass = sum(abs(x) for ds in digits.values() for x in ds)
+        w = mass.bit_length() + 2
+        packed = {}
+        for k, ds in digits.items():
+            v = 0
+            for x in reversed(ds):
+                v = (v << w) + x
+            if v:
+                packed[k] = v
+        self.n, self.l, self.w, self.packed, self._coeffs = n, l, w, packed, None
+
+    @staticmethod
+    def _from_packed(n: int, l: int, w: int, packed: dict) -> "TLElement":
+        x = object.__new__(TLElement)
+        x.n, x.l, x.w, x.packed, x._coeffs = n, l, w, packed, None
+        return x
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            out = {}
+            for k, v in self.packed.items():
+                c = CyclotomicNumber(4 * self.l, _unpack(v, 2 * self.l, self.w))
+                if not c.is_zero():
+                    out[k] = c
+            self._coeffs = out
+        return self._coeffs
 
     @staticmethod
     def identity(n: int, l: int) -> "TLElement":
@@ -165,76 +220,76 @@ class TLElement:
         return "TLElement(n=%d, l=%d, {%s})" % (self.n, self.l, terms)
 
 
-def _times_a(v: int, k: int, n2: int, w: int) -> int:
-    # v * A^k in Z[A]/(A^n2 + 1), v packed as n2 signed base-2^w digits each
-    # of magnitude below 2^(w-2): a negacyclic rotation of the digits
-    k %= 2 * n2
-    neg = k >= n2
-    s = w * (n2 - k % n2)
-    top = (v + (1 << (s - 1))) >> s  # the digits that wrap round, rounded
-    v = ((v - (top << s)) << (w * (k % n2))) - top
-    return -v if neg else v
+def _rotation(j: int, n2: int, w: int) -> tuple[int, int, int]:
+    # v*A^j in Z[A]/(A^n2 + 1), 0 <= j < n2, for v packed as n2 signed
+    # base-2^w digits of magnitude below 2^(w-2), is a negacyclic rotation
+    # of the digits: with (s, half, shift) returned here, the j top digits
+    # top = (v + half) >> s, rounded, wrap round to the bottom, negated, so
+    # v*A^j = ((v - (top << s)) << shift) - top
+    s = w * (n2 - j)
+    return s, 1 << (s - 1), w * j
 
 
 def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     """Image of the braid word under s_i -> A*1 + A^-1*e_i (inverse letters
     swap the two coefficients); loops closed during multiplication contribute
-    the loop parameter d.
+    the loop parameter d.  The coefficients of the result stay packed (see
+    TLElement); none is reduced modulo the cyclotomic polynomial here.
 
-    Coefficients live in Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}] as a
-    ring homomorphism since A^{2l} = -1 there; they are reduced modulo the
-    cyclotomic polynomial once, at the end.  Writing s_i^{+-1} =
-    A^{+-1}(1 + A^{-+2} e_i), one running exponent of A is kept, the identity
-    part of a term is carried over unchanged, and the e_i part is multiplied
-    by A^{-+2}, or by A^{-+2} d = -(1 + A^{-+4}) when the one loop that right
-    multiplication by e_i can close does close.  Each coefficient is packed
-    into one int as 2l signed base-2^w digits, w = bitlen(3^m) + 2 for m
-    letters: the total |digit| mass at most triples per letter (x1 for the
-    identity part, at most x2 for the e_i part), so every digit stays below
-    3^m < 2^(w-2), and the rounding in the digit rotation and the unpacking
-    at the end read every digit back exactly."""
+    Writing s_i^{+-1} = A^{+-1}(1 + A^{-+2} e_i), the scalar A^{+-1} of
+    every letter is collected into the starting coefficient A^writhe, the
+    identity part of a term is carried over unchanged, and the e_i part is
+    multiplied by A^{-+2}, or by A^{-+2} d = -(1 + A^{-+4}) when the one
+    loop that right multiplication by e_i can close does close.  Each
+    product by a power of A is a digit rotation.  The digit width is
+    w = bitlen(3^m) + 2 for m letters: the total |digit| mass of the element
+    starts at 1 and at most triples per letter (x1 for the identity part, at
+    most x2 for the e_i part), so it stays below 3^m < 2^(w-2), and both the
+    rounding in each rotation and any later unpacking, of one coefficient or
+    of a sum of them, read every digit back exactly."""
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
     n, n2 = b.strands, 2 * l
     w = (3 ** len(b.word)).bit_length() + 2
-    apow = 0
-    cur = {_basis_index(n)[_identity_partner(n)]: 1}
+    apow = writhe(b) % (2 * n2)  # A^apow = -A^(apow - 2l) when apow >= 2l
+    one = 1 << (w * (apow % n2))
+    cur = {_basis_index(n)[_identity_partner(n)]: -one if apow >= n2 else one}
     for letter in b.word:
-        sgn = 1 if letter > 0 else -1
-        apow += sgn
         table = _compose_right_table(n, abs(letter))
+        # a positive letter needs A^-2 = -A^(2l-2) and A^-4 = -A^(2l-4), a
+        # negative one A^2 and A^4
+        pos = letter > 0
+        s2, h2, sh2 = _rotation(n2 - 2 if pos else 2, n2, w)
+        s4, h4, sh4 = _rotation(n2 - 4 if pos else 4, n2, w)
         nxt = dict(cur)
         for k, c in cur.items():
             rk, loops = table[k]
-            if loops:
-                v = -c - _times_a(c, -4 * sgn, n2, w)
-            else:
-                v = _times_a(c, -2 * sgn, n2, w)
+            if loops:  # -c - c*A^{-+4}
+                top = (c + h4) >> s4
+                r = ((c - (top << s4)) << sh4) - top
+                v = r - c if pos else -r - c
+            else:  # c*A^{-+2}
+                top = (c + h2) >> s2
+                r = ((c - (top << s2)) << sh2) - top
+                v = -r if pos else r
             nxt[rk] = nxt.get(rk, 0) + v
         cur = {k: v for k, v in nxt.items() if v}
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = {}
-    for k, v in cur.items():
-        v = _times_a(v, apow, n2, w)
-        digits = []
-        for _ in range(n2):
-            digits.append(((v + half) & mask) - half)
-            v = (v - digits[-1]) >> w
-        out[k] = CyclotomicNumber(4 * l, digits)
-    return TLElement(n, l, out)
+    return TLElement._from_packed(n, l, w, cur)
 
 
 def markov_trace(x: TLElement) -> CyclotomicNumber:
     """Close each diagram (top k joined to bottom k) and weight by
-    d^{loops-1}; the trace of the identity in TL_1 is 1."""
+    d^{loops-1}; the trace of the identity in TL_1 is 1.  The packed
+    coefficients are added by loop count, and only those at most n sums are
+    unpacked and reduced: TLElement's mass bound makes each exact."""
     delta = loop_parameter(x.l)
     table = _closure_loops_table(x.n)
+    by_loops = [0] * x.n  # packed coefficient sums by loops - 1
+    for k, v in x.packed.items():
+        by_loops[table[k] - 1] += v
     total = CyclotomicNumber.zero(4 * x.l)
-    by_loops = [total] * x.n  # coefficient sums by loops - 1
-    for k, c in x.coeffs.items():
-        by_loops[table[k] - 1] += c
-    for s in reversed(by_loops):  # Horner in d
-        total = total * delta + s
+    for v in reversed(by_loops):  # Horner in d
+        total = total * delta + CyclotomicNumber(4 * x.l, _unpack(v, 2 * x.l, x.w))
     return total
 
 
@@ -244,13 +299,22 @@ def _writhe_normalization(w: int, l: int) -> CyclotomicNumber:
     return -z if w % 2 else z
 
 
-def jones_at_root(b: BraidWord, l: int) -> CyclotomicNumber:
+def jones_at_root(b: BraidWord, l: int,
+                  budget: int = _DEFAULT_BUDGET) -> CyclotomicNumber:
     """Jones invariant of the closure of b at the level-l root of unity,
-    normalized so every unknot presentation evaluates to 1.
+    normalized so every unknot presentation evaluates to 1.  Priced at
+    C_n (m + n^2) steps for m letters on n strands, before any basis or
+    table is built: each letter visits at most C_n live terms, and the n-1
+    e_i tables rewire O(n) per entry of the C_n-diagram basis.
 
     >>> jones_at_root(BraidWord(3, (1, -2, 1, -2)), 4).as_int()
     -1
     """
+    if l < 3:
+        raise UsageError("root-of-unity level must be >= 3")
+    n = b.strands
+    _require_budget(comb(2 * n, n) // (n + 1) * (len(b.word) + n * n), budget,
+                    "Jones route")
     tr = markov_trace(braid_to_tl(b, l))
     return _writhe_normalization(writhe(b), l) * tr
 

@@ -16,6 +16,7 @@ from qll.cli import (
     main,
     parse_corpus,
 )
+from qll.tl_jones import _compose_right_table, _matchings
 
 
 def run(capsys, *argv):
@@ -484,6 +485,35 @@ def test_hom_budget_refusal_exit_code(capsys):
                        "--group", "symmetric 4", "--budget", "10")
     assert code == 3
     assert "budget refused" in err
+
+
+def test_jones_refused_before_any_table_is_built(capsys):
+    # C_13 (m + 13^2) = 742900 * 181 steps; a 13-strand basis and its twelve
+    # e_i tables would take seconds to build
+    word = " ".join(str(i) for i in range(1, 13))
+    tables, bases = _compose_right_table.cache_info(), _matchings.cache_info()
+    code, _, err = run(capsys, "invariants", "--strands", "13", "--word", word,
+                       "--jones", "5", "--budget", "1000")
+    assert code == 3
+    assert "Jones route needs %d elementary steps (budget 1000)" % (
+        742900 * 181) in err
+    assert _compose_right_table.cache_info() == tables
+    assert _matchings.cache_info() == bases
+
+
+def test_check_table_jones_refusal_skips_the_level_laws(capsys):
+    # the trefoil's price is C_2 (3 + 4) = 14 steps, the unknot's 1 * (0 + 1)
+    code, out, _ = run(capsys, "check-table", "--budget", "13", "--json",
+                       "--no-timings")
+    assert code == 0
+    entries = {e["name"]: {r["check"]: r for r in e["checks"]}
+               for e in json.loads(out)["entries"]}
+    for check in ("l3-component-sign", "l4-modulus-arf", "l6-d3-identity"):
+        row = entries["trefoil"][check]
+        assert row["verdict"] == "skip"
+        assert row["detail"] == \
+            "Jones route needs 14 elementary steps (budget 13)"
+        assert entries["unknot_b1"][check]["verdict"] == "pass"
 
 
 def test_budget_refusal_names_the_knob(capsys):

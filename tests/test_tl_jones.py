@@ -303,6 +303,75 @@ def test_markov_trace_examples():
     assert markov_trace(TLElement.zero(2, l)).is_zero()
 
 
+def reference_trace(x):
+    """Sum of c_k d^(loops-1) in CyclotomicNumber arithmetic, read from the
+    reduced coefficients only."""
+    d = loop_parameter(x.l)
+    loops = _closure_loops_table(x.n)
+    total = CyclotomicNumber.zero(4 * x.l)
+    for k, c in x.coeffs.items():
+        term = c
+        for _ in range(loops[k] - 1):
+            term = term * d
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_braids(max_strands=6, max_len=20), st.integers(3, 12))
+def test_packed_trace_matches_reference_sum(b, l):
+    x = braid_to_tl(b, l)
+    expected = reference_trace(x)
+    assert markov_trace(x) == expected
+    rebuilt = TLElement(b.strands, l, x.coeffs)
+    assert rebuilt == x
+    assert markov_trace(rebuilt) == expected
+
+
+def test_large_coefficients_round_trip():
+    l, big = 5, 2 ** 100
+    A = CyclotomicNumber.zeta(4 * l)
+    coeffs = {0: CyclotomicNumber.from_int(big, 4 * l),
+              1: A * -big + 3,
+              2: CyclotomicNumber.from_int(-big, 4 * l)}
+    x = TLElement(3, l, coeffs)
+    assert x.coeffs == coeffs
+    assert markov_trace(x) == reference_trace(x)
+    d = loop_parameter(l)
+    loops = _closure_loops_table(3)[1]
+    assert markov_trace(TLElement(3, l, {1: coeffs[1]})) == \
+        coeffs[1] * d ** (loops - 1)
+
+
+def test_packed_multiple_of_the_cyclotomic_polynomial_is_zero():
+    # Phi_20 = A^8 - A^6 + A^4 - A^2 + 1 is nonzero in Z[A]/(A^10 + 1) but
+    # zero in Z[zeta_20]: equality and the trace see the reduced value.  The
+    # width w = 6 bounds the digit mass 11 of y below 2^(w-2)
+    l, w = 5, 6
+    phi20 = 0
+    for digit in reversed((1, 0, -1, 0, 1, 0, -1, 0, 1, 0)):
+        phi20 = (phi20 << w) + digit
+    x = TLElement._from_packed(2, l, w, {0: phi20})
+    assert x.packed == {0: phi20} and phi20
+    assert x.coeffs == {}
+    assert x == TLElement.zero(2, l)
+    assert markov_trace(x).is_zero()
+    y = TLElement._from_packed(2, l, w, {0: phi20, 1: phi20 + 1})
+    assert y == TLElement.identity(2, l)
+    assert markov_trace(y) == loop_parameter(l)
+
+
+def test_jones_route_price():
+    b = BraidWord(4, (1, -2, 3, 1, 2, -3, 2))
+    price = 14 * (7 + 16)  # C_4 (m + n^2)
+    with pytest.raises(BudgetError) as exc:
+        jones_at_root(b, 5, budget=price - 1)
+    assert exc.value.required == price
+    assert jones_at_root(b, 5, budget=price) == kauffman_bracket_statesum(b, 5)
+    with pytest.raises(UsageError):
+        jones_at_root(b, 2, budget=1)
+
+
 # ---------------------------------------------------------------------------
 # jones values
 
