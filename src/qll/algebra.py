@@ -583,10 +583,13 @@ def _is_prime(p: int) -> bool:
 
 def _bareiss(rows, step):
     """Fraction-free (Bareiss) elimination over a domain whose zero is
-    falsy; returns (rank, sign of the row swaps, last pivot or None).
-    ``step(x, prev)`` normalises x = a_ij a_kk - a_ik a_kj given the previous
-    pivot (None at first): exact division by it keeps each entry a minor
-    (Sylvester's identity), so a nonsingular square matrix ends at sign * det;
+    falsy, one column at a time: yields (pivot, sign of the row swaps so
+    far) per column, the pivot None where the column has none below the
+    rows already used, so the rank is the number of pivots.  A caller may
+    stop at any column.  ``step(x, prev)`` normalises
+    x = a_ij a_kk - a_ik a_kj given the previous pivot (None at first):
+    exact division by it keeps each entry a minor (Sylvester's identity), so
+    a nonsingular square matrix ends at sign * det with its last pivot;
     over a field, reducing x keeps the rank."""
     a = [list(row) for row in rows]
     m = len(a)
@@ -594,6 +597,7 @@ def _bareiss(rows, step):
     for col in range(len(a[0]) if m else 0):
         piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
+            yield None, sign
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
@@ -604,7 +608,7 @@ def _bareiss(rows, step):
             row[col + 1:] = [step(x * pivot - f * y, prev)
                              for x, y in zip(row[col + 1:], top)]
         rank, prev = rank + 1, pivot
-    return rank, sign, prev
+        yield pivot, sign
 
 
 def corank_mod_p(mat, p: int) -> int:
@@ -612,4 +616,5 @@ def corank_mod_p(mat, p: int) -> int:
     if not _is_prime(p):
         raise UsageError("p must be prime, got %d" % p)
     rows = [[x % p for x in row] for row in mat]
-    return (len(rows[0]) if rows else 0) - _bareiss(rows, lambda x, _: x % p)[0]
+    pivots = _bareiss(rows, lambda x, _: x % p)
+    return (len(rows[0]) if rows else 0) - sum(x is not None for x, _ in pivots)

@@ -59,12 +59,14 @@ def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
 
 
 def _det(m) -> LaurentPoly:
-    """Determinant by fraction-free elimination: every division is exact."""
-    rank, sign, last = _bareiss(
-        m, lambda x, prev: x if prev is None else x.divexact(prev))
-    if rank < len(m):
-        return LaurentPoly.zero()
-    return sign * last if m else LaurentPoly.one()
+    """Determinant of a square matrix by fraction-free elimination: every
+    division is exact, and a pivotless column ends it at zero."""
+    sign, last = 1, LaurentPoly.one()
+    for last, sign in _bareiss(
+            m, lambda x, prev: x if prev is None else x.divexact(prev)):
+        if last is None:
+            return LaurentPoly.zero()
+    return sign * last
 
 
 def alexander_poly(b: BraidWord) -> LaurentPoly:

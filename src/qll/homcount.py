@@ -6,11 +6,18 @@ group is exactly a strand labelling fixed by the braid).  Conjugating every
 label by one element of G commutes with the Hurwitz action, so the fixed set
 is a union of orbits of simultaneous conjugation: the route applies the word
 to one tuple per orbit, found position by position down a chain of
-centralisers, and adds the orbit's size when the tuple is fixed.  The oracle
-route builds the Wirtinger presentation of the closure diagram — one
-generator per arc, one conjugation relation per crossing — and counts
-satisfying assignments by backtracking with forced propagation.  The two
-must always agree; the test suite enforces it.
+centralisers, and adds the orbit's size when the tuple is fixed.  A letter
+moves each of its two labels to the other's position up to conjugation, so
+in a fixed tuple the labels along each cycle of the braid's permutation,
+the meridians of one link component, lie in one conjugacy class; the route
+enumerates only such tuples.  The orbits of a centraliser S refine the
+classes of G, so this drops whole orbits and every weight stays exact.
+
+The oracle route builds the Wirtinger presentation of the closure diagram —
+one generator per arc, one conjugation relation per crossing — and counts
+satisfying assignments by backtracking with forced propagation.  None of its
+counting code is shared with the fast route.  The two must always agree;
+the test suite enforces it.
 
 A randomized estimator samples tuples from a seeded, per-index-split stream,
 so the draw set is reproducible and partition-independent.  The stream is a
@@ -29,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget
-from .braid import BraidWord
+from .braid import BraidWord, component_of_strand
 
 _MAX_ORDER = 10 ** 4
 
@@ -227,21 +234,40 @@ def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, 
     return tuple(g)
 
 
-def _conjugation_orbits(S, mul, inv) -> list:
+def _conjugation_orbits(S, mul, inv):
     """Orbits of the subgroup S (a tuple of elements) acting on the whole
-    group by conjugation: one entry [rep, orbit size, None] per orbit, the
-    smallest element standing for it.  `hom_count_exact` fills the None
-    with the rep's centraliser in S and that subgroup's orbits."""
+    group by conjugation: (found, orbit_of), with one entry [rep, orbit
+    size, None] in found per orbit, the smallest element standing for it,
+    and orbit_of[y] the index in found of y's orbit.  `hom_count_exact`
+    fills the None with the rep's centraliser in S and that subgroup's
+    orbits; for S = G the orbits are the conjugacy classes, and orbit_of
+    gives each element's class id."""
     rows = [(mul[s], inv[s]) for s in S]
-    seen = bytearray(len(mul))
+    orbit_of = [-1] * len(mul)
     found = []
     for x in range(len(mul)):
-        if not seen[x]:
+        if orbit_of[x] < 0:
             orbit = {mul[row[x]][si] for row, si in rows}
             for y in orbit:
-                seen[y] = 1
+                orbit_of[y] = len(found)
             found.append([x, len(orbit), None])
-    return found
+    return found, orbit_of
+
+
+def _class_members(class_of, count) -> list:
+    """The elements of each of the `count` conjugacy classes, given the
+    class id of every element."""
+    members = [[] for _ in range(count)]
+    for x, c in enumerate(class_of):
+        members[c].append(x)
+    return members
+
+
+def _cycle_heads(b: BraidWord) -> list:
+    """head[j]: the first position of j's cycle under the braid's
+    permutation, that is, of the link component through strand j."""
+    comp = component_of_strand(b)
+    return [comp.index(c) for c in comp]
 
 
 def hom_count_exact(b: BraidWord, G: FiniteGroup,
@@ -256,22 +282,43 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
     t + (x,) + y' bijectively onto the fixed tuples t + (s x s^-1,) + y'';
     hence F(t) = sum over representatives x of the S-orbits on G of
     |S x| * F(t + (x,)), and C_S(x) = C_G(t + (x,)) is the next
-    centraliser.  The count is F(()), where S = G.  Once every S-orbit is a
-    single element, S is central, no later position can be reduced, and the
-    remaining positions are enumerated plainly.  The price stays |G|^n steps
-    per letter, an upper bound: the word is applied once per representative."""
+    centraliser.  The count is F(()), where S = G.
+
+    A fixed tuple also carries one conjugacy class along each link
+    component.  A letter at position i moves the label at i + 1 to i and the
+    label at i to i + 1, each up to conjugation, so after the word the label
+    at pi(j) is conjugate to the original label at j, pi being the braid's
+    permutation.  In a fixed tuple every label along a cycle of pi is thus
+    conjugate to the label at the cycle's first position head[j], so at a
+    position j with head[j] < j only the x conjugate to t[head[j]] can have
+    F(t + (x,)) > 0.  S lies in G, so each S-orbit lies inside one class of
+    G: the filter drops whole orbits and the weights |S x| stay exact.
+
+    Once every S-orbit is a single element, S is central and no later
+    position can be reduced: the remaining positions are enumerated
+    plainly, each from its class when its head is already labelled and
+    from all of G otherwise, unless the head of some remaining position is
+    itself still to come; then the next position is branched on as above.
+    The price stays |G|^n steps per letter, a looser upper bound: the word
+    is applied once per surviving representative."""
     n = b.strands
     steps, what = hom_count_price(b, G.size)
     _require_budget(steps, budget, what)
     mul, inv, size = G.mul, G.inv, G.size
     ops = _word_ops(b)
     act = _act
-    nodes = {}  # subgroup -> (the subgroup, its conjugation orbits on G)
+    head = _cycle_heads(b)
+    # inner[k]: a position j >= k has its head among k..j-1
+    inner = [any(k <= head[j] < j for j in range(k, n)) for k in range(n)]
+    everything = tuple(range(size))
+    classes, class_of = _conjugation_orbits(everything, mul, inv)
+    members = _class_members(class_of, len(classes))
+    nodes = {everything: (everything, classes)}  # subgroup -> (it, its orbits)
 
     def node(S):
         found = nodes.get(S)
         if found is None:
-            found = nodes[S] = (S, _conjugation_orbits(S, mul, inv))
+            found = nodes[S] = (S, _conjugation_orbits(S, mul, inv)[0])
         return found
 
     def is_fixed(tup):
@@ -281,10 +328,17 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
 
     def fixed(prefix, S, orbits):
         # F(prefix), S being the centraliser of prefix
-        if len(orbits) == size:  # S is central
-            tails = itertools.product(range(size), repeat=n - len(prefix))
+        j = len(prefix)
+        if len(orbits) == size and not inner[j]:  # S central, no head to come
+            tails = itertools.product(*[
+                members[class_of[prefix[h]]] if h < j else everything
+                for h in head[j:]])
             return sum(1 for tail in tails if is_fixed(prefix + tail))
-        if len(prefix) == n - 1:
+        h = head[j]
+        if h < j:
+            c = class_of[prefix[h]]
+            orbits = [entry for entry in orbits if class_of[entry[0]] == c]
+        if j == n - 1:
             return sum(k for x, k, _ in orbits if is_fixed(prefix + (x,)))
         total = 0
         for entry in orbits:
@@ -295,7 +349,7 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
             total += k * fixed(prefix + (x,), *child)
         return total
 
-    return fixed((), *node(tuple(range(size))))
+    return fixed((), everything, classes)
 
 
 def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,

@@ -129,8 +129,30 @@ def test_figure_eight_alexander():
 
 
 def test_split_closure_gives_zero():
-    assert alexander_poly(BraidWord(2, ())).is_zero()
-    assert determinant(BraidWord(2, ())) == 0
+    for b in (BraidWord(2, ()),  # the 2-component unlink
+              BraidWord(5, (1, 1, 1, 3, -4, 3, -4)),  # trefoil, figure-eight
+              BraidWord(5, (2, 3, 2, 3, 4, 4)),  # the first strand split off
+              BraidWord(6, (1, 1, 1, -2, 4, 5, 4))):  # sigma_3 missing
+        assert alexander_poly(b) == LaurentPoly.zero()
+        assert determinant(b) == 0
+
+
+class Untouchable:
+    """A nonzero matrix entry that fails on any arithmetic."""
+
+    def __bool__(self):
+        return True
+
+    def __mul__(self, other):
+        raise AssertionError("elimination went past a pivotless column")
+
+    __rmul__ = __sub__ = __rsub__ = __mul__
+
+
+def test_det_stops_at_the_first_pivotless_column():
+    zero = LaurentPoly.zero()
+    rows = [[zero, Untouchable(), Untouchable()] for _ in range(3)]
+    assert _det(rows) == zero
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "hopf"])

@@ -355,6 +355,16 @@ def group_and_braid(draw):
 # C(i, j) x C((12), (123)) is the centre {+1, -1} of Q8 x S3, so the last
 # position below such a pair is enumerated plainly
 @example((Q8_S3, BraidWord(3, (1, -2, 1, -2))))
+# a pure braid: every position heads its own cycle, so nothing is pruned
+@example((S3, BraidWord(3, (1, 1, 2, 2))))
+# a 6-strand knot: positions 1..5 draw from the class of position 0
+@example((S3, BraidWord(6, (1, 2, 3, 4, 5))))
+# two components, on positions 0, 2, 4 and 1, 3, 5
+@example((S3, BraidWord(6, (1, -2, 3, -4, 5, 1, -2, 3, -4, 5))))
+@example((S3_RELABELLED, BraidWord(4, (1, -2, 3, 1, -2, 3))))
+# C((12), (13)) is trivial, so positions 2 and 3 are left to the central
+# branch, and position 3's cycle head is position 2
+@example((S3, BraidWord(4, (1, 1, 3))))
 @settings(max_examples=60, deadline=None)
 def test_orbit_count_matches_naive_and_wirtinger(case):
     G, b = case
@@ -392,6 +402,29 @@ def test_work_stays_within_the_price(monkeypatch, b, G):
     assert info.value.required == price
 
 
+def conjugation_orbit_count(G, n):
+    """Orbits of G on G^n under simultaneous conjugation, by Burnside: the
+    mean over g of |C_G(g)|^n."""
+    centralisers = [sum(1 for h in range(G.size) if G.mul[g][h] == G.mul[h][g])
+                    for g in range(G.size)]
+    return sum(c ** n for c in centralisers) // G.size
+
+
+def test_class_pruning_cuts_the_work(monkeypatch):
+    # every fixed label of a knot is conjugate to the first one; without
+    # that, this count applies the word 8,051 times
+    calls = counted_act(monkeypatch)
+    assert hom_count_exact(BraidWord(6, (1, 2, 3, 4, 5)), S3) == 6
+    assert 0 < calls[0] <= 200
+    # a pure braid prunes nothing and costs nothing more: one application
+    # per orbit of simultaneous conjugation
+    for G in (S3, Q8_S3):
+        calls[0] = 0
+        b = BraidWord(3, (1, 1, 2, 2))
+        assert hom_count_exact(b, G) == wirtinger_hom_count(b, G)
+        assert calls[0] == conjugation_orbit_count(G, 3)
+
+
 def test_orbit_route_skips_tuples(monkeypatch):
     calls = counted_act(monkeypatch)
     assert hom_count_exact(SQUARE, S3) == 30
@@ -402,12 +435,15 @@ def test_oracles_do_not_use_the_orbit_route(monkeypatch, capsys):
     def broken(*args):
         raise AssertionError("orbit route called")
 
-    monkeypatch.setattr(qll.homcount, "_conjugation_orbits", broken)
-    with pytest.raises(AssertionError):
-        hom_count_exact(TREFOIL, S3)
-    assert wirtinger_hom_count(TREFOIL, S3) == 12
-    assert wirtinger_hom_count(FIG8, S3) == 6
-    test_cli.test_hom_estimate_full_text(capsys)  # the estimator's frozen text
+    # the orbit enumeration, and the cycle heads and class ids that prune it
+    for helper in ("_conjugation_orbits", "_cycle_heads", "_class_members"):
+        with monkeypatch.context() as patch:
+            patch.setattr(qll.homcount, helper, broken)
+            with pytest.raises(AssertionError):
+                hom_count_exact(TREFOIL, S3)
+            assert wirtinger_hom_count(TREFOIL, S3) == 12
+            assert wirtinger_hom_count(FIG8, S3) == 6
+            test_cli.test_hom_estimate_full_text(capsys)  # the estimator's frozen text
 
 
 def test_exact_budget_refusal():
