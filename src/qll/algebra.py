@@ -586,11 +586,12 @@ def _bareiss(rows, step):
     falsy, one column at a time: yields (pivot, sign of the row swaps so
     far) per column, the pivot None where the column has none below the
     rows already used, so the rank is the number of pivots.  A caller may
-    stop at any column.  ``step(x, prev)`` normalises
-    x = a_ij a_kk - a_ik a_kj given the previous pivot (None at first):
-    exact division by it keeps each entry a minor (Sylvester's identity), so
-    a nonsingular square matrix ends at sign * det with its last pivot;
-    over a field, reducing x keeps the rank."""
+    stop at any column.  ``step(xs, prev)`` normalises the remainder of one
+    row, a list of x = a_ij a_kk - a_ik a_kj, given the previous pivot (None
+    at first), and returns it as a list: exact division by that pivot keeps
+    each entry a minor (Sylvester's identity), so a nonsingular square
+    matrix ends at sign * det with its last pivot; over a field, reducing
+    each x keeps the rank."""
     a = [list(row) for row in rows]
     m = len(a)
     rank, sign, prev = 0, 1, None
@@ -605,8 +606,8 @@ def _bareiss(rows, step):
         pivot, top = a[rank][col], a[rank][col + 1:]
         for row in a[rank + 1:]:
             f = row[col]
-            row[col + 1:] = [step(x * pivot - f * y, prev)
-                             for x, y in zip(row[col + 1:], top)]
+            row[col + 1:] = step([x * pivot - f * y
+                                  for x, y in zip(row[col + 1:], top)], prev)
         rank, prev = rank + 1, pivot
         yield pivot, sign
 
@@ -616,5 +617,5 @@ def corank_mod_p(mat, p: int) -> int:
     if not _is_prime(p):
         raise UsageError("p must be prime, got %d" % p)
     rows = [[x % p for x in row] for row in mat]
-    pivots = _bareiss(rows, lambda x, _: x % p)
+    pivots = _bareiss(rows, lambda xs, _: [x % p for x in xs])
     return (len(rows[0]) if rows else 0) - sum(x is not None for x, _ in pivots)

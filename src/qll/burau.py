@@ -63,7 +63,8 @@ def _det(m) -> LaurentPoly:
     division is exact, and a pivotless column ends it at zero."""
     sign, last = 1, LaurentPoly.one()
     for last, sign in _bareiss(
-            m, lambda x, prev: x if prev is None else x.divexact(prev)):
+            m, lambda xs, prev: xs if prev is None
+            else [x.divexact(prev) for x in xs]):
         if last is None:
             return LaurentPoly.zero()
     return sign * last

@@ -23,6 +23,10 @@ A randomized estimator samples tuples from a seeded, per-index-split stream,
 so the draw set is reproducible and partition-independent.  The stream is a
 contract that the CLI tests freeze: label j of sample idx is the j-th
 ``randrange(|G|)`` of ``random.Random(sha256(b"<seed>:<idx>").digest())``.
+When |G|^n is at most the sample count, the estimator keeps, for one call,
+a table of |G|^n bytes with the verdict of every tuple drawn so far, so the
+word is applied once per distinct tuple; a verdict depends on the tuple
+alone, so the hit count and both outputs stay what they were.
 """
 
 from __future__ import annotations
@@ -359,34 +363,60 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     tuples; deterministic given (seed, samples).  Returns (estimate, binomial
     standard error), both as exact rationals; the error is an upper bound on
     |G|^n sqrt(p(1-p)/samples) at p = (hits+1)/(samples+2), a multiple of
-    10^-9, and is 0 only for the empty word, where the estimate is exact.
+    10^-9, and is 0 only for the empty word, where the estimate is exact and
+    no sample is drawn.
 
     The stream is a contract, frozen by the CLI tests: label j of sample idx
     is the j-th ``randrange(|G|)`` of
     ``random.Random(sha256(b"<seed>:<idx>").digest())``; one generator is
-    made per call and reseeded per sample.  The price is samples x
-    (letters + n) steps."""
+    made per call and reseeded per sample.  Each label is drawn as CPython's
+    ``randrange(size)`` draws it, ``getrandbits(size.bit_length())`` again
+    until it is below size, without that method's Python layers.
+
+    When |G|^n <= samples, a table of |G|^n bytes, indexed by the tuple's
+    mixed-radix code and dropped when the call returns, records whether each
+    tuple drawn so far is fixed, so the word is applied at most once per
+    distinct tuple.  Whether a tuple is fixed depends on the tuple alone, so
+    the hit count is the same with or without it, and the table is never
+    larger than the sample count.  The price is samples x (letters + n)
+    steps, an upper bound when the table saves applications."""
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
     _require_budget(samples * (len(b.word) + n), budget,
                     "estimate from %d samples" % samples)
+    total = size ** n
+    if not b.word:  # every tuple is fixed: the estimate is exact
+        return Fraction(total), Fraction(0)
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
 
     rng = random.Random()
-    reseed, randrange, sha256 = rng.seed, rng.randrange, hashlib.sha256
+    reseed, getrandbits, sha256 = rng.seed, rng.getrandbits, hashlib.sha256
+    bits = size.bit_length()
+    # verdicts[code]: 0 not drawn yet, 1 fixed, 2 not fixed
+    verdicts = bytearray(total) if total <= samples else None
     hits = 0
     for idx in range(samples):
         reseed(sha256(b"%d:%d" % (seed, idx)).digest())
-        tup = [randrange(size) for _ in range(n)]
+        tup = []
+        code = 0
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            tup.append(r)
+            code = code * size + r
+        if verdicts is not None and verdicts[code]:
+            hits += verdicts[code] == 1
+            continue
         g = tup[:]
         _act(g, ops, mul, inv)
-        hits += g == tup
-    total = size ** n
+        fixed = g == tup
+        hits += fixed
+        if verdicts is not None:
+            verdicts[code] = 2 - fixed
     estimate = Fraction(hits * total, samples)
-    if not b.word:  # every tuple is fixed: the estimate is exact
-        return estimate, Fraction(0)
     # binomial error at p = (hits+1)/(samples+2), which stays nonzero when no
     # sample or every sample hits, rounded up to a multiple of 1/D
     D = 10 ** 9

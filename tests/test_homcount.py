@@ -604,6 +604,10 @@ def estimator_case(draw):
 @example((BraidWord(6, (1, 2, -3, 4, 5)), ESTIMATOR_GROUPS[0], 7, 3))
 @example((BraidWord(6, (5, -4, 3, 2, -1)), Z3, 300, -10 ** 12))
 @example((BraidWord(6, (1, -2, 3, -4, 5, 1)), S7_LAZY, 60, -5))
+@example((BraidWord(3, (1, -2, 1, -2)), S3, 216, 4))  # a table of 6^3 verdicts
+@example((BraidWord(3, (1, -2, 1, -2)), S3, 215, 4))  # one sample short: none
+@example((BraidWord(2, (1, 1, 1)), Q8, 64, 9))  # half the 4-bit draws rejected
+@example((BraidWord(2, (1,)), ESTIMATOR_GROUPS[0], 5, 2))
 @settings(max_examples=120, deadline=None)
 def test_estimate_matches_the_reference_stream(case):
     # orders 1..5040 cover bit lengths 1..13, powers of two and not, so
@@ -628,6 +632,25 @@ def test_estimate_memory_does_not_grow_with_the_tuple_space():
     result, peak = traced_peak(lambda: hom_count_estimate(b, S7_LAZY, 200, 11))
     assert result == reference_estimate(b, S7_LAZY, 200, 11)
     assert peak < 10 ** 6
+
+
+def test_estimate_applies_the_word_once_per_distinct_tuple(monkeypatch):
+    calls = counted_act(monkeypatch)
+    b = BraidWord(3, (1, -2, 1, -2))
+    for samples in (216, 3000):
+        calls[0] = 0
+        assert hom_count_estimate(b, S3, samples, 8) == \
+            reference_estimate(b, S3, samples, 8)
+        assert 0 < calls[0] <= 6 ** 3
+    calls[0] = 0
+    assert hom_count_estimate(b, S3, 215, 8) == reference_estimate(b, S3, 215, 8)
+    assert calls[0] == 215
+
+
+def test_estimate_table_memory_is_one_byte_per_tuple():
+    b = BraidWord(6, (1, -2, 3, -4, 5, 1, -2))
+    _, peak = traced_peak(lambda: hom_count_estimate(b, S3, 50000, 6))
+    assert peak <= 6 ** 6 + 10 ** 5
 
 
 def test_estimate_budget():
