@@ -27,21 +27,41 @@ class UsageError(ValueError):
 class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget.
 
-    ``required`` carries the budget that would have been needed.
+    ``required`` carries the budget that would have been needed, or None
+    when a price too large to print was refused from a bound alone.
     """
 
-    def __init__(self, message: str, required: int):
+    def __init__(self, message: str, required: int | None):
         super().__init__(message)
         self.required = required
 
 
 _DEFAULT_BUDGET = 10 ** 9
+# by default CPython refuses to write an int of more than 4300 digits as text
+_DECIMAL_CAP = 10 ** 4300
+
+
+def _steps_text(steps: int) -> str:
+    if steps < _DECIMAL_CAP:
+        return "%d" % steps
+    return "at least 2^%d" % (steps.bit_length() - 1)
 
 
 def _require_budget(required: int, budget: int, what: str):
     if required > budget:
-        raise BudgetError("%s needs %d elementary steps (budget %d)"
-                          % (what, required, budget), required=required)
+        raise BudgetError("%s needs %s elementary steps (budget %s)"
+                          % (what, _steps_text(required), _steps_text(budget)),
+                          required=required)
+
+
+def _require_budget_bits(low_bits: int, budget: int, what: str):
+    """Refuse a price known to be at least 2^low_bits from that bound alone,
+    when it passes both the budget and `_DECIMAL_CAP`.  A caller whose
+    price grows exponentially calls this first, so it forms the exact price
+    for `_require_budget` only while it is small enough to print."""
+    if low_bits >= max(budget.bit_length(), _DECIMAL_CAP.bit_length()):
+        raise BudgetError("%s needs at least 2^%d elementary steps (budget %s)"
+                          % (what, low_bits, _steps_text(budget)), required=None)
 
 
 # ---------------------------------------------------------------------------

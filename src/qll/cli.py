@@ -40,17 +40,18 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .algebra import (_DEFAULT_BUDGET, BudgetError, CyclotomicNumber, LaurentPoly,
-                      UsageError, _require_budget)
+from .algebra import _DEFAULT_BUDGET, BudgetError, CyclotomicNumber, LaurentPoly, UsageError
 from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
     FiniteGroup,
     _parse_group,
+    _require_estimate_budget,
+    _require_hom_budget,
+    _require_table_budget,
     builtin_group,
     hom_count_estimate,
     hom_count_exact,
-    hom_count_price,
     wirtinger_hom_count,
 )
 from .image import _DEFAULT_BOUND, RepSpec, classify_image
@@ -255,7 +256,8 @@ def _check_expected(
                 )
             actual = v.as_int()
         else:  # hom.<groupspec>, vocabulary enforced by parse_corpus
-            actual = hom_count_exact(entry.braid, groups(key[4:]), budget)
+            actual = hom_count_exact(
+                entry.braid, _count_group(entry.braid, key[4:], budget, groups), budget)
     except BudgetError as exc:
         return _skip(name, str(exc))
     except UsageError as exc:
@@ -363,7 +365,7 @@ def run_entry_checks(
     for spec in ABELIAN_LAW_GROUPS:
         name = "abelian-law:%s" % spec
         try:
-            group = groups(spec)
+            group = _count_group(b, spec, budget, groups)
             count = hom_count_exact(b, group, budget)
         except BudgetError as exc:
             rows.append(_skip(name, str(exc)))
@@ -401,15 +403,31 @@ def _limit(text: str | None, flag: str, default: int) -> int:
     return default if raw is None else _positive_int(raw, "QLL_BUDGET")
 
 
-def _hom_estimate(b: BraidWord, group: FiniteGroup, samples_text: str,
+def _count_group(b: BraidWord, spec: str, budget: int,
+                 groups: Callable[[str], FiniteGroup]) -> FiniteGroup:
+    """groups(spec) for `hom_count_exact` on b, called only once the spec's
+    table and then the count fit the budget: a refused count builds no
+    table."""
+    order = _parse_group(spec)[1]
+    _require_table_budget(order, budget)
+    _require_hom_budget(b, order, budget)
+    return groups(spec)
+
+
+def _hom_estimate(b: BraidWord, spec: str, samples_text: str,
                   seed_text: str, budget: int) -> dict:
-    """Parse SAMPLES and SEED, run the seeded sampling estimate."""
+    """Parse SAMPLES and SEED, run the seeded sampling estimate over the
+    group of spec, built only once its table and then the estimate fit the
+    budget."""
+    _require_table_budget(_parse_group(spec)[1], budget)
     samples = _positive_int(samples_text, "sample count")
     try:
         seed = int(seed_text)
     except ValueError:
         raise UsageError("seed must be an integer, got %r" % seed_text) from None
-    estimate, stderr = hom_count_estimate(b, group, samples, seed, budget)
+    _require_estimate_budget(b, samples, budget)
+    estimate, stderr = hom_count_estimate(b, builtin_group(spec, budget), samples,
+                                          seed, budget)
     return {
         "samples": samples,
         "seed": seed,
@@ -449,14 +467,15 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
         results["arf"] = arf_knot(b)
     if args.hom:
         hom: dict = {}
+        groups = functools.partial(builtin_group, budget=budget)
         for spec in args.hom:
             if spec not in hom:
-                hom[spec] = hom_count_exact(b, builtin_group(spec, budget), budget)
+                hom[spec] = hom_count_exact(b, _count_group(b, spec, budget, groups),
+                                            budget)
         results["hom"] = hom
     if args.hom_estimate:
         results["hom_estimate"] = [
-            {"group": spec,
-             **_hom_estimate(b, builtin_group(spec, budget), samples, seed, budget)}
+            {"group": spec, **_hom_estimate(b, spec, samples, seed, budget)}
             for spec, samples, seed in args.hom_estimate
         ]
     if not results:
@@ -550,18 +569,16 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     b = parse_braid(args.word, args.strands)
     if args.estimate is not None and args.wirtinger:
         raise UsageError("--estimate and --wirtinger are mutually exclusive")
-    if args.estimate is None:  # a refused count builds no group table
-        steps, what = hom_count_price(b, _parse_group(args.group)[1], args.wirtinger)
-        _require_budget(steps, budget, what)
-    group = builtin_group(args.group, budget)
-    results: dict = {"group": args.group, "group_order": group.size}
+    order = _parse_group(args.group)[1]
+    results: dict = {"group": args.group, "group_order": order}
     if args.estimate is not None:
         results["method"] = "estimate"
-        results.update(_hom_estimate(b, group, *args.estimate, budget))
-    else:
+        results.update(_hom_estimate(b, args.group, *args.estimate, budget))
+    else:  # a refused count builds no group table
+        _require_hom_budget(b, order, budget, args.wirtinger)
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"
-        results["count"] = counter(b, group, budget)
+        results["count"] = counter(b, builtin_group(args.group, budget), budget)
     return {
         "command": "hom",
         "input": {"strands": b.strands, "word": list(b.word)},

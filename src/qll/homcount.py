@@ -11,7 +11,10 @@ moves each of its two labels to the other's position up to conjugation, so
 in a fixed tuple the labels along each cycle of the braid's permutation,
 the meridians of one link component, lie in one conjugacy class; the route
 enumerates only such tuples.  The orbits of a centraliser S refine the
-classes of G, so this drops whole orbits and every weight stays exact.
+classes of G, so each node of the chain keeps its orbits grouped by class,
+the filter drops whole orbits, and every weight stays exact.  One
+recursion serves every position, down to a central centraliser whose
+orbits are single elements.
 
 The oracle route builds the Wirtinger presentation of the closure diagram —
 one generator per arc, one conjugation relation per crossing — and counts
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget
+from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget, _require_budget_bits
 from .braid import BraidWord, component_of_strand
 
 _MAX_ORDER = 10 ** 4
@@ -189,23 +192,40 @@ def builtin_group(spec: str, budget: int = _DEFAULT_BUDGET) -> FiniteGroup:
     6
     """
     builders, order = _parse_group(spec)
-    _require_budget(order * order, budget,
-                    "multiplication table of order %d" % order)
+    _require_table_budget(order, budget)
     table = builders[0][0](builders[0][1])
     for fn, arg, _ in builders[1:]:
         table = _product_table(table, fn(arg))
     return FiniteGroup(spec.strip(), table)
 
 
-def hom_count_price(b: BraidWord, order: int, wirtinger: bool = False):
-    """(steps, what): the price of `hom_count_exact`, or of
-    `wirtinger_hom_count`, over a group of the given order."""
+def _require_table_budget(order: int, budget: int) -> None:
+    """Refuse a multiplication table of the given order, order^2 steps,
+    over the budget."""
+    _require_budget(order * order, budget,
+                    "multiplication table of order %d" % order)
+
+
+def _require_hom_budget(b: BraidWord, order: int, budget: int,
+                        wirtinger: bool = False) -> None:
+    """Refuse `hom_count_exact`, or `wirtinger_hom_count`, over a group of
+    the given order when its price, |G|^n steps per letter or per arc,
+    passes the budget."""
     if wirtinger:
         n_arcs = _closure_diagram(b)[0]
-        return (order ** b.strands * max(1, n_arcs),
-                "Wirtinger count over %d arcs" % n_arcs)
-    return (order ** b.strands * max(1, len(b.word)),
-            "exact count over %d^%d tuples" % (order, b.strands))
+        per, what = max(1, n_arcs), "Wirtinger count over %d arcs" % n_arcs
+    else:
+        per = max(1, len(b.word))
+        what = "exact count over %d^%d tuples" % (order, b.strands)
+    _require_budget_bits(b.strands * (order.bit_length() - 1), budget, what)
+    _require_budget(order ** b.strands * per, budget, what)
+
+
+def _require_estimate_budget(b: BraidWord, samples: int, budget: int) -> None:
+    """Refuse `hom_count_estimate` from the given number of samples when its
+    price, samples x (letters + n) steps, passes the budget."""
+    _require_budget(samples * (len(b.word) + b.strands), budget,
+                    "estimate from %d samples" % samples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +263,9 @@ def _conjugation_orbits(S, mul, inv):
     group by conjugation: (found, orbit_of), with one entry [rep, orbit
     size, None] in found per orbit, the smallest element standing for it,
     and orbit_of[y] the index in found of y's orbit.  `hom_count_exact`
-    fills the None with the rep's centraliser in S and that subgroup's
-    orbits; for S = G the orbits are the conjugacy classes, and orbit_of
-    gives each element's class id."""
+    fills the None with the node of the rep's centraliser in S; for S = G
+    the orbits are the conjugacy classes, and orbit_of gives each
+    element's class id."""
     rows = [(mul[s], inv[s]) for s in S]
     orbit_of = [-1] * len(mul)
     found = []
@@ -259,8 +279,8 @@ def _conjugation_orbits(S, mul, inv):
 
 
 def _class_members(class_of, count) -> list:
-    """The elements of each of the `count` conjugacy classes, given the
-    class id of every element."""
+    """members[c]: the indices x with class_of[x] == c, in order, for
+    each of the `count` conjugacy classes."""
     members = [[] for _ in range(count)]
     for x, c in enumerate(class_of):
         members[c].append(x)
@@ -296,33 +316,30 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
     conjugate to the label at the cycle's first position head[j], so at a
     position j with head[j] < j only the x conjugate to t[head[j]] can have
     F(t + (x,)) > 0.  S lies in G, so each S-orbit lies inside one class of
-    G: the filter drops whole orbits and the weights |S x| stay exact.
-
-    Once every S-orbit is a single element, S is central and no later
-    position can be reduced: the remaining positions are enumerated
-    plainly, each from its class when its head is already labelled and
-    from all of G otherwise, unless the head of some remaining position is
-    itself still to come; then the next position is branched on as above.
-    The price stays |G|^n steps per letter, a looser upper bound: the word
-    is applied once per surviving representative."""
+    G: each node keeps its S-orbits grouped by that class, the filter keeps
+    whole orbits, and the weights |S x| stay exact.  Once S is central every
+    orbit is one element, and the same recursion enumerates the rest.  The
+    price stays |G|^n steps per letter, a looser upper bound: the word is
+    applied once per surviving representative."""
     n = b.strands
-    steps, what = hom_count_price(b, G.size)
-    _require_budget(steps, budget, what)
-    mul, inv, size = G.mul, G.inv, G.size
+    _require_hom_budget(b, G.size, budget)
+    mul, inv = G.mul, G.inv
     ops = _word_ops(b)
     act = _act
     head = _cycle_heads(b)
-    # inner[k]: a position j >= k has its head among k..j-1
-    inner = [any(k <= head[j] < j for j in range(k, n)) for k in range(n)]
-    everything = tuple(range(size))
+    everything = tuple(range(G.size))
     classes, class_of = _conjugation_orbits(everything, mul, inv)
-    members = _class_members(class_of, len(classes))
-    nodes = {everything: (everything, classes)}  # subgroup -> (it, its orbits)
+    nodes = {}  # subgroup -> (it, its orbits, those orbits by class)
 
-    def node(S):
+    def node(S, orbits=None):
         found = nodes.get(S)
         if found is None:
-            found = nodes[S] = (S, _conjugation_orbits(S, mul, inv)[0])
+            if orbits is None:
+                orbits = _conjugation_orbits(S, mul, inv)[0]
+            by_class = _class_members([class_of[x] for x, _, _ in orbits],
+                                      len(classes))
+            found = nodes[S] = (S, orbits,
+                                [[orbits[i] for i in ids] for ids in by_class])
         return found
 
     def is_fixed(tup):
@@ -330,18 +347,12 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
         act(g, ops, mul, inv)
         return tuple(g) == tup
 
-    def fixed(prefix, S, orbits):
+    def fixed(prefix, S, orbits, by_class):
         # F(prefix), S being the centraliser of prefix
         j = len(prefix)
-        if len(orbits) == size and not inner[j]:  # S central, no head to come
-            tails = itertools.product(*[
-                members[class_of[prefix[h]]] if h < j else everything
-                for h in head[j:]])
-            return sum(1 for tail in tails if is_fixed(prefix + tail))
         h = head[j]
         if h < j:
-            c = class_of[prefix[h]]
-            orbits = [entry for entry in orbits if class_of[entry[0]] == c]
+            orbits = by_class[class_of[prefix[h]]]
         if j == n - 1:
             return sum(k for x, k, _ in orbits if is_fixed(prefix + (x,)))
         total = 0
@@ -353,7 +364,7 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
             total += k * fixed(prefix + (x,), *child)
         return total
 
-    return fixed((), everything, classes)
+    return fixed((), *node(everything, classes))
 
 
 def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
@@ -383,8 +394,7 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
-    _require_budget(samples * (len(b.word) + n), budget,
-                    "estimate from %d samples" % samples)
+    _require_estimate_budget(b, samples, budget)
     total = size ** n
     if not b.word:  # every tuple is fixed: the estimate is exact
         return Fraction(total), Fraction(0)
@@ -482,8 +492,7 @@ def wirtinger_hom_count(b: BraidWord, G: FiniteGroup,
                         budget: int = _DEFAULT_BUDGET) -> int:
     """Independent oracle: count G-labellings of the closure diagram's arcs
     satisfying every crossing relation."""
-    steps, what = hom_count_price(b, G.size, wirtinger=True)
-    _require_budget(steps, budget, what)
+    _require_hom_budget(b, G.size, budget, wirtinger=True)
     n_arcs, _, relations = _closure_diagram(b)
     mul, inv = G.mul, G.inv
     assign = [-1] * n_arcs

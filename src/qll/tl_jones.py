@@ -36,7 +36,8 @@ import functools
 from collections import Counter
 from math import comb
 
-from .algebra import _DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget
+from .algebra import (_DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget,
+                      _require_budget_bits)
 from .braid import BraidWord, writhe
 
 
@@ -313,6 +314,9 @@ def jones_at_root(b: BraidWord, l: int,
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
     n = b.strands
+    # C_n >= 4^n / ((n + 1)(2n + 1)): refuse a huge price before forming it
+    _require_budget_bits(2 * n - ((n + 1) * (2 * n + 1)).bit_length(), budget,
+                         "Jones route")
     _require_budget(comb(2 * n, n) // (n + 1) * (len(b.word) + n * n), budget,
                     "Jones route")
     tr = markov_trace(braid_to_tl(b, l))

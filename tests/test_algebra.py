@@ -9,12 +9,15 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import (
+    BudgetError,
     CyclotomicNumber,
     LaurentPoly,
     UsageError,
     _PRIME_LIMIT,
     _is_prime,
     _poly_divmod_monic,
+    _require_budget,
+    _require_budget_bits,
     corank_mod_p,
     cyc_inverse,
     cyclotomic_polynomial,
@@ -361,3 +364,24 @@ def test_smith_known_values():
     assert smith_normal_form([[0, 0]]) == ()
     # presentation of Z/3 + Z arising from a 2x2 rank-1 pattern
     assert smith_normal_form([[3, -3], [3, -3]]) == (3,)
+
+
+def test_refusal_text_of_a_huge_price():
+    # the longest price CPython writes as text by default prints in full
+    with pytest.raises(BudgetError) as info:
+        _require_budget(10 ** 4300 - 1, 1, "route")
+    assert str(info.value) == "route needs %s elementary steps (budget 1)" % ("9" * 4300)
+    # a longer one is named by a power of two and kept exact
+    with pytest.raises(BudgetError) as info:
+        _require_budget(10 ** 5000, 10 ** 9, "route")
+    assert info.value.required == 10 ** 5000
+    assert str(info.value) == ("route needs at least 2^16609 elementary steps "
+                               "(budget 1000000000)")
+    # a bound refuses alone only past both the budget and that length
+    _require_budget_bits(14284, 10 ** 9, "route")
+    _require_budget_bits(20000, 1 << 20000, "route")
+    with pytest.raises(BudgetError) as info:
+        _require_budget_bits(20000, 10 ** 9, "route")
+    assert info.value.required is None
+    assert str(info.value) == ("route needs at least 2^20000 elementary steps "
+                               "(budget 1000000000)")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -523,6 +524,41 @@ def test_budget_refusal_names_the_knob(capsys):
     assert "needs 995328 elementary steps (budget 10)" in err
     assert "--budget" in err.split("(budget 10)", 1)[1]
     assert "QLL_BUDGET" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--strands", "8000", "--word", "", "--jones", "5"),
+    ("hom", "--strands", "5000", "--word", "", "--group", "cyclic 10"),
+    ("hom", "--strands", "7000", "--word", "", "--group", "cyclic 10", "--wirtinger"),
+    ("invariants", "--strands", "5000", "--word", "", "--hom", "cyclic 10"),
+])
+def test_refusal_of_a_price_too_long_to_print(capsys, argv):
+    # each price has more than 4300 decimal digits, which CPython will not
+    # write as text by default
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    line, = [l for l in err.splitlines() if l.startswith("budget refused:")]
+    assert "needs at least 2^" in line and len(line) < 120
+
+
+def test_huge_jones_price_refused_at_once(capsys):
+    # C_n for a million strands has about 600,000 digits; it is never formed
+    started = time.perf_counter()
+    code, _, err = run(capsys, "invariants", "--strands", "1000000", "--word", "",
+                       "--jones", "5")
+    assert code == 3 and "Jones route needs at least 2^" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_check_table_skips_a_state_sum_too_long_to_price(tmp_path, capsys):
+    # 2^m (n + m) at m = 15,000 letters has 4,520 digits
+    corpus = tmp_path / "long.corpus"
+    corpus.write_text("long ; 2 ; %s\n" % " ".join(["1", "-1", "1"] * 5000))
+    code, out, _ = run(capsys, "check-table", "--corpus", str(corpus),
+                       "--no-timings")
+    assert code == 0
+    assert ("[SKIP] long :: jones-vs-statesum :: state sum needs at least "
+            "2^15013 elementary steps (budget 1000000000)") in out
 
 
 def test_hom_nonpositive_budget_is_usage_error(capsys):

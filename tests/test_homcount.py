@@ -197,6 +197,25 @@ def test_refused_group_builds_no_table(monkeypatch, capsys):
     assert "multiplication table of order 5040 needs 25401600" in err
 
 
+def test_refused_count_builds_no_table(monkeypatch, capsys, tmp_path):
+    # at the default budget the symmetric 7 table (25,401,600 steps) fits,
+    # but neither a count on 4 strands nor 10^9 samples does: each is refused
+    # before the table is built
+    monkeypatch.setattr(qll.homcount, "_symmetric_table", no_table)
+    argv = ("invariants", "--strands", "4", "--word", "1 2 3")
+    code, _, err = test_cli.run(capsys, *argv, "--hom", "symmetric 7")
+    assert code == 3 and "exact count over 5040^4 tuples" in err
+    code, _, err = test_cli.run(capsys, *argv, "--hom-estimate", "symmetric 7",
+                                "1000000000", "1")
+    assert code == 3 and "estimate from 1000000000 samples" in err
+    corpus = tmp_path / "s7.corpus"
+    corpus.write_text("x ; 4 ; 1 2 3 ; hom.symmetric 7=0\n")
+    code, out, _ = test_cli.run(capsys, "check-table", "--corpus", str(corpus),
+                                "--no-timings")
+    assert code == 0
+    assert "[SKIP] x :: expected:hom.symmetric 7 :: exact count over 5040^4" in out
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz action
 
@@ -400,6 +419,24 @@ def test_work_stays_within_the_price(monkeypatch, b, G):
     with pytest.raises(BudgetError) as info:
         hom_count_exact(b, G, budget=price - 1)
     assert info.value.required == price
+
+
+@pytest.mark.parametrize("b,G,applications", [
+    (FIG8, Q8_S3, 140),
+    (BraidWord(6, (1, 2, 3, 4, 5)), S3, 155),
+    (BraidWord(3, ()), Q8, 176),
+    (BraidWord(4, (1, -2, 3, -2, 1)), D4, 296),
+    (BraidWord(4, (1, 2, 3, 1, 2, 3, 1)), builtin_group("symmetric 4"), 311),
+    (GRANNY, Q8, 14),
+])
+def test_central_tails_cost_no_more(monkeypatch, b, G, applications):
+    # the word applications of an enumeration that listed the positions
+    # after a central centraliser plainly, by class or over all of G: the
+    # middle four reach such a centraliser (the unlink with no head labelled
+    # yet), FIG8 and GRANNY never do
+    calls = counted_act(monkeypatch)
+    assert hom_count_exact(b, G) == wirtinger_hom_count(b, G)
+    assert 0 < calls[0] <= applications
 
 
 def conjugation_orbit_count(G, n):
