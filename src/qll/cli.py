@@ -48,6 +48,7 @@ from .homcount import (
     _parse_group,
     _require_estimate_budget,
     _require_hom_budget,
+    _require_printable_estimate,
     _require_table_budget,
     builtin_group,
     hom_count_estimate,
@@ -191,10 +192,14 @@ def _poly_json(p: LaurentPoly) -> dict:
 
 
 def _fraction_json(f: Fraction) -> dict:
+    try:
+        approx = "%.6f" % float(f)
+    except OverflowError:  # past the float range: round to 6 places exactly
+        approx = "%d.%06d" % divmod(round(f * 10 ** 6), 10 ** 6)
     return {
         "numerator": f.numerator,
         "denominator": f.denominator,
-        "approx": "%.6f" % float(f),
+        "approx": approx,
     }
 
 
@@ -419,13 +424,15 @@ def _hom_estimate(b: BraidWord, spec: str, samples_text: str,
     """Parse SAMPLES and SEED, run the seeded sampling estimate over the
     group of spec, built only once its table and then the estimate fit the
     budget."""
-    _require_table_budget(_parse_group(spec)[1], budget)
+    order = _parse_group(spec)[1]
+    _require_table_budget(order, budget)
     samples = _positive_int(samples_text, "sample count")
     try:
         seed = int(seed_text)
     except ValueError:
         raise UsageError("seed must be an integer, got %r" % seed_text) from None
     _require_estimate_budget(b, samples, budget)
+    _require_printable_estimate(b, order, samples)
     estimate, stderr = hom_count_estimate(b, builtin_group(spec, budget), samples,
                                           seed, budget)
     return {

@@ -42,10 +42,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import _DEFAULT_BUDGET, UsageError, _require_budget, _require_budget_bits
+from .algebra import (_DECIMAL_CAP, _DEFAULT_BUDGET, BudgetError, UsageError,
+                      _require_budget, _require_budget_bits)
 from .braid import BraidWord, component_of_strand
 
 _MAX_ORDER = 10 ** 4
+_ERROR_UNIT = 10 ** 9  # the estimator's error is a multiple of 1/_ERROR_UNIT
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,18 @@ def _require_estimate_budget(b: BraidWord, samples: int, budget: int) -> None:
     price, samples x (letters + n) steps, passes the budget."""
     _require_budget(samples * (len(b.word) + b.strands), budget,
                     "estimate from %d samples" % samples)
+
+
+def _require_printable_estimate(b: BraidWord, order: int, samples: int) -> None:
+    """Refuse `hom_count_estimate` over a group of the given order when the
+    numerator or denominator of its estimate or error could pass the 4300
+    digits CPython writes as text.  Each is at most max(samples, 10^9) x
+    |G|^n, and |G|^n is bounded from its bit length before it is formed."""
+    n = b.strands
+    if (n * (order.bit_length() - 1) >= _DECIMAL_CAP.bit_length()
+            or max(samples, _ERROR_UNIT) * order ** n >= _DECIMAL_CAP):
+        raise BudgetError("estimate over %d^%d tuples could print a number of "
+                          "more than 4300 digits" % (order, n), required=None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +443,7 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     estimate = Fraction(hits * total, samples)
     # binomial error at p = (hits+1)/(samples+2), which stays nonzero when no
     # sample or every sample hits, rounded up to a multiple of 1/D
-    D = 10 ** 9
+    D = _ERROR_UNIT
     var = Fraction(D * D * total * total * (hits + 1) * (samples + 1 - hits),
                    (samples + 2) ** 2 * samples)
     c = -(-var.numerator // var.denominator)

@@ -13,17 +13,18 @@ must evaluate to -t^-4 + t^-3 + t^-1 numerically.  Loops contribute
 d = -A^2 - A^-2, and the closure trace weights a diagram by d^{loops-1},
 normalizing the unknot to 1.
 
-A TLElement keeps each coefficient packed: one int holding 2l signed
-digits of an element of Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}], of a
-width that bounds the digit mass of the whole element.  braid_to_tl works
-in that form: one global power of A is factored out of every letter, and
-the width is proved sufficient from the word length, so a letter costs
-digit rotations and int additions per live term.  Its e_i tables rewire two
-chords of each basis diagram, O(n) per entry.  markov_trace adds the packed
-coefficients by closure-loop count and reduces only those at most n sums
-modulo the cyclotomic polynomial; TLElement.coeffs reduces each coefficient
-on first access, for equality and display.  jones_at_root is priced at
-C_n (m + n^2) steps and refuses before it builds anything.
+A TLElement keeps each coefficient packed: one int holding 2l signed digits
+of an element of Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}], of a width
+that bounds the digit mass of the whole element.  braid_to_tl works in that
+form: one global power of A is factored out of every letter, and the width
+is proved sufficient from the word length, so a letter costs digit rotations
+and int additions per live term.  Its e_i tables hold one basis index per
+diagram, found by rewiring two chords in O(n); d . e_i closes a loop exactly
+when it is d again, the entry that keeps its own index.  markov_trace adds
+the packed coefficients by closure-loop count and reduces only those at most
+n sums modulo the cyclotomic polynomial; TLElement.coeffs reduces each
+coefficient on first access, for equality and display.  jones_at_root is
+priced at C_n (m + n^2) steps and refuses before it builds anything.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -113,25 +114,24 @@ def _closure_loops_table(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _compose_right_table(n: int, i: int) -> tuple[tuple[int, int], ...]:
-    # d -> d . e_i as (basis index, loops) per basis diagram.  e_i's cap meets
-    # only d's bottom points x = n+i-1, y = n+i; every other chord of d runs
-    # straight through e_i.  If x and y are paired, the cap closes one loop and
-    # e_i's cup gives them back: d . e_i = d.  Otherwise the cap joins their
-    # partners a, b into one chord and the cup pairs x with y, at O(n) per
-    # diagram; the tests check it against a walk through the whole composite.
+def _compose_right_table(n: int, i: int) -> tuple[int, ...]:
+    # d -> d . e_i as one basis index per diagram.  e_i's cap meets only d's
+    # bottom points x = n+i-1, y = n+i; other chords run straight through.  If
+    # x and y are paired, the cap closes one loop and the cup gives them back:
+    # d . e_i = d keeps its index.  Otherwise the cap joins their partners and
+    # the cup pairs x with y, so q[x] = y != p[x]: the index changes and no
+    # loop closes.  The tests check each entry against the whole composite.
     if not 1 <= i < n:
         raise UsageError("generator index %d out of range for n=%d" % (i, n))
     idx = _basis_index(n)
     x, y = n + i - 1, n + i
     out = []
-    for p in idx:  # basis order
-        if p[x] == y:
-            out.append((idx[p], 1))
-        else:
+    for p, k in idx.items():  # basis order
+        if p[x] != y:
             q = list(p)
             q[p[x]], q[p[y]], q[x], q[y] = p[y], p[x], y, x
-            out.append((idx[tuple(q)], 0))
+            k = idx[tuple(q)]
+        out.append(k)
     return tuple(out)
 
 
@@ -264,8 +264,8 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
         s4, h4, sh4 = _rotation(n2 - 4 if pos else 4, n2, w)
         nxt = dict(cur)
         for k, c in cur.items():
-            rk, loops = table[k]
-            if loops:  # -c - c*A^{-+4}
+            rk = table[k]
+            if rk == k:  # the loop closed: -c - c*A^{-+4}
                 top = (c + h4) >> s4
                 r = ((c - (top << s4)) << sh4) - top
                 v = r - c if pos else -r - c

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from qll.cli import (
     main,
     parse_corpus,
 )
+from qll.homcount import builtin_group, hom_count_estimate
 from qll.tl_jones import _compose_right_table, _matchings
 
 
@@ -548,6 +550,60 @@ def test_huge_jones_price_refused_at_once(capsys):
                        "--jones", "5")
     assert code == 3 and "Jones route needs at least 2^" in err
     assert time.perf_counter() - started < 1.0
+
+
+def _assert_approx_rounds(record):
+    # approx is the fraction to six places, also past the float range
+    f = Fraction(record["numerator"], record["denominator"])
+    assert re.fullmatch(r"\d+\.\d{6}", record["approx"])
+    assert abs(Fraction(record["approx"]) - f) <= Fraction(1, 2 * 10 ** 6)
+
+
+def test_hom_estimate_past_the_float_range(capsys):
+    b = BraidWord(400, (1,))
+    code, out, _ = run(capsys, "hom", "--strands", "400", "--word", "1",
+                       "--group", "cyclic 10", "--estimate", "10", "1",
+                       "--json", "--no-timings")
+    assert code == 0
+    results = json.loads(out)["results"]
+    estimate, stderr = hom_count_estimate(b, builtin_group("cyclic 10"), 10, 1)
+    assert Fraction(results["estimate"]["numerator"],
+                    results["estimate"]["denominator"]) == estimate
+    assert Fraction(results["stderr"]["numerator"],
+                    results["stderr"]["denominator"]) == stderr
+    assert stderr > 2 ** 1024  # past the largest float
+    for key in ("estimate", "stderr"):
+        _assert_approx_rounds(results[key])
+
+
+def test_invariants_hom_estimate_past_the_float_range(capsys):
+    code, out, err = run(capsys, "invariants", "--strands", "400", "--word", "1",
+                         "--hom-estimate", "cyclic 10", "10", "1", "--no-timings")
+    assert code == 0 and err == ""
+    assert "(samples=10, seed=1)" in out.splitlines()[-1]
+
+
+def test_exact_estimate_of_a_thousand_strands(capsys):
+    code, out, _ = run(capsys, "hom", "--strands", "1000", "--word", "",
+                       "--group", "cyclic 10", "--estimate", "1", "1",
+                       "--json", "--no-timings")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["estimate"]["numerator"] == 10 ** 1000
+    assert results["estimate"]["approx"] == "1" + "0" * 1000 + ".000000"
+    assert results["stderr"]["numerator"] == 0
+
+
+@pytest.mark.parametrize("strands, samples", [("5000", "10"), ("1000000", "1")])
+def test_estimate_too_long_to_print_refused_at_once(capsys, strands, samples):
+    # 10^5000 alone has more than 4300 digits; 10^1000000 is never formed
+    started = time.perf_counter()
+    code, _, err = run(capsys, "hom", "--strands", strands, "--word", "",
+                       "--group", "cyclic 10", "--estimate", samples, "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    line, = [l for l in err.splitlines() if l.startswith("budget refused:")]
+    assert "more than 4300 digits" in line and len(line) < 120
 
 
 def test_check_table_skips_a_state_sum_too_long_to_price(tmp_path, capsys):

@@ -4,6 +4,7 @@ oracle.  The two Jones routes are independent and must agree exactly."""
 import ast
 import cmath
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -174,16 +175,38 @@ def test_compose_right_table_matches_tl_compose():
         index = {d: k for k, d in enumerate(basis)}
         for i in range(1, n):
             e = e_diagram(n, i)
-            expected = []
+            expected, closed = [], []
             for d in basis:
                 r, loops = tl_compose(d, e)
-                expected.append((index[r], loops))
+                expected.append(index[r])
+                closed.append(loops)
+                assert loops in (0, 1)
             table = _compose_right_table(n, i)
             assert table == tuple(expected)
-            assert {loops for _, loops in table} <= {0, 1}
+            # a loop closes exactly where the entry keeps its index
+            assert [int(rk == k) for k, rk in enumerate(table)] == closed
     for i in (0, 3):
         with pytest.raises(UsageError):
             _compose_right_table(3, i)
+
+
+def test_compose_right_tables_hold_one_pointer_per_entry():
+    # Each entry is the int object already held as a value of _basis_index,
+    # so a table costs one tuple slot (8 bytes) per entry.  The 24-byte
+    # bound holds only while entries reuse those ints: a fresh int per entry
+    # (28 bytes) or a (index, loops) pair per entry (64 bytes) breaks it.
+    n = 10
+    _basis_index(n)
+    _compose_right_table.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = [_compose_right_table(n, i) for i in range(1, n)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(t) for t in tables)
+    assert entries == (n - 1) * comb(2 * n, n) // (n + 1)
+    assert held <= 24 * entries
 
 
 def test_closure_loop_counts():
@@ -250,9 +273,9 @@ def _reference_braid_to_tl(b, l):
         table = _compose_right_table(b.strands, abs(letter))
         nxt = {}
         for k, c in cur.items():
-            rk, loops = table[k]
+            rk = table[k]
             nxt[k] = nxt.get(k, 0) + c * c_id
-            nxt[rk] = nxt.get(rk, 0) + c * c_e * d ** loops
+            nxt[rk] = nxt.get(rk, 0) + c * c_e * (d if rk == k else 1)
         cur = nxt
     return TLElement(b.strands, l, cur)
 
