@@ -143,6 +143,11 @@ def moebius(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
+    Built from the radical of n: Phi_1(x) = x - 1, then
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p of n (p not dividing
+    m), and Phi_n(x) = Phi_rad(n)(x^(n / rad(n))).  Each step is one exact
+    division by a monic polynomial.
+
     >>> cyclotomic_polynomial(1)
     (-1, 1)
     >>> cyclotomic_polynomial(5)
@@ -152,14 +157,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise UsageError("cyclotomic order must be >= 1")
-    num = [0] * n + [1]
-    num[0] = -1  # x^n - 1
-    rem = num
-    for d in range(1, n):
-        if n % d == 0:
-            rem, r = _poly_divmod_monic(rem, cyclotomic_polynomial(d))
+    poly, rad, m, p = [-1, 1], 1, n, 2
+    while m > 1:
+        if p * p > m:
+            p = m  # the last prime factor
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            poly, r = _poly_divmod_monic(_stretch(poly, p), poly)
             assert not any(r)
-    return tuple(rem)
+            rad *= p
+        p += 1
+    return tuple(_stretch(poly, n // rad))
+
+
+def _stretch(poly, k: int) -> list[int]:
+    """The coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
 
 
 def _units(n: int) -> tuple[int, ...]:

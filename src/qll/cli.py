@@ -40,7 +40,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .algebra import _DEFAULT_BUDGET, BudgetError, CyclotomicNumber, LaurentPoly, UsageError
+from .algebra import (_DECIMAL_CAP, _DEFAULT_BUDGET, BudgetError, CyclotomicNumber,
+                      LaurentPoly, UsageError)
 from .braid import BraidWord, closure_components, linking_matrix, parse_braid
 from .burau import alexander_poly, arf_knot, determinant, double_cover_homology
 from .homcount import (
@@ -872,7 +873,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetError as exc:
         print("budget refused: %s" % exc, file=sys.stderr)
-        print("raise the limit with --budget or QLL_BUDGET", file=sys.stderr)
+        if exc.required is not None and exc.required < _DECIMAL_CAP:
+            # a budget is parsed from text, so no budget lifts a larger price
+            print("raise the limit with --budget or QLL_BUDGET", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program, not of its input
         import traceback  # here, not at the top: it would slow every start-up

@@ -23,10 +23,14 @@ n <= 2 and at (4, 3), (6, 3..5) and (10, 3).  The generators are reduced at
 a degree-one prime p = 1 mod 4l, which is injective on the finite group and
 keeps its scalars apart, and the order is that of a permutation group on a
 faithful list of projective points over F_p (`_order_mod_p`).  Elsewhere
-(l = 3 on n >= 3 strands, l = 4 on n >= 4, and (6, 6)) finiteness is an
-enumerated multiplication closure modulo the powers of zeta_{4l}, each
-matrix keyed by its entries times the conjugate of its first nonzero entry
-(`CycMatrix.canonical_key`).  Infiniteness is a word whose matrix violates
+(l = 3 on n >= 3 strands, l = 4 on n >= 4, and (6, 6)) the same point
+orbits run over Z[zeta_{4l}] itself, a point being a vector up to the
+scalars lam with lam conj(lam) a positive rational, and a finite point list
+is the proof of finiteness (`_order_char0`).  Both routes walk their orbits
+with one routine (`_point_orbit_order`).  The multiplication closure
+modulo the powers of zeta_{4l} (`group_closure`, each matrix keyed by
+`CycMatrix.canonical_key`) is the oracle the tests check both routes
+against; no verdict calls it.  Infiniteness is a word whose matrix violates
 the Galois-trace bound satisfied by every matrix of finite projective order
 (all eigenvalue magnitudes 1 at every complex embedding, so every conjugate
 of tr(M^m) has magnitude at most the dimension).  The word search never
@@ -36,7 +40,7 @@ of such a word is central in the braid group of its letters, its
 eigenvalues are roots of unity, and the bound cannot break on it
 (`infinite_order_witness`).  A mod-p Burau image is finite outright; its
 projective order is that of its permutation action on the points of
-projective space over F_p.  Both permutation actions go through one
+projective space over F_p.  Every permutation action goes through one
 deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
 sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
 polynomial in it and its determinant a root of unity: no matrix is
@@ -362,9 +366,9 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
     `canonical_key` identifies: nonzero residues over F_p, and powers of
     zeta_N on words in Temperley-Lieb letters over Q(zeta_N).
 
-    This is the route for the finite diagram-algebra images that Coxeter's
-    theorem does not cover (`classify_image`), and the independent oracle in
-    tests for both permutation-group routes."""
+    No verdict calls it: it enumerates every projective element as a dense
+    matrix.  It is the independent oracle in tests for the point-orbit
+    routes of `classify_image` and for the Burau route."""
     if not gens:
         return 1
     ident = gens[0].identity_like()
@@ -707,7 +711,7 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
 
 
 # ---------------------------------------------------------------------------
-# finite Temperley-Lieb images: orders by reduction mod p
+# finite Temperley-Lieb images: orders from point orbits
 
 @lru_cache(maxsize=None)
 def _coxeter_finite(gens) -> bool:
@@ -768,6 +772,81 @@ def _reduce_mod_p(gens, p: int):
     return tuple(mats)
 
 
+def _point_orbit_order(mats, normal, bound: int):
+    """(order, abelian) for the group generated by `mats` acting on classes
+    of points, or (None, None) once the order provably exceeds `bound`.
+
+    Each matrix is given as its columns, each column the (row, entry) pairs
+    with a nonzero entry.  `normal(w)` maps a vector w, a list of entries, to
+    (key, point): the key names the class of w, and the point is the vector
+    stored for it.  The vectors e_S have the integer entries 0 and 1, and
+    an image vector sums products of entries into integer zeros.  A
+    coordinate is in a point's support when its entry is != 0.
+
+    The point list is the orbits of e_1 .. e_r, then the orbits of
+    e_a + e_b until the supports of the points connect every coordinate.
+    The permutation group the matrices induce on it has the order returned
+    (`_perm_group_order`), and it is abelian exactly when the permutations
+    commute.  An orbit's length divides that order, and the product of the
+    basic orbit lengths at any stage is a lower bound on it, so the work
+    stops once one orbit exceeds `bound` or the product does.  The callers
+    prove that the kernel of the action is the scalars they identify."""
+    r = len(mats[0])
+    points, index = [], {}
+    perms = [[] for _ in mats]  # perms[g][x]: the image of point x under g
+    comp = list(range(r))  # union-find over the coordinates
+
+    def find(a):
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    def add_orbit(key, v):
+        start = len(points)
+        index[key] = start
+        points.append(v)
+        x = start
+        while x < len(points):
+            v = points[x]
+            x += 1
+            support = [j for j, c in enumerate(v) if c != 0]
+            for j in support[1:]:
+                comp[find(j)] = find(support[0])
+            for g, cols in enumerate(mats):
+                w = [0] * r
+                for j in support:
+                    c = v[j]
+                    for i, m in cols[j]:
+                        w[i] += c * m
+                key, u = normal(w)
+                t = index.get(key)
+                if t is None:
+                    t = index[key] = len(points)
+                    points.append(u)
+                    if len(points) - start > bound:
+                        return False
+                perms[g].append(t)
+        return True
+
+    for a in range(r):
+        key, e = normal([int(j == a) for j in range(r)])
+        if key not in index and not add_orbit(key, e):
+            return None, None
+    for a in range(r):
+        for b in range(a + 1, r):
+            if find(a) != find(b):
+                if not add_orbit(*normal([int(j in (a, b)) for j in range(r)])):
+                    return None, None
+    perms = [tuple(q) for q in perms]
+    order = _perm_group_order(perms, len(points), max_order=bound)
+    if order is None:
+        return None, None
+    abelian = all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
+                  for i, a in enumerate(perms) for b in perms[:i])
+    return order, abelian
+
+
 def _order_mod_p(gens, bound: int, p: int):
     """(order, abelian) for the projective image of the Temperley-Lieb
     letters `gens`, from their reduction at a degree-one prime above p (an
@@ -797,72 +876,91 @@ def _order_mod_p(gens, bound: int, p: int):
     So the image of G in PGL_r(F_p) has the order of its projective image
     in characteristic 0, the order `group_closure` enumerates.
 
-    That image acts on a list of projective points over F_p^r (first
-    nonzero coordinate 1): the orbits of e_1 .. e_r, then the orbits of
-    e_a + e_b until the supports of the points connect every coordinate.
-    The action is faithful: a matrix fixing every e_i is diagonal, and
-    fixing a point with support S makes its diagonal constant on S.  The
-    order is that of the permutation group (`_perm_group_order`), and
-    abelian exactly when the permutations commute.  One orbit, and the
-    product of the basic orbit lengths at any stage, are lower bounds on
-    the order, so the work stops once one exceeds `bound`."""
-    mats = _reduce_mod_p(gens, p)
-    r = len(mats[0])
-    points, index = [], {}
-    perms = [[] for _ in mats]  # perms[g][x]: the image of point x under g
-    comp = list(range(r))  # union-find over the coordinates
+    That image acts on projective points over F_p^r, first nonzero
+    coordinate 1 (`_point_orbit_order`).  The action is faithful: a matrix
+    fixing every e_i is diagonal, and fixing a point with support S makes
+    its diagonal constant on S."""
 
-    def find(a):
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
+    def normal(w):
+        s = pow(next(c for c in w if c % p), -1, p)
+        u = tuple(c * s % p for c in w)
+        return u, u
 
-    def add_orbit(v):
-        start = len(index)
-        index[v] = start
-        points.append(v)
-        x = start
-        while x < len(points):
-            v = points[x]
-            x += 1
-            support = [j for j, c in enumerate(v) if c]
-            for j in support[1:]:
-                comp[find(j)] = find(support[0])
-            for g, cols in enumerate(mats):
-                w = [0] * r
-                for j in support:
-                    c = v[j]
-                    for i, m in cols[j]:
-                        w[i] += c * m
-                s = pow(next(c for c in w if c % p), -1, p)
-                u = tuple(c * s % p for c in w)
-                t = index.get(u)
-                if t is None:
-                    t = index[u] = len(points)
-                    points.append(u)
-                    if len(points) - start > bound:
-                        return False
-                perms[g].append(t)
-        return True
+    return _point_orbit_order(_reduce_mod_p(gens, p), normal, bound)
 
-    for a in range(r):
-        e = tuple(int(j == a) for j in range(r))
-        if e not in index and not add_orbit(e):
-            return None, None
-    for a in range(r):
-        for b in range(a + 1, r):
-            if find(a) != find(b):
-                e = tuple(int(j in (a, b)) for j in range(r))
-                if not add_orbit(e):
-                    return None, None
-    perms = [tuple(q) for q in perms]
-    order = _perm_group_order(perms, len(points), max_order=bound)
-    if order is None:
-        return None, None
-    abelian = all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
-                  for i, a in enumerate(perms) for b in perms[:i])
-    return order, abelian
+
+@lru_cache(maxsize=None)
+def _columns(gens):
+    """The numerators X of `gens`, each as its columns, each column the
+    (row, entry) pairs with a nonzero entry.  Built once per generator
+    tuple."""
+    return tuple(tuple(tuple((r, row[c]) for r, row in enumerate(g.rows)
+                             if not row[c].is_zero())
+                       for c in range(g.dim)) for g in gens)
+
+
+def _primitive(vec):
+    """The cyclotomic integers `vec` divided by the positive gcd of all
+    their coefficients."""
+    g = 0
+    for x in vec:
+        g = gcd(g, x.content())
+    if g == 1:
+        return vec
+    return [CyclotomicNumber(x.order, [c // g for c in x.coeffs]) for x in vec]
+
+
+def _point_key(vec):
+    """The primitive part of v conj(f), f the first nonzero entry of the
+    vector v over Z[zeta_N].  Two vectors have one key exactly when
+    v' = lam v with lam conj(lam) a positive rational:
+    - then v' conj(f') = (lam conj(lam)) v conj(f), a positive rational
+      multiple, with the same primitive part;
+    - equal keys give v conj(f) = c v' conj(f') for some rational c > 0, so
+      v' = lam v with lam = conj(f) / (c conj(f')), and the first entries
+      give f conj(f) = c f' conj(f'), so lam conj(lam) = 1/c."""
+    bar = next(x for x in vec if not x.is_zero()).conjugate()
+    return tuple(x.coeffs for x in
+                 _primitive([x if x.is_zero() else x * bar for x in vec]))
+
+
+def _order_char0(gens, bound: int):
+    """(order, abelian) for the projective image of the Temperley-Lieb
+    letters `gens`, from their action on points over Z[zeta_N], N = 4l;
+    (None, None) once the order provably exceeds `bound`.  No finiteness
+    theorem is assumed: a finite point list is itself the proof.
+
+    A point is a vector over Z[zeta_N]; v and lam v are one class whenever
+    lam conj(lam) is a positive rational, and `_point_key` names the class.
+    The key v conj(f) lies in another class in general (conj(f) times its
+    conjugate is f conj(f), which need not be rational), so each class
+    stores the primitive part of the first image vector X v found for it,
+    X the numerator of a letter: `den` is a rational scalar and is dropped.
+    A matrix M keeps classes together (M lam v = lam M v), so the group G
+    the letters generate permutes the classes of a list the letters map
+    into itself (`_point_orbit_order`).
+
+    The order is exact: an element fixing every class is a scalar.  It maps
+    each e_i to a multiple of itself, so it is diagonal, and fixing a point
+    with support S makes its diagonal constant on S; the supports connect,
+    so it is lam I.  Each letter's eigenvalues are A and -A^-3
+    (`_inverse_letter` checks it), so determinants are roots of unity,
+    lam^r is one, and lam is a root of unity in Q(zeta_N), which N even
+    makes a power of zeta_N: one of the scalars `canonical_key` identifies,
+    and lam conj(lam) = 1.  So the kernel of the action is exactly the
+    scalars of G, and the permutation group has the order `group_closure`
+    enumerates."""
+    for g in gens:
+        _inverse_letter(g)
+    N = gens[0].order
+
+    def normal(w):
+        vec = [x if isinstance(x, CyclotomicNumber) else
+               CyclotomicNumber(N, (x,)) for x in w]
+        point = tuple(_primitive(vec))
+        return _point_key(point), point
+
+    return _point_orbit_order(_columns(gens), normal, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -874,17 +972,20 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
 
     A Temperley-Lieb spec runs exactly one certificate, chosen by Jones's
     classification.  Where the image is finite (n <= 2, l in {3, 4, 6}, or
-    (l, n) = (10, 3)) it is the order: by reduction mod p wherever Coxeter's
-    theorem applies (`_coxeter_finite`: every n <= 2, (4, 3), (6, 3..5) and
-    (10, 3)), by the closure elsewhere; either way the report is `unknown`
-    exactly when the order exceeds `bound` elements.  Everywhere else it is
-    the word search (lengths 1 to `_WITNESS_LEN`, not limited by `bound`).
-    The other could decide nothing there: the certificate is sound, so a
-    finite image has no witness, and the order of an infinite image is never
-    reached under any bound.  If the one that runs decides nothing, the
-    report is `unknown`, with a note naming what ran.  Verdicts still rest
-    only on the certificates: a wrong table entry could turn a verdict on
-    its spec into `unknown`, never into a wrong verdict."""
+    (l, n) = (10, 3)) it is the order from point orbits: by reduction mod p
+    wherever Coxeter's theorem applies (`_coxeter_finite`: every n <= 2,
+    (4, 3), (6, 3..5) and (10, 3)), over Z[zeta_4l] elsewhere
+    (`_order_char0`).  Either way the report is `unknown` exactly when the
+    order exceeds `bound` elements; its note still names the closure, the
+    enumeration that defines the order (`group_closure`, a test oracle).
+    Everywhere else it is the word search (lengths 1 to `_WITNESS_LEN`, not
+    limited by `bound`).  The other could decide nothing there: the
+    certificate is sound, so a finite image has no witness, and the order
+    of an infinite image is never reached under any bound.  If the one that
+    runs decides nothing, the report is `unknown`, with a note naming what
+    ran.  Verdicts still rest only on the certificates: a wrong table entry
+    could turn a verdict on its spec into `unknown`, never into a wrong
+    verdict."""
     if spec.family == "tl":
         notes = ["path representation of dimension %d; semisimple quotient "
                  "dimension %d" % (len(_paths(spec.strands, spec.l)),
@@ -914,7 +1015,7 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
             order, abelian = _order_mod_p(gens, bound,
                                           next(_admissible_primes(gens)))
         else:
-            order = group_closure(gens, bound)
+            order, abelian = _order_char0(gens, bound)
     else:
         witness = infinite_order_witness(gens)
         if witness is None:

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import time
 from math import gcd
 
 import pytest
@@ -53,6 +54,54 @@ def test_cyclotomic_polynomial_matches_sympy(n):
 def test_cyclotomic_polynomial_first_nontrivial_coefficient():
     # smallest order with a coefficient outside {-1, 0, 1}
     assert -2 in cyclotomic_polynomial(105)
+
+
+def moebius_product(n):
+    """Independent oracle: Phi_n = prod over d | n of (x^d - 1)^mu(n/d),
+    by multiplications by x^d - 1 and exact divisions by it, with mu from
+    trial division."""
+    def mu(m):
+        sign, p = 1, 2
+        while m > 1:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    poly = [1]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divisors:  # numerator first: every division below is exact
+        if mu(n // d) == 1:
+            poly = [0] * d + poly
+            for i, c in enumerate(poly[d:]):
+                poly[i] -= c
+    for d in divisors:
+        if mu(n // d) == -1:
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):  # poly = q (x^d - 1), lowest term first
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            assert all(poly[i] == (q[i - d] if i >= d else 0)
+                       for i in range(len(q), len(poly)))
+            poly = q
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_the_moebius_product():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == moebius_product(n), n
+
+
+def test_cyclotomic_polynomial_of_a_large_order_is_fast():
+    # from the radical: Phi_120000(x) = Phi_30(x^4000), so degree 32,000
+    started = time.perf_counter()
+    phi = cyclotomic_polynomial(120000)
+    assert time.perf_counter() - started < 1.0
+    assert len(phi) == 32001
+    assert phi[::4000] == cyclotomic_polynomial(30)
+    assert not any(c for i, c in enumerate(phi) if i % 4000)
 
 
 def dense_divmod_monic(a, b):

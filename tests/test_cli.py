@@ -345,6 +345,18 @@ def test_image_tl6_five_strands(capsys):
                                    "certificate")
 
 
+def test_image_tl4_six_strands(capsys):
+    # 23,040 = 2^5 6!, from point orbits over Z[zeta_16], not from an
+    # enumeration of the group
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "image", "--tl", "4", "--strands", "6",
+                       "--json", "--no-timings")
+    assert time.perf_counter() - started < 30
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["order"]) == ("finite", 23040)
+
+
 def test_image_requires_exactly_one_family(capsys):
     code, _, err = run(capsys, "image", "--strands", "3")
     assert code == 2
@@ -526,6 +538,27 @@ def test_budget_refusal_names_the_knob(capsys):
     assert "needs 995328 elementary steps (budget 10)" in err
     assert "--budget" in err.split("(budget 10)", 1)[1]
     assert "QLL_BUDGET" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom", "--strands", "5000", "--word", "", "--group", "cyclic 10",
+     "--estimate", "10", "1"),
+    ("invariants", "--strands", "8000", "--word", "", "--jones", "5"),
+    ("hom", "--strands", "5000", "--word", "", "--group", "cyclic 10"),
+])
+def test_no_budget_hint_where_no_budget_lifts_the_refusal(capsys, argv):
+    # a budget is parsed from text, so it stays below 10^4300
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("budget refused: ")
+    assert "QLL_BUDGET" not in err and len(err.splitlines()) == 1
+
+
+def test_budget_hint_follows_a_refusal_a_budget_lifts(capsys):
+    code, _, err = run(capsys, "hom", "--strands", "3", "--word", "1 2",
+                       "--group", "symmetric 3", "--budget", "5")
+    assert code == 3
+    assert err.splitlines()[-1] == "raise the limit with --budget or QLL_BUDGET"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qll.algebra import CyclotomicNumber, UsageError
+from qll.algebra import CyclotomicNumber, UsageError, euler_phi
 from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
-                       _inverse_letter, _order_mod_p, _paths, _periodic,
-                       _perm_group_order, _projective_order_fp, _trace_certificate,
+                       _inverse_letter, _order_char0, _order_mod_p, _paths,
+                       _periodic, _perm_group_order, _point_key,
+                       _projective_order_fp, _trace_certificate,
                        classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
@@ -426,14 +427,19 @@ def test_burau_bound_below_need_is_unknown(p, t0, n, order):
                                "exceeded bound %d" % bound)
 
 
-def test_tl_closure_runs_once(monkeypatch):
-    # one breadth-first closure up to the bound, not a staged restart
+def test_tl_orbit_route_runs_once(monkeypatch):
+    # (4, 4) is finite but not by Coxeter: one point-orbit run over
+    # Z[zeta_16] with the caller's bound, and no closure
     bounds = []
 
     def record(gens, bound):
         bounds.append(bound)
-        return None
-    monkeypatch.setattr("qll.image.group_closure", record)
+        return None, None
+
+    def closure(gens, bound):
+        raise AssertionError("closure run by classify_image")
+    monkeypatch.setattr("qll.image._order_char0", record)
+    monkeypatch.setattr("qll.image.group_closure", closure)
     r = classify_image(RepSpec("tl", 4, l=4), bound=10 ** 6)
     assert bounds == [10 ** 6]
     assert (r.verdict, r.order) == ("unknown", None)
@@ -771,3 +777,73 @@ def test_perm_group_order_stops_past_max_order():
     assert _perm_group_order(perms, 6, max_order=720) == 720
     assert _perm_group_order(perms, 6, max_order=719) is None
     assert _perm_group_order(perms, 6, max_order=6) is None
+
+
+# ---------------------------------------------------------------------------
+# finite Temperley-Lieb orders from point orbits over Z[zeta_N]
+
+def closure_order(gens):
+    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+                  for a in gens for b in gens)
+    return group_closure(gens), abelian
+
+
+@pytest.mark.parametrize("l,n", [(3, 3), (3, 4), (3, 5), (3, 6),
+                                 (4, 3), (4, 4), (4, 5)])
+def test_char0_order_matches_closure(l, n):
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    assert _order_char0(gens, 10 ** 6) == closure_order(gens)
+
+
+@pytest.mark.parametrize("l,n", [(4, 3), (6, 3), (6, 4), (6, 5), (10, 3)])
+def test_char0_order_matches_mod_p(l, n):
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    p = next(_admissible_primes(gens))
+    assert _order_char0(gens, 10 ** 6) == _order_mod_p(gens, 10 ** 6, p)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_l4_order_law(n):
+    # the projective image at l = 4 has order 2^(n-1) n!
+    r = classify_image(RepSpec("tl", n, l=4))
+    assert (r.verdict, r.order) == ("finite", 2 ** (n - 1) * factorial(n))
+
+
+@pytest.mark.parametrize("n,order", [(4, 192), (5, 1920)])
+def test_char0_report_at_the_bound(n, order):
+    spec = RepSpec("tl", n, l=4)
+    below, at = (classify_image(spec, bound) for bound in (order - 1, order))
+    assert (below.verdict, below.order) == ("unknown", None)
+    assert below.notes[-1] == ("closure exceeded bound %d without a "
+                               "certificate" % (order - 1))
+    assert (at.verdict, at.order) == ("finite", order)
+
+
+def cyclotomic_vectors():
+    def vectors(N):
+        entry = st.lists(st.integers(-3, 3), max_size=euler_phi(N)).map(
+            lambda c: CyclotomicNumber(N, c))
+        return st.tuples(st.just(N), st.lists(entry, min_size=1, max_size=4).filter(
+            lambda v: any(not x.is_zero() for x in v)))
+    return st.sampled_from([12, 16, 24, 40]).flatmap(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_vectors(), st.integers(0, 39), st.integers(1, 12),
+       st.integers(1, 12))
+def test_point_key_ignores_roots_of_unity_and_positive_rationals(Nv, k, a, b):
+    N, v = Nv
+    z = CyclotomicNumber.zeta(N, k)
+    assert _point_key([x * z * a for x in v]) == _point_key([x * b for x in v])
+
+
+def test_point_key_classes():
+    # one class exactly when v' = lam v with lam conj(lam) a positive
+    # rational: 1 + i has norm 2 and stays; 1 + zeta_16 does not
+    z = CyclotomicNumber.zeta(16)
+    one, zero = CyclotomicNumber.one(16), CyclotomicNumber.zero(16)
+    v = [one + z ** 3, zero, z * 2 - one]
+    assert _point_key([x * (one + z ** 4) for x in v]) == _point_key(v)
+    assert _point_key([x * (one + z) for x in v]) != _point_key(v)
+    assert _point_key([one, zero]) != _point_key([zero, one])
+    assert _point_key([one, one]) != _point_key([one, z])
