@@ -824,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--burau", type=int, nargs=2, metavar=("P", "T0"))
     image.add_argument(
         "--bound",
-        help="work cap: group elements enumerated (--tl), or projective "
+        help="work cap: projective order (--tl), or projective "
         "points x stored permutations (--burau)",
     )
     _add_common_flags(image)

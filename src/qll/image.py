@@ -26,11 +26,9 @@ faithful list of projective points over F_p (`_order_mod_p`).  Elsewhere
 (l = 3 on n >= 3 strands, l = 4 on n >= 4, and (6, 6)) the same point
 orbits run over Z[zeta_{4l}] itself, a point being a vector up to the
 scalars lam with lam conj(lam) a positive rational, and a finite point list
-is the proof of finiteness (`_order_char0`).  Both routes walk their orbits
-with one routine (`_point_orbit_order`).  The multiplication closure
-modulo the powers of zeta_{4l} (`group_closure`, each matrix keyed by
-`CycMatrix.canonical_key`) is the oracle the tests check both routes
-against; no verdict calls it.  Infiniteness is a word whose matrix violates
+is the proof of finiteness (`group_closure`).  Both routes walk their orbits
+with one routine (`_point_orbit_order`); no route enumerates the elements
+of the group.  Infiniteness is a word whose matrix violates
 the Galois-trace bound satisfied by every matrix of finite projective order
 (all eigenvalue magnitudes 1 at every complex embedding, so every conjugate
 of tr(M^m) has magnitude at most the dimension).  The word search never
@@ -353,40 +351,6 @@ def rep_generators(spec: RepSpec):
     return tuple(FpMatrix(spec.p, burau_mod_p(BraidWord(spec.strands, (i,)),
                                               spec.p, spec.t0))
                  for i in range(1, spec.strands))
-
-
-# ---------------------------------------------------------------------------
-# closure enumeration
-
-def group_closure(gens, bound: int = _DEFAULT_BOUND):
-    """Exact projective order of the group generated, or None once `bound`
-    distinct elements are exceeded.  A finite multiplicative closure of
-    invertible matrices already contains every inverse, so multiplying by the
-    generators alone is enough.  Elements are counted up to the scalars
-    `canonical_key` identifies: nonzero residues over F_p, and powers of
-    zeta_N on words in Temperley-Lieb letters over Q(zeta_N).
-
-    No verdict calls it: it enumerates every projective element as a dense
-    matrix.  It is the independent oracle in tests for the point-orbit
-    routes of `classify_image` and for the Burau route."""
-    if not gens:
-        return 1
-    ident = gens[0].identity_like()
-    seen = {ident.canonical_key()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                w = m.mul(g)
-                k = w.canonical_key()
-                if k not in seen:
-                    if len(seen) >= bound:
-                        return None
-                    seen.add(k)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +838,7 @@ def _order_mod_p(gens, bound: int, p: int):
       so it is diagonalisable and equals lam I, a power of zeta_N times I:
       one of the scalars `canonical_key` identifies.
     So the image of G in PGL_r(F_p) has the order of its projective image
-    in characteristic 0, the order `group_closure` enumerates.
+    in characteristic 0, the order `group_closure` finds.
 
     That image acts on projective points over F_p^r, first nonzero
     coordinate 1 (`_point_orbit_order`).  The action is faithful: a matrix
@@ -924,7 +888,7 @@ def _point_key(vec):
                  _primitive([x if x.is_zero() else x * bar for x in vec]))
 
 
-def _order_char0(gens, bound: int):
+def group_closure(gens, bound: int = _DEFAULT_BOUND):
     """(order, abelian) for the projective image of the Temperley-Lieb
     letters `gens`, from their action on points over Z[zeta_N], N = 4l;
     (None, None) once the order provably exceeds `bound`.  No finiteness
@@ -948,8 +912,8 @@ def _order_char0(gens, bound: int):
     lam^r is one, and lam is a root of unity in Q(zeta_N), which N even
     makes a power of zeta_N: one of the scalars `canonical_key` identifies,
     and lam conj(lam) = 1.  So the kernel of the action is exactly the
-    scalars of G, and the permutation group has the order `group_closure`
-    enumerates."""
+    scalars of G, and the permutation group has the order of G modulo the
+    powers of zeta_N."""
     for g in gens:
         _inverse_letter(g)
     N = gens[0].order
@@ -975,9 +939,8 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     (l, n) = (10, 3)) it is the order from point orbits: by reduction mod p
     wherever Coxeter's theorem applies (`_coxeter_finite`: every n <= 2,
     (4, 3), (6, 3..5) and (10, 3)), over Z[zeta_4l] elsewhere
-    (`_order_char0`).  Either way the report is `unknown` exactly when the
-    order exceeds `bound` elements; its note still names the closure, the
-    enumeration that defines the order (`group_closure`, a test oracle).
+    (`group_closure`).  Either way the report is `unknown` exactly when the
+    order exceeds `bound` elements, with a note naming the closure.
     Everywhere else it is the word search (lengths 1 to `_WITNESS_LEN`, not
     limited by `bound`).  The other could decide nothing there: the
     certificate is sound, so a finite image has no witness, and the order
@@ -1015,7 +978,7 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
             order, abelian = _order_mod_p(gens, bound,
                                           next(_admissible_primes(gens)))
         else:
-            order, abelian = _order_char0(gens, bound)
+            order, abelian = group_closure(gens, bound)
     else:
         witness = infinite_order_witness(gens)
         if witness is None:

@@ -4,9 +4,13 @@
 ``qll.tl_jones`` (``_matchings``, ``_compose_right_table``) by validating
 every diagram and walking every composite in full; ``smith_normal_form``
 checks the Bareiss ranks and determinants of ``qll.algebra`` and ``qll.burau``
-by unimodular reduction over Z.  None of them shares code with the route it
-checks: the only name taken from ``qll`` is the exception type, so that the
-tests can expect one ``UsageError`` from either side.
+by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
+orders of ``qll.image`` by listing every projective element.  None of them
+shares code with the route it checks: the only name taken from ``qll`` is
+the exception type, so that the tests can expect one ``UsageError`` from
+either side, and ``enumerated_order`` multiplies the matrices it is given
+by their own ``mul`` and keys them by their own ``canonical_key``, which no
+point-orbit route calls.
 
 Boundary labels of a diagram on n strands: top points are 0..n-1 left to
 right, bottom points are n..2n-1 left to right.  Planarity is checked in the
@@ -147,3 +151,31 @@ def smith_normal_form(mat) -> tuple[int, ...]:
                 a[t][j] += a[offender][j]
         factors.append(abs(a[t][t]))
     return tuple(factors)
+
+
+def enumerated_order(gens, bound: int = 10 ** 6):
+    """Projective order of the group the matrices `gens` generate, or None
+    once `bound` distinct elements are exceeded.  A finite multiplicative
+    closure of invertible matrices already contains every inverse, so
+    multiplying by the generators alone is enough.  Elements are counted up
+    to the scalars `canonical_key` identifies: nonzero residues over F_p,
+    and powers of zeta_N on words in Temperley-Lieb letters over
+    Q(zeta_N)."""
+    if not gens:
+        return 1
+    ident = gens[0].identity_like()
+    seen = {ident.canonical_key()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                w = m.mul(g)
+                k = w.canonical_key()
+                if k not in seen:
+                    if len(seen) >= bound:
+                        return None
+                    seen.add(k)
+                    nxt.append(w)
+        frontier = nxt
+    return len(seen)

@@ -16,12 +16,14 @@ from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
-                       _inverse_letter, _order_char0, _order_mod_p, _paths,
+                       _inverse_letter, _order_mod_p, _paths,
                        _periodic, _perm_group_order, _point_key,
                        _projective_order_fp, _trace_certificate,
                        classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
+
+from oracles import enumerated_order
 
 
 def fusion_end_dim(n, l):
@@ -229,37 +231,37 @@ def test_projective_key_identifies_exactly_root_of_unity_multiples(case):
 
 
 def test_closure_of_nothing_and_identity():
-    assert group_closure([]) == 1
-    assert group_closure([CycMatrix.identity(8, 2)]) == 1
+    assert enumerated_order([]) == 1
+    assert enumerated_order([CycMatrix.identity(8, 2)]) == 1
 
 
 def test_closure_of_scalars():
     minus_one = cyc_mat(1, [[-1]])
-    assert group_closure([minus_one]) == 1
+    assert enumerated_order([minus_one]) == 1
     i = CycMatrix(4, [[CyclotomicNumber.zeta(4)]])
-    assert group_closure([i]) == 1
+    assert enumerated_order([i]) == 1
 
 
 def test_closure_respects_bound():
     g = rep_generators(RepSpec("burau", 3, p=5, t0=2))
-    assert group_closure(g, bound=2) is None
+    assert enumerated_order(g, bound=2) is None
 
 
 def test_burau_closure_orders():
     g = rep_generators(RepSpec("burau", 3, p=5, t0=2))
-    proj = group_closure(g, 2000)
+    proj = enumerated_order(g, 2000)
     assert proj == 24 and 120 % proj == 0  # Lagrange in PGL2(F5)
 
 
 def test_closure_invariant_under_reordering_and_conjugation():
     g = rep_generators(RepSpec("burau", 3, p=5, t0=2))
-    base = group_closure(g, 2000)
-    assert group_closure(tuple(reversed(g)), 2000) == base
+    base = enumerated_order(g, 2000)
+    assert enumerated_order(tuple(reversed(g)), 2000) == base
     t = FpMatrix(5, ((1, 2), (0, 3)))
     t_inv = FpMatrix(5, ((1, 1), (0, 2)))
     assert t.mul(t_inv) == t.identity_like()
     conj = [t.mul(x).mul(t_inv) for x in g]
-    assert group_closure(conj, 2000) == base
+    assert enumerated_order(conj, 2000) == base
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,7 @@ def burau_specs():
 @settings(max_examples=30, deadline=None)
 @given(burau_specs())
 def test_burau_order_matches_closure(spec):
-    reference = group_closure(rep_generators(spec), 20000)
+    reference = enumerated_order(rep_generators(spec), 20000)
     if reference is None:
         return
     assert classify_image(spec).order == reference
@@ -385,7 +387,7 @@ def monomial_groups():
 @example([FpMatrix(7, ((1, 0, 0), (0, 6, 0), (0, 0, 1))),
           FpMatrix(7, ((0, 3, 0), (4, 0, 0), (0, 0, 5)))])  # order 24, not 8
 def test_schreier_sims_matches_closure_on_monomial_groups(gens):
-    reference = group_closure(gens, 20000)
+    reference = enumerated_order(gens, 20000)
     if reference is None:
         return
     assert _projective_order_fp(gens, 10 ** 6) == reference
@@ -429,17 +431,17 @@ def test_burau_bound_below_need_is_unknown(p, t0, n, order):
 
 def test_tl_orbit_route_runs_once(monkeypatch):
     # (4, 4) is finite but not by Coxeter: one point-orbit run over
-    # Z[zeta_16] with the caller's bound, and no closure
+    # Z[zeta_16] with the caller's bound, and no reduction mod p
     bounds = []
 
     def record(gens, bound):
         bounds.append(bound)
         return None, None
 
-    def closure(gens, bound):
-        raise AssertionError("closure run by classify_image")
-    monkeypatch.setattr("qll.image._order_char0", record)
-    monkeypatch.setattr("qll.image.group_closure", closure)
+    def reduce(gens, bound, p):
+        raise AssertionError("mod-p route run on a spec Coxeter does not cover")
+    monkeypatch.setattr("qll.image.group_closure", record)
+    monkeypatch.setattr("qll.image._order_mod_p", reduce)
     r = classify_image(RepSpec("tl", 4, l=4), bound=10 ** 6)
     assert bounds == [10 ** 6]
     assert (r.verdict, r.order) == ("unknown", None)
@@ -602,7 +604,7 @@ def fixed_route(spec, bound):
                            notes=tuple(notes + ["no generators: trivial image"]))
     witness, order = infinite_order_witness(gens, 4), None
     if witness is None:
-        order = group_closure(gens, bound)
+        order = enumerated_order(gens, bound)
         if order is None:
             witness = infinite_order_witness(gens, _WITNESS_LEN)
     if witness is not None:
@@ -719,7 +721,7 @@ def test_coxeter_finite_specs():
 @pytest.mark.parametrize("l,n", COXETER_SPECS)
 def test_mod_p_order_matches_closure_at_two_primes(l, n):
     gens = rep_generators(RepSpec("tl", n, l=l))
-    order = group_closure(gens)
+    order = enumerated_order(gens)
     abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
                   for a in gens for b in gens)
     for p in islice(_admissible_primes(gens), 2):
@@ -785,21 +787,21 @@ def test_perm_group_order_stops_past_max_order():
 def closure_order(gens):
     abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
                   for a in gens for b in gens)
-    return group_closure(gens), abelian
+    return enumerated_order(gens), abelian
 
 
 @pytest.mark.parametrize("l,n", [(3, 3), (3, 4), (3, 5), (3, 6),
                                  (4, 3), (4, 4), (4, 5)])
 def test_char0_order_matches_closure(l, n):
     gens = rep_generators(RepSpec("tl", n, l=l))
-    assert _order_char0(gens, 10 ** 6) == closure_order(gens)
+    assert group_closure(gens, 10 ** 6) == closure_order(gens)
 
 
 @pytest.mark.parametrize("l,n", [(4, 3), (6, 3), (6, 4), (6, 5), (10, 3)])
 def test_char0_order_matches_mod_p(l, n):
     gens = rep_generators(RepSpec("tl", n, l=l))
     p = next(_admissible_primes(gens))
-    assert _order_char0(gens, 10 ** 6) == _order_mod_p(gens, 10 ** 6, p)
+    assert group_closure(gens, 10 ** 6) == _order_mod_p(gens, 10 ** 6, p)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
