@@ -345,12 +345,6 @@ class CyclotomicNumber:
             return self
         return self.galois(self.order - 1)
 
-    def norm_int(self) -> int:
-        prod = CyclotomicNumber.one(self.order)
-        for a in _units(self.order):
-            prod = prod * self.galois(a)
-        return prod.as_int()
-
     def trace_to_int(self) -> int:
         n = self.order
         total = 0
@@ -548,14 +542,6 @@ class LaurentPoly:
             e = self.low + i
             total += c * (pow(t0, e, p) if e >= 0 else pow(inv, -e, p))
         return total % p
-
-    def evaluate_root(self, order: int, power: int = 1) -> CyclotomicNumber:
-        """Exact value at t = z_order^power."""
-        total = CyclotomicNumber.zero(order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total = total + CyclotomicNumber.zeta(order, (self.low + i) * power) * c
-        return total
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises UsageError when the division is not exact."""

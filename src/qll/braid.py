@@ -98,10 +98,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def format_braid(b: BraidWord) -> str:
-    return " ".join(str(x) for x in b.word)
-
-
 def _final_positions(b: BraidWord) -> list[int]:
     # occ[p] = index of the strand currently at position p (0-based)
     occ = list(range(b.strands))
@@ -117,10 +113,6 @@ def _final_positions(b: BraidWord) -> list[int]:
 def underlying_permutation(b: BraidWord) -> Permutation:
     """Image of the braid in the symmetric group; signs are irrelevant."""
     return Permutation(tuple(p + 1 for p in _final_positions(b)))
-
-
-def is_pure(b: BraidWord) -> bool:
-    return underlying_permutation(b).is_identity()
 
 
 def closure_components(b: BraidWord) -> int:

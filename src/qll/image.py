@@ -26,19 +26,17 @@ faithful list of projective points over F_p (`_order_mod_p`).  Elsewhere
 (l = 3 on n >= 3 strands, l = 4 on n >= 4, and (6, 6)) the same point
 orbits run over Z[zeta_{4l}] itself, a point being a vector up to the
 scalars lam with lam conj(lam) a positive rational, and a finite point list
-is the proof of finiteness (`group_closure`).  Both routes walk their orbits
-with one routine (`_point_orbit_order`); no route enumerates the elements
-of the group.  Infiniteness is a word whose matrix violates
-the Galois-trace bound satisfied by every matrix of finite projective order
-(all eigenvalue magnitudes 1 at every complex embedding, so every conjugate
-of tr(M^m) has magnitude at most the dimension).  The word search never
-certifies a word in pairwise commuting letters, nor one in two adjacent
-letters whose image in SL(2, Z) = B_3 / <Delta^4> has finite order: a power
-of such a word is central in the braid group of its letters, its
-eigenvalues are roots of unity, and the bound cannot break on it
-(`infinite_order_witness`).  A mod-p Burau image is finite outright; its
-projective order is that of its permutation action on the points of
-projective space over F_p.  Every permutation action goes through one
+is the proof of finiteness (`group_closure`).  Mod-p Burau orders come
+from the same orbits over F_p: every route walks them with one routine
+(`_point_orbit_order`), and none enumerates the elements of the group.
+Infiniteness is a word whose matrix violates the Galois-trace bound
+satisfied by every matrix of finite projective order (all eigenvalue
+magnitudes 1 at every complex embedding, so every conjugate of tr(M^m) has
+magnitude at most the dimension).  The word search never certifies a word
+in pairwise commuting letters, nor one in two adjacent letters whose image
+in SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
+central in the braid group of its letters, its eigenvalues are roots of
+unity, and the bound cannot break on it (`infinite_order_witness`).  Every permutation action goes through one
 deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
 sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
 polynomial in it and its determinant a root of unity: no matrix is
@@ -48,8 +46,7 @@ inverted or eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
 from math import gcd, lcm, prod
 
 from .algebra import (CyclotomicNumber, UsageError, _is_prime, cyc_inverse,
@@ -476,44 +473,6 @@ def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
 
 
 # ---------------------------------------------------------------------------
-# mod-p Burau images on projective points
-
-def _projective_points(p: int, d: int):
-    """The points of projective space over F_p^d: the vectors whose first
-    nonzero coordinate is 1."""
-    return [(0,) * k + (1,) + tail for k in range(d)
-            for tail in product(range(p), repeat=d - k - 1)]
-
-
-def _point_permutation(g: FpMatrix, points, index):
-    """The permutation v -> g v of the projective points, as a tuple of
-    point indices."""
-    p = g.p
-    perm = []
-    for v in points:
-        w = [sum(a * x for a, x in zip(row, v)) % p for row in g.rows]
-        s = pow(next(x for x in w if x), -1, p)
-        perm.append(index[tuple(x * s % p for x in w)])
-    return tuple(perm)
-
-
-def _projective_order_fp(gens, bound: int):
-    """Order of the image of the F_p matrices `gens` in PGL_d(F_p), or None
-    once the work would exceed `bound`.
-
-    PGL_d(F_p) acts faithfully on the (p^d - 1)/(p - 1) projective points,
-    so this is the order of a permutation group (`_perm_group_order`).
-    `bound` caps the points times the stored permutations, checked before
-    each store; `classify_image` checks that one permutation fits."""
-    p, d = gens[0].p, gens[0].dim
-    npoints = (p ** d - 1) // (p - 1)
-    points = _projective_points(p, d)
-    index = {v: i for i, v in enumerate(points)}
-    perms = (_point_permutation(g, points, index) for g in gens)
-    return _perm_group_order(perms, npoints, max_stored=bound // npoints)
-
-
-# ---------------------------------------------------------------------------
 # infinite-order certificate
 
 def _trace_certificate(M: CycMatrix) -> bool:
@@ -675,7 +634,7 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
 
 
 # ---------------------------------------------------------------------------
-# finite Temperley-Lieb images: orders from point orbits
+# finite images: orders from point orbits
 
 @lru_cache(maxsize=None)
 def _coxeter_finite(gens) -> bool:
@@ -718,9 +677,8 @@ def _admissible_primes(gens):
 @lru_cache(maxsize=None)
 def _reduce_mod_p(gens, p: int):
     """`gens` at the prime above p where zeta_N -> z, the first
-    a^((p - 1)/N), a = 2, 3, ..., of order N in F_p (p = 1 mod N): each
-    matrix as its columns, each column the (row, entry) pairs with a nonzero
-    entry mod p.  Built once per generator tuple and prime."""
+    a^((p - 1)/N), a = 2, 3, ..., of order N in F_p (p = 1 mod N), each
+    matrix as its `_sparse_columns`.  Built once per tuple and prime."""
     N = gens[0].order
     primes = [q for q in range(2, N + 1) if N % q == 0 and _is_prime(q)]
     z = next(z for z in (pow(a, (p - 1) // N, p) for a in range(2, p))
@@ -731,14 +689,37 @@ def _reduce_mod_p(gens, p: int):
         dinv = pow(g.den, -1, p)
         rows = [[sum(c * w for c, w in zip(e.coeffs, powers)) * dinv % p
                  for e in row] for row in g.rows]
-        mats.append(tuple(tuple((r, row[c]) for r, row in enumerate(rows)
-                                if row[c]) for c in range(len(rows))))
+        mats.append(_sparse_columns(rows))
     return tuple(mats)
 
 
-def _point_orbit_order(mats, normal, bound: int):
+def _sparse_columns(rows):
+    """The square matrix `rows` as its columns, each the (row, entry) pairs
+    with a nonzero entry: the form `_point_orbit_order` takes."""
+    return tuple(tuple((r, row[c]) for r, row in enumerate(rows)
+                       if row[c] != 0) for c in range(len(rows)))
+
+
+@lru_cache(maxsize=None)
+def _columns(gens):
+    """`_sparse_columns` of each matrix of `gens`, of its numerator X over a
+    denominator.  Built once per generator tuple."""
+    return tuple(_sparse_columns(g.rows) for g in gens)
+
+
+def _fp_normal(p: int, w):
+    """The normal form of `_point_orbit_order` over F_p, p bound by
+    `partial`: w scaled to first nonzero coordinate 1, as key and point."""
+    s = pow(next(c for c in w if c % p), -1, p)
+    u = tuple(c * s % p for c in w)
+    return u, u
+
+
+def _point_orbit_order(mats, normal, max_order=None, max_stored=None):
     """(order, abelian) for the group generated by `mats` acting on classes
-    of points, or (None, None) once the order provably exceeds `bound`.
+    of points, or (None, None) once the order provably exceeds `max_order`
+    or Schreier-Sims would store more than `max_stored` permutations
+    (`_perm_group_order`).
 
     Each matrix is given as its columns, each column the (row, entry) pairs
     with a nonzero entry.  `normal(w)` maps a vector w, a list of entries, to
@@ -753,8 +734,9 @@ def _point_orbit_order(mats, normal, bound: int):
     (`_perm_group_order`), and it is abelian exactly when the permutations
     commute.  An orbit's length divides that order, and the product of the
     basic orbit lengths at any stage is a lower bound on it, so the work
-    stops once one orbit exceeds `bound` or the product does.  The callers
-    prove that the kernel of the action is the scalars they identify."""
+    stops once one orbit exceeds `max_order` or the product does.  The
+    callers prove that the kernel of the action is the scalars they
+    identify."""
     r = len(mats[0])
     points, index = [], {}
     perms = [[] for _ in mats]  # perms[g][x]: the image of point x under g
@@ -788,7 +770,8 @@ def _point_orbit_order(mats, normal, bound: int):
                 if t is None:
                     t = index[key] = len(points)
                     points.append(u)
-                    if len(points) - start > bound:
+                    if (max_order is not None
+                            and len(points) - start > max_order):
                         return False
                 perms[g].append(t)
         return True
@@ -803,7 +786,8 @@ def _point_orbit_order(mats, normal, bound: int):
                 if not add_orbit(*normal([int(j in (a, b)) for j in range(r)])):
                     return None, None
     perms = [tuple(q) for q in perms]
-    order = _perm_group_order(perms, len(points), max_order=bound)
+    order = _perm_group_order(perms, len(points), max_stored=max_stored,
+                              max_order=max_order)
     if order is None:
         return None, None
     abelian = all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
@@ -844,23 +828,8 @@ def _order_mod_p(gens, bound: int, p: int):
     coordinate 1 (`_point_orbit_order`).  The action is faithful: a matrix
     fixing every e_i is diagonal, and fixing a point with support S makes
     its diagonal constant on S."""
-
-    def normal(w):
-        s = pow(next(c for c in w if c % p), -1, p)
-        u = tuple(c * s % p for c in w)
-        return u, u
-
-    return _point_orbit_order(_reduce_mod_p(gens, p), normal, bound)
-
-
-@lru_cache(maxsize=None)
-def _columns(gens):
-    """The numerators X of `gens`, each as its columns, each column the
-    (row, entry) pairs with a nonzero entry.  Built once per generator
-    tuple."""
-    return tuple(tuple(tuple((r, row[c]) for r, row in enumerate(g.rows)
-                             if not row[c].is_zero())
-                       for c in range(g.dim)) for g in gens)
+    return _point_orbit_order(_reduce_mod_p(gens, p), partial(_fp_normal, p),
+                              max_order=bound)
 
 
 def _primitive(vec):
@@ -924,7 +893,7 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
         point = tuple(_primitive(vec))
         return _point_key(point), point
 
-    return _point_orbit_order(_columns(gens), normal, bound)
+    return _point_orbit_order(_columns(gens), normal, max_order=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +917,14 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
     runs decides nothing, the report is `unknown`, with a note naming what
     ran.  Verdicts still rest only on the certificates: a wrong table entry
     could turn a verdict on its spec into `unknown`, never into a wrong
-    verdict."""
+    verdict.
+
+    A mod-p Burau order is that of PGL_d(F_p) acting on the orbits of the
+    points e_i and e_a + e_b over F_p (`_point_orbit_order`), and it is
+    exact: an element fixing the class of every e_i is diagonal, and one
+    also fixing points whose supports connect all coordinates is a scalar.
+    `bound` caps the (p^d - 1)/(p - 1) projective points times the stored
+    permutations, and the points alone exceeding it build nothing."""
     if spec.family == "tl":
         notes = ["path representation of dimension %d; semisimple quotient "
                  "dimension %d" % (len(_paths(spec.strands, spec.l)),
@@ -961,7 +937,8 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         exceeded = ("projective points x stored permutations exceeded bound %d"
                     % bound)
         k = min(d, bound.bit_length() + 1)  # points >= 2^(d-1) > bound past k
-        if (spec.p ** k - 1) // (spec.p - 1) > bound:  # build nothing
+        points = (spec.p ** k - 1) // (spec.p - 1)  # all of them once k = d
+        if points > bound:  # build nothing
             return ImageReport("unknown", generators=d,
                                notes=tuple(notes + [exceeded]))
     gens = rep_generators(spec)
@@ -970,9 +947,10 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
                            notes=tuple(notes + ["no generators: trivial image"]))
 
     n, l = spec.strands, spec.l
-    abelian = None
     if spec.family == "burau":
-        order = _projective_order_fp(gens, bound)
+        order, abelian = _point_orbit_order(
+            _columns(gens), partial(_fp_normal, spec.p),
+            max_stored=bound // points)
     elif n <= 2 or l in (3, 4, 6) or (l, n) == (10, 3):  # finite image
         if _coxeter_finite(gens):
             order, abelian = _order_mod_p(gens, bound,
@@ -993,10 +971,6 @@ def classify_image(spec: RepSpec, bound: int = _DEFAULT_BOUND) -> ImageReport:
         notes.append(exceeded)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
 
-    if abelian is None:
-        abelian = all(gens[i].mul(gens[j]).canonical_key() ==
-                      gens[j].mul(gens[i]).canonical_key()
-                      for i in range(len(gens)) for j in range(i))
     verdict = "finite-abelian" if abelian else "finite"
     notes.append("projective order %d" % order)
     return ImageReport(verdict, order=order, generators=len(gens),

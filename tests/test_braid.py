@@ -11,10 +11,8 @@ from qll.braid import (
     component_of_strand,
     concat,
     conjugate,
-    format_braid,
     free_reduce,
     inverse,
-    is_pure,
     linking_matrix,
     parse_braid,
     stabilize,
@@ -54,11 +52,6 @@ def test_parse_rejects_bad_letters(text):
         parse_braid(text, 3)
 
 
-def test_format_roundtrip():
-    b = BraidWord(3, (1, -2, 1, -2))
-    assert parse_braid(format_braid(b), 3) == b
-
-
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -84,17 +77,6 @@ def test_permutation_is_homomorphism(a, b):
     ab = concat(a, b)
     assert underlying_permutation(ab) == underlying_permutation(a).then(
         underlying_permutation(b))
-
-
-@given(braid_strategy())
-def test_pure_iff_components_equal_strands(b):
-    assert is_pure(b) == (closure_components(b) == b.strands)
-
-
-def test_is_pure_examples():
-    assert is_pure(BraidWord(2, (1, 1)))
-    assert not is_pure(BraidWord(2, (1,)))
-    assert not is_pure(BraidWord(3, (1, -2, 1, -2)))
 
 
 def test_closure_components_examples():

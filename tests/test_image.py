@@ -3,7 +3,7 @@ infinite-order trace certificate, and end-to-end verdicts."""
 
 import runpy
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import factorial
 from pathlib import Path
@@ -16,9 +16,9 @@ from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
-                       _inverse_letter, _order_mod_p, _paths,
-                       _periodic, _perm_group_order, _point_key,
-                       _projective_order_fp, _trace_certificate,
+                       _columns, _fp_normal, _inverse_letter, _order_mod_p,
+                       _paths, _periodic, _perm_group_order, _point_key,
+                       _point_orbit_order, _trace_certificate,
                        classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
@@ -364,10 +364,16 @@ def burau_specs():
 @settings(max_examples=30, deadline=None)
 @given(burau_specs())
 def test_burau_order_matches_closure(spec):
-    reference = enumerated_order(rep_generators(spec), 20000)
+    gens = rep_generators(spec)
+    reference = enumerated_order(gens, 20000)
     if reference is None:
         return
-    assert classify_image(spec).order == reference
+    # abelian exactly when every pair of generators commutes up to a scalar
+    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+                  for i, a in enumerate(gens) for b in gens[:i])
+    r = classify_image(spec)
+    assert r.order == reference
+    assert r.verdict == ("finite-abelian" if abelian else "finite")
 
 
 def monomial_groups():
@@ -390,7 +396,9 @@ def test_schreier_sims_matches_closure_on_monomial_groups(gens):
     reference = enumerated_order(gens, 20000)
     if reference is None:
         return
-    assert _projective_order_fp(gens, 10 ** 6) == reference
+    order, _ = _point_orbit_order(_columns(tuple(gens)),
+                                  partial(_fp_normal, gens[0].p))
+    assert order == reference
 
 
 @pytest.mark.parametrize("n", range(3, 10))
