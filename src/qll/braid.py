@@ -57,9 +57,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise UsageError("not a permutation of 1..%d: %r" % (n, self.images))
 
-    def is_identity(self) -> bool:
-        return all(v == k + 1 for k, v in enumerate(self.images))
-
     def then(self, other: "Permutation") -> "Permutation":
         """Apply self first, then other (left-to-right composition)."""
         return Permutation(tuple(other.images[v - 1] for v in self.images))

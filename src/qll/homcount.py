@@ -24,8 +24,13 @@ the test suite enforces it.
 
 A randomized estimator samples tuples from a seeded, per-index-split stream,
 so the draw set is reproducible and partition-independent.  The stream is a
-contract that the CLI tests freeze: label j of sample idx is the j-th
-``randrange(|G|)`` of ``random.Random(sha256(b"<seed>:<idx>").digest())``.
+contract that the CLI tests freeze: with N = |G|^n and nb = (bit length of N
++ 71) // 8 bytes per sample, sample idx reads slot idx mod 1024 of the
+SHAKE-256 output of ``b"<seed>:<idx // 1024>"`` as a big-endian integer,
+redrawn from ``b"<seed>:<idx>:<k>"`` for k = 1, 2, ... while it is at or
+above the largest multiple of N that fits in nb bytes; its value mod N is
+the tuple's mixed-radix code, label j being base-|G| digit j, most
+significant first.
 When |G|^n is at most the sample count, the estimator keeps, for one call,
 a table of |G|^n bytes with the verdict of every tuple drawn so far, so the
 word is applied once per distinct tuple; a verdict depends on the tuple
@@ -48,6 +53,7 @@ from .braid import BraidWord, component_of_strand
 
 _MAX_ORDER = 10 ** 4
 _ERROR_UNIT = 10 ** 9  # the estimator's error is a multiple of 1/_ERROR_UNIT
+_BLOCK = 1024  # estimator samples per SHAKE-256 call, fixed by its stream
 
 
 @dataclass(frozen=True)
@@ -391,17 +397,24 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     10^-9, and is 0 only for the empty word, where the estimate is exact and
     no sample is drawn.
 
-    The stream is a contract, frozen by the CLI tests: label j of sample idx
-    is the j-th ``randrange(|G|)`` of
-    ``random.Random(sha256(b"<seed>:<idx>").digest())``; one generator is
-    made per call and reseeded per sample.  Each label is drawn as CPython's
-    ``randrange(size)`` draws it, ``getrandbits(size.bit_length())`` again
-    until it is below size, without that method's Python layers.
+    The stream is a contract, frozen by the CLI tests.  With total =
+    |G|^n, each sample takes nb = (total.bit_length() + 71) // 8 bytes, at
+    least 64 bits more than a code needs, and limit = 2^(8 nb) - 2^(8 nb)
+    mod total.  Samples 1024c .. 1024c + 1023 read consecutive nb-byte
+    slots of ``shake_256(b"<seed>:<c>").digest(count * nb)``, count being
+    the samples the block covers; SHAKE's output is prefix-stable, so a
+    short last block reads the same bytes.  Sample idx takes its slot as a
+    big-endian integer x and, while x >= limit, redraws x from
+    ``shake_256(b"<seed>:<idx>:<k>").digest(nb)`` for k = 1, 2, ...; the
+    draw is exactly uniform, and a redraw has chance under 2^-64.  Then
+    code = x mod total, and label j is base-|G| digit j of code, most
+    significant first.  One block holds 1024 x nb bytes, under 2 MB, since
+    `_require_printable_estimate` keeps nb under about 1.8 KB.
 
-    When |G|^n <= samples, a table of |G|^n bytes, indexed by the tuple's
-    mixed-radix code and dropped when the call returns, records whether each
-    tuple drawn so far is fixed, so the word is applied at most once per
-    distinct tuple.  Whether a tuple is fixed depends on the tuple alone, so
+    When |G|^n <= samples, a table of |G|^n bytes, indexed by code and
+    dropped when the call returns, records whether each tuple drawn so far
+    is fixed, so the tuple is decoded and the word applied at most once per
+    distinct code.  Whether a tuple is fixed depends on the tuple alone, so
     the hit count is the same with or without it, and the table is never
     larger than the sample count.  The price is samples x (letters + n)
     steps, an upper bound when the table saves applications."""
@@ -415,31 +428,36 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
 
-    rng = random.Random()
-    reseed, getrandbits, sha256 = rng.seed, rng.getrandbits, hashlib.sha256
-    bits = size.bit_length()
+    shake, from_bytes = hashlib.shake_256, int.from_bytes
+    nb = (total.bit_length() + 71) // 8
+    limit = (1 << 8 * nb) - (1 << 8 * nb) % total
     # verdicts[code]: 0 not drawn yet, 1 fixed, 2 not fixed
     verdicts = bytearray(total) if total <= samples else None
+    tup = [0] * n
     hits = 0
-    for idx in range(samples):
-        reseed(sha256(b"%d:%d" % (seed, idx)).digest())
-        tup = []
-        code = 0
-        for _ in range(n):
-            r = getrandbits(bits)
-            while r >= size:
-                r = getrandbits(bits)
-            tup.append(r)
-            code = code * size + r
-        if verdicts is not None and verdicts[code]:
-            hits += verdicts[code] == 1
-            continue
-        g = tup[:]
-        _act(g, ops, mul, inv)
-        fixed = g == tup
-        hits += fixed
-        if verdicts is not None:
-            verdicts[code] = 2 - fixed
+    for first in range(0, samples, _BLOCK):
+        count = min(_BLOCK, samples - first)
+        block = shake(b"%d:%d" % (seed, first // _BLOCK)).digest(count * nb)
+        for offset in range(0, count * nb, nb):
+            x = from_bytes(block[offset:offset + nb], "big")
+            k = 0
+            while x >= limit:
+                k += 1
+                x = from_bytes(shake(b"%d:%d:%d" % (
+                    seed, first + offset // nb, k)).digest(nb), "big")
+            code = x % total
+            if verdicts is not None and verdicts[code]:
+                hits += verdicts[code] == 1
+                continue
+            rest = code
+            for j in range(n - 1, -1, -1):
+                rest, tup[j] = divmod(rest, size)
+            g = tup[:]
+            _act(g, ops, mul, inv)
+            fixed = g == tup
+            hits += fixed
+            if verdicts is not None:
+                verdicts[code] = 2 - fixed
     estimate = Fraction(hits * total, samples)
     # binomial error at p = (hits+1)/(samples+2), which stays nonzero when no
     # sample or every sample hits, rounded up to a multiple of 1/D

@@ -60,7 +60,7 @@ def test_sigma1_is_transposition():
 
 
 def test_empty_word_is_identity():
-    assert underlying_permutation(BraidWord(4, ())).is_identity()
+    assert underlying_permutation(BraidWord(4, ())).images == (1, 2, 3, 4)
 
 
 def test_two_transpositions_give_three_cycle():

@@ -132,7 +132,7 @@ def test_invariants_full_text(capsys):
         "d3: 0\n"
         "arf: 1\n"
         "hom[cyclic 3]: 3\n"
-        "hom-estimate[symmetric 3]: 324/25 +- 4069921419/500000000 "
+        "hom-estimate[symmetric 3]: 108/25 +- 5874425567/1000000000 "
         "(samples=50, seed=7)\n"
     )
 
@@ -447,7 +447,7 @@ def test_hom_estimate_full_text(capsys):
         "word: 1 -2 1 -2\n"
         "group: symmetric 3 (order 6)\n"
         "method: estimate\n"
-        "estimate: 54/5 +- 2541176471/500000000 (samples=100, seed=5)\n"
+        "estimate: 216/25 +- 4663633881/1000000000 (samples=100, seed=5)\n"
     )
 
 
@@ -460,7 +460,7 @@ def test_hom_estimate_budget_refusal(capsys):
     assert "needs 700 elementary steps (budget 699)" in err
     code, out, _ = run(capsys, *argv, "--budget", "700")
     assert code == 0
-    assert "estimate: 54/5 +- 2541176471/500000000 (samples=100, seed=5)" in out
+    assert "estimate: 216/25 +- 4663633881/1000000000 (samples=100, seed=5)" in out
     code, _, err = run(capsys, "invariants", "--strands", "3", "--word",
                        "1 -2 1 -2", "--hom-estimate", "symmetric 3", "100",
                        "5", "--budget", "699")
@@ -479,7 +479,7 @@ def test_hom_estimate_unbounded_samples_refused(capsys):
 def test_hom_estimate_error_nonzero_without_hits(capsys):
     # no sample of 20 hits one of the 600 fixed pairs among 120^2
     code, out, _ = run(capsys, "hom", "--strands", "2", "--word", "1 1 1",
-                       "--group", "symmetric 5", "--estimate", "20", "1",
+                       "--group", "symmetric 5", "--estimate", "20", "2",
                        "--json", "--no-timings")
     assert code == 0
     results = json.loads(out)["results"]

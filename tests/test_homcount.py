@@ -4,7 +4,6 @@ counts against a Wirtinger-presentation oracle, and the seeded estimator."""
 import hashlib
 import itertools
 import math
-import random
 import runpy
 import sys
 import tracemalloc
@@ -551,15 +550,28 @@ def test_estimate_rejects_zero_samples():
         hom_count_estimate(TREFOIL, S3, samples=0, seed=1)
 
 
-def reference_estimate(b, G, samples, seed):
-    """The estimator's original loop, kept as the oracle for its stream: one
-    `random.Random(digest)` per sample and one `randrange` per label."""
+def reference_estimate(b, G, samples, seed, shake=hashlib.shake_256):
+    """The estimator's stream, written out sample by sample as the oracle:
+    sample idx hashes its block b"<seed>:<idx // 1024>" afresh, reads its own
+    slot, redraws while the value is at or above the largest multiple of
+    |G|^n below 2^(8 nb), and reads its labels off the code by powers of
+    |G|, most significant first."""
     n, size = b.strands, G.size
+    total = size ** n
+    nb = (total.bit_length() + 71) // 8
+    top = 256 ** nb
     hits = 0
     for idx in range(samples):
-        digest = hashlib.sha256(b"%d:%d" % (seed, idx)).digest()
-        rng = random.Random(digest)
-        tup = tuple(rng.randrange(size) for _ in range(n))
+        slot = idx % 1024
+        digest = shake(b"%d:%d" % (seed, idx // 1024)).digest((slot + 1) * nb)
+        value = int.from_bytes(digest[slot * nb:], "big")
+        redraw = 0
+        while value >= top - top % total:
+            redraw += 1
+            value = int.from_bytes(
+                shake(b"%d:%d:%d" % (seed, idx, redraw)).digest(nb), "big")
+        code = value % total
+        tup = tuple(code // size ** (n - 1 - j) % size for j in range(n))
         g = list(tup)
         for i, positive in ((abs(x) - 1, x > 0) for x in b.word):
             a, c = g[i], g[i + 1]
@@ -643,15 +655,46 @@ def estimator_case(draw):
 @example((BraidWord(6, (1, -2, 3, -4, 5, 1)), S7_LAZY, 60, -5))
 @example((BraidWord(3, (1, -2, 1, -2)), S3, 216, 4))  # a table of 6^3 verdicts
 @example((BraidWord(3, (1, -2, 1, -2)), S3, 215, 4))  # one sample short: none
-@example((BraidWord(2, (1, 1, 1)), Q8, 64, 9))  # half the 4-bit draws rejected
+@example((BraidWord(2, (1, 1, 1)), Q8, 1023, 9))  # one short of a block
+@example((BraidWord(3, (1, -2)), S3, 1024, 9))  # exactly one block
+@example((BraidWord(4, (1, -2, 3)), Z3, 1025, -2))  # one into the second
+@example((BraidWord(6, (1, 2, -3, 4)), S7_LAZY, 2049, 5))  # one into the third
 @example((BraidWord(2, (1,)), ESTIMATOR_GROUPS[0], 5, 2))
 @settings(max_examples=120, deadline=None)
 def test_estimate_matches_the_reference_stream(case):
-    # orders 1..5040 cover bit lengths 1..13, powers of two and not, so
-    # randrange rejects a draw with chance from 0 up to 1/2
+    # orders 1..5040, powers of two and not, give |G|^n from 1 to past
+    # 2^73, so a sample takes from 9 to 18 bytes
     b, G, samples, seed = case
     assert hom_count_estimate(b, G, samples, seed) == \
         reference_estimate(b, G, samples, seed)
+
+
+def test_estimate_redraws_a_slot_past_the_last_multiple(monkeypatch):
+    # 6^3 = 216 does not divide 2^72, so an all-0xff 9-byte slot lies past
+    # the last multiple and is redrawn; the first redraw reads all 0xff too
+    b, seed = BraidWord(3, (1, -2, 1, -2)), 4
+    forced = {b"4:0", b"4:0:1"}
+    keys = []
+
+    class Forced:
+        def __init__(self, data):
+            self.data = data
+
+        def digest(self, length):
+            keys.append(self.data)
+            out = hashlib.shake_256(self.data).digest(length)
+            if self.data in forced:
+                out = b"\xff" * 9 + out[9:]
+            return out
+
+    class FakeHashlib:
+        shake_256 = Forced
+
+    monkeypatch.setattr(qll.homcount, "hashlib", FakeHashlib)
+    result = hom_count_estimate(b, S3, 300, seed)
+    assert keys == [b"4:0", b"4:0:1", b"4:0:2"]
+    assert result == reference_estimate(b, S3, 300, seed, shake=Forced)
+    assert result != reference_estimate(b, S3, 300, seed)
 
 
 def traced_peak(fn):
