@@ -1,8 +1,10 @@
 """Exact arithmetic kernels: cyclotomic integers, integer Laurent polynomials,
 and integer/modular matrix reductions.
 
-Ranks over F_p and determinants over Z[t, 1/t] come from one fraction-free
-elimination, ``_bareiss``.
+Ranks over F_p and integer determinants come from one fraction-free
+elimination, ``_bareiss``; determinants over Z[t, 1/t] are integer ones at
+t = 2^K (``burau._det``), read back by ``signed_digits``, the reader of
+every int packed from signed base-2^w digits.
 
 Cyclotomic integers are stored in the power basis 1, z, ..., z^(phi(n)-1) of
 Z[z] with z a primitive n-th root of unity; every operation reduces modulo the
@@ -62,6 +64,39 @@ def _require_budget_bits(low_bits: int, budget: int, what: str):
     if low_bits >= max(budget.bit_length(), _DECIMAL_CAP.bit_length()):
         raise BudgetError("%s needs at least 2^%d elementary steps (budget %s)"
                           % (what, low_bits, _steps_text(budget)), required=None)
+
+
+# ---------------------------------------------------------------------------
+# packed integers: signed base-2^w digits
+
+def signed_digits(v: int, count: int, w: int) -> list[int]:
+    """The ``count`` signed base-2^w digits of v, lowest first, each in
+    [-2^(w-1), 2^(w-1)); any part of v above them is dropped.  A value
+    packed from such digits, sum d_i 2^(w i), reads back exactly.
+
+    Up to 64 digits are read one at a time.  Above that v is split in
+    halves: the low k digits are (v + H) mod 2^(kw) - H, with H the k
+    digits 2^(w-1) packed, and the rest is the exact shift of v minus
+    them, so each level of the recursion costs linear time in the size of
+    v instead of one copy of v per digit.
+
+    >>> signed_digits((-3 << 8) + (5 << 4) - 8, 3, 4)
+    [-8, 5, -3]
+    >>> signed_digits(-1, 2, 3)
+    [-1, 0]
+    """
+    if count <= 64:
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        digits = []
+        for _ in range(count):
+            digits.append(((v + half) & mask) - half)
+            v = (v - digits[-1]) >> w
+        return digits
+    k = count // 2
+    s = k * w
+    offset = (((1 << s) - 1) // ((1 << w) - 1)) << (w - 1)
+    low = ((v + offset) & ((1 << s) - 1)) - offset
+    return signed_digits(low, k, w) + signed_digits((v - low) >> s, count - k, w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ permutation module spanned by differences of adjacent strand coordinates.
 Matrices compose in word order by right multiplication, and a generator
 differs from the identity in a single column, so each letter is applied as
 one column update of the running product: O(n) ring operations per letter.
-The Alexander determinant is taken by the fraction-free (Bareiss)
-elimination of ``algebra`` over Z[t, 1/t], O(n^3) ring operations with exact
-divisions; the same routine gives the F_p rank behind d_p.
+
+Over Z[t, 1/t] both stages of the Alexander route run on Python ints by
+Kronecker substitution.  ``reduced_burau`` holds each entry as one int, its
+value at t = 2^w with w fixed by the word length, so a column update is
+shifts and additions, and unpacks each entry once at the end.  ``_det``
+evaluates the matrix at t = 2^K, with K taken from a bound on the
+coefficients of the determinant, and reads the determinant back from the
+digits of one integer determinant: the fraction-free (Bareiss) elimination
+of ``algebra``, over Z with exact divisions, the routine that also gives the
+F_p rank behind d_p.
 
 For the double branched cover we use the n-strand permutation-module action
 evaluated at t = -1, where a letter updates two columns: its fixed row-sum
@@ -20,54 +27,110 @@ test suite).
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, UsageError, _bareiss, _is_prime, corank_mod_p
+from .algebra import (LaurentPoly, UsageError, _bareiss, _is_prime, corank_mod_p,
+                      signed_digits)
 from .braid import BraidWord, closure_components
 
 
-def _identity(size: int, one, zero):
-    return [[one if r == c else zero for c in range(size)] for r in range(size)]
+def _identity(size: int, one):
+    return [[one if r == c else 0 for c in range(size)] for r in range(size)]
 
 
-def _apply_letter(acc, letter: int, t, tinv, one) -> int:
-    """Right-multiply ``acc`` in place by the reduced Burau image of one
-    letter, over the ring of ``t``, ``tinv`` and ``one``; return the index of
-    the one column that changed."""
-    c = abs(letter) - 1
-    left, mid, right = (t, -t, one) if letter > 0 else (one, -tinv, tinv)
-    last = len(acc) - 1
-    for row in acc:
-        x = mid * row[c]
-        if c > 0:
-            x = x + left * row[c - 1]
-        if c < last:
-            x = x + right * row[c + 1]
-        row[c] = x
-    return c
+def _pack(x: LaurentPoly, w: int, shift: int) -> int:
+    """x t^shift at t = 2^w, for x zero or with no exponent of x t^shift
+    below 0."""
+    v = 0
+    for c in reversed(x.coeffs):
+        v = (v << w) + c
+    return v << (w * shift) if v else 0
+
+
+def _unpack(v: int, w: int, low: int) -> LaurentPoly:
+    """The Laurent polynomial f t^low with f(2^w) = v, reading only the span
+    of f's digits; exact while every coefficient of f lies below 2^(w-1)
+    in absolute value."""
+    if not v:
+        return LaurentPoly.zero()
+    # the lowest nonzero digit d_k puts k w + (fewer than w) zero bits at the
+    # bottom of v; above it, |v| >= 2^(w h - 1) for the highest one d_h
+    k = ((v & -v).bit_length() - 1) // w
+    v >>= w * k
+    return LaurentPoly(low + k, signed_digits(v, v.bit_length() // w + 1, w))
 
 
 def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Reduced Burau matrix of the braid word, over integer Laurent
-    polynomials; (n-1) x (n-1)."""
+    polynomials; (n-1) x (n-1).
+
+    The product is formed packed: with m letters of which m_ are negative,
+    an entry f is held as the int (t^m_ f)(2^w), w = m + 2.  A positive
+    letter sets column c to t (col c-1 - col c) + col c+1, a shift and
+    additions.  A negative one sets it to col c-1 + t^-1 (col c+1 - col c):
+    after k negative letters no exponent is below -k, so before the
+    (k+1)-th every packed entry has no constant digit and t^-1 is the exact
+    shift >> w.  Exponents then lie in [-m_, m - m_].
+
+    Width: one column update at most doubles a row's L1 coefficient mass,
+    since the new entry's mass is at most that of the three entries it
+    reads, two of which stay in the row.  A row starts with mass 1, so every
+    coefficient is at most 2^m < 2^(w-1) in absolute value and each entry
+    unpacks exactly, once, at the end.
+
+    >>> for row in reduced_burau(BraidWord(3, (1, -2))):
+    ...     print(row)
+    (LaurentPoly(-1*t^1), LaurentPoly(-1*t^1))
+    (LaurentPoly(+1*t^0), LaurentPoly(-1*t^-1 +1*t^0))
+    """
     if b.strands < 2:
         raise UsageError("reduced representation needs at least 2 strands")
-    one = LaurentPoly.one()
-    acc = _identity(b.strands - 1, one, LaurentPoly.zero())
-    t, tinv = LaurentPoly.t(), LaurentPoly.t(-1)
+    neg = sum(1 for letter in b.word if letter < 0)
+    w = len(b.word) + 2
+    # each row keeps a zero column on both sides, so no update needs a bound
+    acc = [[0, *row, 0] for row in _identity(b.strands - 1, 1 << (w * neg))]
     for letter in b.word:
-        _apply_letter(acc, letter, t, tinv, one)
-    return tuple(tuple(row) for row in acc)
+        j = abs(letter)  # column j - 1 of the matrix, padded
+        if letter > 0:
+            for row in acc:
+                row[j] = ((row[j - 1] - row[j]) << w) + row[j + 1]
+        else:
+            for row in acc:
+                row[j] = row[j - 1] + ((row[j + 1] - row[j]) >> w)
+    return tuple(tuple(_unpack(v, w, -neg) for v in row[1:-1]) for row in acc)
 
 
 def _det(m) -> LaurentPoly:
-    """Determinant of a square matrix by fraction-free elimination: every
-    division is exact, and a pivotless column ends it at zero."""
-    sign, last = 1, LaurentPoly.one()
+    """Determinant of a square matrix over Z[t, 1/t], by Kronecker
+    substitution.
+
+    Each row is divided by t to its lowest exponent, so that its entries
+    P_rj are polynomials; the monomial is kept.  Every coefficient of det P
+    is at most B = prod_r sum_j L1(P_rj) in absolute value: at |z| = 1,
+    Hadamard's inequality gives |det P(z)| <= prod_r |P_r(z)|_2 <= prod_r
+    sum_j |P_rj(z)| <= B, and by Cauchy's estimate no coefficient of a
+    polynomial exceeds its maximum on the unit circle.  So with
+    K = bitlen(B) + 2 the coefficients of det P are the signed base-2^K
+    digits of the integer det P(2^K).  That integer comes from the
+    fraction-free elimination of P(2^K) over Z: every division is exact,
+    and a pivotless column ends it at zero.
+
+    >>> t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+    >>> _det([[1 - t, t], [one, zero]])  # the unreduced Burau block: a unit
+    LaurentPoly(-1*t^1)
+    >>> _det([[1 + t, t], [t + t * t, t * t]])  # row 2 is t times row 1
+    LaurentPoly(0)
+    """
+    lows = [min((x.low for x in row if x), default=0) for row in m]
+    bound = 1
+    for row in m:
+        bound *= sum(abs(c) for x in row for c in x.coeffs)
+    k = bound.bit_length() + 2
+    rows = [[_pack(x, k, x.low - low) for x in row] for row, low in zip(m, lows)]
+    sign, last = 1, 1
     for last, sign in _bareiss(
-            m, lambda xs, prev: xs if prev is None
-            else [x.divexact(prev) for x in xs]):
+            rows, lambda xs, prev: xs if prev is None else [x // prev for x in xs]):
         if last is None:
             return LaurentPoly.zero()
-    return sign * last
+    return _unpack(sign * last, k, sum(lows))
 
 
 def alexander_poly(b: BraidWord) -> LaurentPoly:
@@ -83,21 +146,24 @@ def alexander_poly(b: BraidWord) -> LaurentPoly:
     return _det(m).divexact(fuller).canonical()
 
 
-def determinant(b: BraidWord) -> int:
+def determinant(b: BraidWord, alexander: LaurentPoly | None = None) -> int:
     """|Alexander(-1)|, the order of the double cover's first homology when
-    finite; 0 for split closures.
+    finite; 0 for split closures.  ``alexander``, when given, is
+    alexander_poly(b), already computed by the caller.
 
     >>> determinant(BraidWord(2, (1, 1, 1)))
     3
     """
-    return abs(alexander_poly(b).evaluate_int(-1))
+    if alexander is None:
+        alexander = alexander_poly(b)
+    return abs(alexander.evaluate_int(-1))
 
 
 def double_cover_presentation(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Integer matrix presenting H1 of the double branched cover plus one
     free summand (the row-sum fixed vector)."""
     n = b.strands
-    acc = _identity(n, 1, 0)
+    acc = _identity(n, 1)
     for letter in b.word:
         # the 2x2 block on strands j, j+1 at t = -1, applied to columns x, y
         j = abs(letter) - 1
@@ -114,11 +180,12 @@ def double_cover_homology(b: BraidWord, p: int) -> int:
     return corank_mod_p(double_cover_presentation(b), p) - 1
 
 
-def arf_knot(b: BraidWord) -> int:
-    """Arf invariant of a knot closure, from the determinant mod 8."""
+def arf_knot(b: BraidWord, alexander: LaurentPoly | None = None) -> int:
+    """Arf invariant of a knot closure, from the determinant mod 8;
+    ``alexander`` as for ``determinant``."""
     if closure_components(b) != 1:
         raise UsageError("Arf is only defined here for knots")
-    r = determinant(b) % 8
+    r = determinant(b, alexander) % 8
     if r in (1, 7):
         return 0
     if r in (3, 5):
@@ -134,11 +201,19 @@ def burau_mod_p(b: BraidWord, p: int, t0: int) -> tuple[tuple[int, ...], ...]:
         raise UsageError("p must be prime, got %d" % p)
     if t0 % p == 0:
         raise UsageError("t0 must be a unit mod p")
-    acc = _identity(b.strands - 1, 1, 0)
+    acc = _identity(b.strands - 1, 1)
     t = t0 % p
     tinv = pow(t, p - 2, p)
+    last = b.strands - 2
     for letter in b.word:
-        c = _apply_letter(acc, letter, t, tinv, 1)
+        # column c becomes left col c-1 + mid col c + right col c+1
+        c = abs(letter) - 1
+        left, mid, right = (t, -t, 1) if letter > 0 else (1, -tinv, tinv)
         for row in acc:
-            row[c] %= p
+            x = mid * row[c]
+            if c > 0:
+                x += left * row[c - 1]
+            if c < last:
+                x += right * row[c + 1]
+            row[c] = x % p
     return tuple(tuple(row) for row in acc)

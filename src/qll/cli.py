@@ -463,16 +463,18 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
             str(l): _cyc_json(jones_at_root(b, l, budget))
             for l in sorted(set(args.jones))
         }
+    # one Alexander polynomial serves --alexander, --det and --arf
+    alexander = functools.cache(lambda: alexander_poly(b))
     if args.alexander:
-        results["alexander"] = _poly_json(alexander_poly(b))
+        results["alexander"] = _poly_json(alexander())
     if args.det:
-        results["det"] = determinant(b)
+        results["det"] = determinant(b, alexander())
     if args.dp:
         results["dp"] = {
             str(p): double_cover_homology(b, p) for p in sorted(set(args.dp))
         }
     if args.arf:
-        results["arf"] = arf_knot(b)
+        results["arf"] = arf_knot(b, alexander())
     if args.hom:
         hom: dict = {}
         groups = functools.partial(builtin_group, budget=budget)

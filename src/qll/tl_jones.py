@@ -38,7 +38,7 @@ from collections import Counter
 from math import comb
 
 from .algebra import (_DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget,
-                      _require_budget_bits)
+                      _require_budget_bits, signed_digits)
 from .braid import BraidWord, writhe
 
 
@@ -142,17 +142,6 @@ def loop_parameter(l: int) -> CyclotomicNumber:
     return -(CyclotomicNumber.zeta(4 * l, 2) + CyclotomicNumber.zeta(4 * l, -2))
 
 
-def _unpack(v: int, n2: int, w: int) -> list[int]:
-    # the n2 signed base-2^w digits of v, lowest first; exact while every
-    # digit has magnitude below 2^(w-1)
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    digits = []
-    for _ in range(n2):
-        digits.append(((v + half) & mask) - half)
-        v = (v - digits[-1]) >> w
-    return digits
-
-
 class TLElement:
     """Sparse element of TL_n with coefficients in Z[zeta_{4l}].
 
@@ -194,7 +183,7 @@ class TLElement:
         if self._coeffs is None:
             out = {}
             for k, v in self.packed.items():
-                c = CyclotomicNumber(4 * self.l, _unpack(v, 2 * self.l, self.w))
+                c = CyclotomicNumber(4 * self.l, signed_digits(v, 2 * self.l, self.w))
                 if not c.is_zero():
                     out[k] = c
             self._coeffs = out
@@ -290,7 +279,7 @@ def markov_trace(x: TLElement) -> CyclotomicNumber:
         by_loops[table[k] - 1] += v
     total = CyclotomicNumber.zero(4 * x.l)
     for v in reversed(by_loops):  # Horner in d
-        total = total * delta + CyclotomicNumber(4 * x.l, _unpack(v, 2 * x.l, x.w))
+        total = total * delta + CyclotomicNumber(4 * x.l, signed_digits(v, 2 * x.l, x.w))
     return total
 
 

@@ -24,6 +24,7 @@ from qll.algebra import (
     cyclotomic_polynomial,
     euler_phi,
     moebius,
+    signed_digits,
 )
 
 from oracles import smith_normal_form
@@ -290,6 +291,28 @@ def test_laurent_evaluate_mod(p, prime):
     num, den = sympy.fraction(sympy.together(expr))
     expected = (int(num) * pow(int(den), -1, prime)) % prime
     assert p.evaluate_mod(t0, prime) == expected
+
+
+@st.composite
+def packed_digits(draw):
+    """A width w and up to 500 digits in [-(2^(w-1) - 1), 2^(w-1) - 1],
+    often at either end of that range; above 64 digits the reader splits."""
+    w = draw(st.integers(2, 200))
+    top = (1 << (w - 1)) - 1
+    digit = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+    return w, draw(st.lists(digit, max_size=500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_digits())
+@example((2, [1, -1] * 100))
+@example((200, [-(1 << 199) + 1] * 65))
+def test_signed_digits_round_trip(case):
+    w, digits = case
+    v = sum(d << (w * i) for i, d in enumerate(digits))
+    assert signed_digits(v, len(digits), w) == digits
+    # more digits than were packed read as zeros
+    assert signed_digits(v, len(digits) + 70, w) == digits + [0] * 70
 
 
 @pytest.mark.parametrize("c", [1, -1])

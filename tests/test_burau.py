@@ -9,9 +9,9 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qll.algebra import LaurentPoly, UsageError, corank_mod_p
+from qll.algebra import LaurentPoly, UsageError, _bareiss, corank_mod_p
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
 from qll.burau import (
     _det,
@@ -111,6 +111,56 @@ def test_braid_relations(n):
                     reduced_burau(BraidWord(n, (j, i, j)))
 
 
+def generator_matrix(n, letter):
+    """The reduced Burau image of one letter as a full (n-1) x (n-1)
+    matrix: the identity except in column c, which holds t, -t, 1 (or 1,
+    -1/t, 1/t for an inverse letter) in rows c-1, c, c+1."""
+    t, tinv = LaurentPoly.t(), LaurentPoly.t(-1)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    c = abs(letter) - 1
+    g = [[one if r == k else zero for k in range(n - 1)] for r in range(n - 1)]
+    column = (t, -t, one) if letter > 0 else (one, -tinv, tinv)
+    for r, x in zip((c - 1, c, c + 1), column):
+        if 0 <= r < n - 1:
+            g[r][c] = x
+    return g
+
+
+def generator_product(n, word):
+    """The product of the generator matrices in word order, by the
+    schoolbook matrix product over LaurentPoly."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    acc = [[one if r == k else zero for k in range(n - 1)] for r in range(n - 1)]
+    for letter in word:
+        g = generator_matrix(n, letter)
+        acc = [[sum((row[k] * g[k][c] for k in range(n - 1) if g[k][c]),
+                    LaurentPoly.zero()) for c in range(n - 1)] for row in acc]
+    return tuple(tuple(row) for row in acc)
+
+
+def long_braids():
+    """Words of up to 60 letters on up to 9 strands, all-negative words, and
+    (s1 s2^-1)^k up to k = 30, whose coefficients grow exponentially in the
+    length, as fast as the packed width allows for."""
+    letters = st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, n - 1).flatmap(
+            lambda i: st.sampled_from([i, -i])), max_size=60)))
+    negative = st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-(n - 1), -1), max_size=60)))
+    growing = st.tuples(st.integers(3, 9), st.integers(0, 30)).map(
+        lambda nk: (nk[0], (1, -2) * nk[1]))
+    return st.one_of(letters, negative, growing).map(
+        lambda nw: BraidWord(nw[0], tuple(nw[1])))
+
+
+@given(long_braids())
+@settings(max_examples=60, deadline=None)
+@example(BraidWord(3, (1, -2) * 30))
+@example(BraidWord(9, (-8,) * 60))
+def test_reduced_burau_matches_the_generator_product(b):
+    assert reduced_burau(b) == generator_product(b.strands, b.word)
+
+
 # ---------------------------------------------------------------------------
 # Alexander polynomial and determinant
 
@@ -137,22 +187,25 @@ def test_split_closure_gives_zero():
         assert determinant(b) == 0
 
 
-class Untouchable:
-    """A nonzero matrix entry that fails on any arithmetic."""
+def test_det_stops_at_the_first_pivotless_column(monkeypatch):
+    # with column 0 zero the elimination must end there, before it takes
+    # a single step on the rows below
+    steps = []
 
-    def __bool__(self):
-        return True
-
-    def __mul__(self, other):
-        raise AssertionError("elimination went past a pivotless column")
-
-    __rmul__ = __sub__ = __rsub__ = __mul__
-
-
-def test_det_stops_at_the_first_pivotless_column():
-    zero = LaurentPoly.zero()
-    rows = [[zero, Untouchable(), Untouchable()] for _ in range(3)]
+    def counting(rows, step):
+        def counted(xs, prev):
+            steps.append(prev)
+            return step(xs, prev)
+        return _bareiss(rows, counted)
+    monkeypatch.setattr("qll.burau._bareiss", counting)
+    zero, t = LaurentPoly.zero(), LaurentPoly.t()
+    rows = [[zero, t + k, t - k] for k in range(3)]
     assert _det(rows) == zero
+    assert steps == []
+    # a nonzero column 0 steps on both rows below it at the first pivot
+    rows[0][0] = t
+    _det(rows)
+    assert steps[:2] == [None, None]
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "hopf"])
@@ -251,6 +304,34 @@ def test_det_matches_sympy(rows):
         want = dm.domain.to_sympy(dm.det())
     else:
         want = 1
+    assert sympy.expand(sum((x * t ** (got.low + k)
+                             for k, x in enumerate(got.coeffs)), 0)
+                        - want) == 0
+
+
+wide_entry = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(LaurentPoly, st.integers(-4, 4),
+              st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=8).map(tuple)),
+)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(wide_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_sympy_on_wide_entries(rows):
+    # coefficients up to 2^20 and spans up to 8 make the evaluation point
+    # 2^K of the elimination large
+    from sympy.polys.matrices import DomainMatrix
+    t = sympy.symbols("t")
+    got = _det(rows)
+    want = sympy.Integer(1)
+    if rows:
+        m = sympy.Matrix(len(rows), len(rows), lambda r, c: sum(
+            (x * t ** (rows[r][c].low + k)
+             for k, x in enumerate(rows[r][c].coeffs)), 0))
+        dm = DomainMatrix.from_Matrix(m)
+        want = dm.domain.to_sympy(dm.det())
     assert sympy.expand(sum((x * t ** (got.low + k)
                              for k, x in enumerate(got.coeffs)), 0)
                         - want) == 0

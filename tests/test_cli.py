@@ -154,6 +154,24 @@ def test_invariants_alexander_text(capsys):
     assert "alexander: t^2 - 3t + 1" in out
 
 
+def test_invariants_computes_the_alexander_polynomial_once(capsys, monkeypatch):
+    # --det and --arf read |Delta(-1)| from the polynomial --alexander made
+    import qll.burau
+    import qll.cli
+    calls, alexander_poly = [], qll.burau.alexander_poly
+
+    def counted(b):
+        calls.append(b)
+        return alexander_poly(b)
+    monkeypatch.setattr(qll.cli, "alexander_poly", counted)
+    monkeypatch.setattr(qll.burau, "alexander_poly", counted)
+    code, out, _ = run(capsys, "invariants", "--strands", "3", "--word",
+                       "1 -2 1 -2", "--alexander", "--det", "--arf", "--no-timings")
+    assert code == 0
+    assert "alexander: t^2 - 3t + 1" in out and "det: 5" in out and "arf: 1" in out
+    assert calls == [BraidWord(3, (1, -2, 1, -2))]
+
+
 def test_invariants_linking_and_components(capsys):
     code, out, _ = run(capsys, "invariants", "--strands", "2", "--word", "1 1",
                        "--components", "--linking", "--no-timings")
