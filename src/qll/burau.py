@@ -12,10 +12,10 @@ Kronecker substitution.  ``reduced_burau`` holds each entry as one int, its
 value at t = 2^w with w fixed by the word length, so a column update is
 shifts and additions, and unpacks each entry once at the end.  ``_det``
 evaluates the matrix at t = 2^K, with K taken from a bound on the
-coefficients of the determinant, and reads the determinant back from the
-digits of one integer determinant: the fraction-free (Bareiss) elimination
-of ``algebra``, over Z with exact divisions, the routine that also gives the
-F_p rank behind d_p.
+coefficients of the determinant, takes one integer determinant by the
+fraction-free (Bareiss) elimination of ``algebra``, the routine that also
+gives the F_p rank behind d_p, and reads the polynomial back from its
+digits.
 
 For the double branched cover we use the n-strand permutation-module action
 evaluated at t = -1, where a letter updates two columns: its fixed row-sum
