@@ -18,11 +18,16 @@ gives the F_p rank behind d_p, and reads the polynomial back from its
 digits.
 
 For the double branched cover we use the n-strand permutation-module action
-evaluated at t = -1, where a letter updates two columns: its fixed row-sum
-gives one extra free rank, so the homology presentation is
-(matrix - identity) with one unit of corank removed.  This matches the
-Seifert-matrix computation on every fixture it was checked against (see the
-test suite).
+evaluated at t = -1, where a letter updates two columns.  With P that
+product, M = P - I presents H1 of the cover plus one free summand; the tests
+check this against Seifert matrices.  M's leading (n-1) x (n-1) block M'
+presents H1 exactly.  Each letter's block, [[2, -1], [1, 0]] or
+[[0, 1], [-1, 2]], has row sums 1 and fixes u = (1, -1, 1, ...) from the
+left, so M 1 = 0 and u M = 0.  Replacing M's last column by the sum of all
+its columns, and then its last row by sum_i u_i row_i, is unimodular, since
+u_n = +-1, and turns M into M' + (0).  So coker M = coker M' + Z: the
+determinant is |det M'|, d_p is the corank of M' over F_p, and Arf is read
+from the determinant mod 8.
 """
 
 from __future__ import annotations
@@ -98,6 +103,17 @@ def reduced_burau(b: BraidWord) -> tuple[tuple[LaurentPoly, ...], ...]:
     return tuple(tuple(_unpack(v, w, -neg) for v in row[1:-1]) for row in acc)
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination:
+    0 at the first pivotless column, 1 for the empty matrix."""
+    sign, last = 1, 1
+    for last, sign in _bareiss(
+            rows, lambda xs, prev: xs if prev is None else [x // prev for x in xs]):
+        if last is None:
+            return 0
+    return sign * last
+
+
 def _det(m) -> LaurentPoly:
     """Determinant of a square matrix over Z[t, 1/t], by Kronecker
     substitution.
@@ -125,12 +141,7 @@ def _det(m) -> LaurentPoly:
         bound *= sum(abs(c) for x in row for c in x.coeffs)
     k = bound.bit_length() + 2
     rows = [[_pack(x, k, x.low - low) for x in row] for row, low in zip(m, lows)]
-    sign, last = 1, 1
-    for last, sign in _bareiss(
-            rows, lambda xs, prev: xs if prev is None else [x // prev for x in xs]):
-        if last is None:
-            return LaurentPoly.zero()
-    return _unpack(sign * last, k, sum(lows))
+    return _unpack(_int_det(rows), k, sum(lows))
 
 
 def alexander_poly(b: BraidWord) -> LaurentPoly:
@@ -146,46 +157,55 @@ def alexander_poly(b: BraidWord) -> LaurentPoly:
     return _det(m).divexact(fuller).canonical()
 
 
-def determinant(b: BraidWord, alexander: LaurentPoly | None = None) -> int:
-    """|Alexander(-1)|, the order of the double cover's first homology when
-    finite; 0 for split closures.  ``alexander``, when given, is
-    alexander_poly(b), already computed by the caller.
+def determinant(b: BraidWord) -> int:
+    """The order of H1 of the double branched cover when finite, else 0:
+    |det M'| for the exact presentation M' of ``double_cover_presentation``.
+    It equals |Alexander(-1)|.
 
     >>> determinant(BraidWord(2, (1, 1, 1)))
     3
     """
-    if alexander is None:
-        alexander = alexander_poly(b)
-    return abs(alexander.evaluate_int(-1))
+    return abs(_int_det(double_cover_presentation(b)))
 
 
 def double_cover_presentation(b: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix presenting H1 of the double branched cover plus one
-    free summand (the row-sum fixed vector)."""
-    n = b.strands
-    acc = _identity(n, 1)
+    """Square integer matrix M' presenting H1 of the double branched cover
+    exactly; (n-1) x (n-1), empty for one strand.
+
+    M' is the leading block of M = P - I, with P the n-strand product at
+    t = -1.  Every letter's block has row sums 1 and fixes u = (1, -1, 1,
+    ...) from the left, so M 1 = 0 and u M = 0; the unimodular column
+    operation col_n <- sum_j col_j and then row operation row_n <- sum_i
+    u_i row_i (u_n = +-1) turn M into M' + (0), and coker M = coker M' + Z.
+    Right multiplication updates each row on its own, so only the first
+    n - 1 rows of P are formed.
+
+    >>> double_cover_presentation(BraidWord(2, (1, 1, 1)))
+    ((3,),)
+    """
+    acc = _identity(b.strands, 1)[:-1]
     for letter in b.word:
         # the 2x2 block on strands j, j+1 at t = -1, applied to columns x, y
         j = abs(letter) - 1
         for row in acc:
             x, y = row[j], row[j + 1]
             row[j], row[j + 1] = (2 * x + y, -x) if letter > 0 else (-y, x + 2 * y)
-    for k in range(n):
-        acc[k][k] -= 1
-    return tuple(tuple(row) for row in acc)
+    for k, row in enumerate(acc):
+        row[k] -= 1
+    return tuple(tuple(row[:-1]) for row in acc)
 
 
 def double_cover_homology(b: BraidWord, p: int) -> int:
-    """d_p = dim over F_p of H1 of the double branched cover of the closure."""
-    return corank_mod_p(double_cover_presentation(b), p) - 1
+    """d_p = dim over F_p of H1 of the double branched cover of the closure:
+    the corank of the exact presentation over F_p."""
+    return corank_mod_p(double_cover_presentation(b), p)
 
 
-def arf_knot(b: BraidWord, alexander: LaurentPoly | None = None) -> int:
-    """Arf invariant of a knot closure, from the determinant mod 8;
-    ``alexander`` as for ``determinant``."""
+def arf_knot(b: BraidWord) -> int:
+    """Arf invariant of a knot closure, from the determinant mod 8."""
     if closure_components(b) != 1:
         raise UsageError("Arf is only defined here for knots")
-    r = determinant(b, alexander) % 8
+    r = determinant(b) % 8
     if r in (1, 7):
         return 0
     if r in (3, 5):

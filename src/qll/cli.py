@@ -422,16 +422,16 @@ def _count_group(b: BraidWord, spec: str, budget: int,
 
 def _hom_estimate(b: BraidWord, spec: str, samples_text: str,
                   seed_text: str, budget: int) -> dict:
-    """Parse SAMPLES and SEED, run the seeded sampling estimate over the
-    group of spec, built only once its table and then the estimate fit the
-    budget."""
+    """Parse SAMPLES and SEED, then run the seeded sampling estimate over
+    the group of spec, built only once its table and then the estimate fit
+    the budget."""
     order = _parse_group(spec)[1]
-    _require_table_budget(order, budget)
     samples = _positive_int(samples_text, "sample count")
     try:
         seed = int(seed_text)
     except ValueError:
         raise UsageError("seed must be an integer, got %r" % seed_text) from None
+    _require_table_budget(order, budget)
     _require_estimate_budget(b, samples, budget)
     _require_printable_estimate(b, order, samples)
     estimate, stderr = hom_count_estimate(b, builtin_group(spec, budget), samples,
@@ -463,18 +463,16 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
             str(l): _cyc_json(jones_at_root(b, l, budget))
             for l in sorted(set(args.jones))
         }
-    # one Alexander polynomial serves --alexander, --det and --arf
-    alexander = functools.cache(lambda: alexander_poly(b))
     if args.alexander:
-        results["alexander"] = _poly_json(alexander())
+        results["alexander"] = _poly_json(alexander_poly(b))
     if args.det:
-        results["det"] = determinant(b, alexander())
+        results["det"] = determinant(b)
     if args.dp:
         results["dp"] = {
             str(p): double_cover_homology(b, p) for p in sorted(set(args.dp))
         }
     if args.arf:
-        results["arf"] = arf_knot(b, alexander())
+        results["arf"] = arf_knot(b)
     if args.hom:
         hom: dict = {}
         groups = functools.partial(builtin_group, budget=budget)
@@ -584,7 +582,8 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     if args.estimate is not None:
         results["method"] = "estimate"
         results.update(_hom_estimate(b, args.group, *args.estimate, budget))
-    else:  # a refused count builds no group table
+    else:  # the table, then the count, as `_count_group`: a refused one builds none
+        _require_table_budget(order, budget)
         _require_hom_budget(b, order, budget, args.wirtinger)
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"

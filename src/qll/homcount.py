@@ -408,8 +408,9 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     ``shake_256(b"<seed>:<idx>:<k>").digest(nb)`` for k = 1, 2, ...; the
     draw is exactly uniform, and a redraw has chance under 2^-64.  Then
     code = x mod total, and label j is base-|G| digit j of code, most
-    significant first.  One block holds 1024 x nb bytes, under 2 MB, since
-    `_require_printable_estimate` keeps nb under about 1.8 KB.
+    significant first.  One block holds 1024 x nb bytes.  Only the CLI
+    calls `_require_printable_estimate`, which keeps nb under about 1.8 KB
+    and so a block under 2 MB; a direct call has no such bound.
 
     When |G|^n <= samples, a table of |G|^n bytes, indexed by code and
     dropped when the call returns, records whether each tuple drawn so far

@@ -220,6 +220,13 @@ def test_determinants():
     assert determinant(HOPF) == 2
 
 
+@given(braid_strategy(max_strands=9, max_len=30))
+@settings(max_examples=80, deadline=None)
+def test_determinant_is_alexander_at_minus_one(b):
+    # the double-cover route against the Alexander route
+    assert determinant(b) == abs(alexander_poly(b).evaluate_int(-1))
+
+
 @given(braid_strategy(max_strands=4, max_len=8))
 @settings(max_examples=60, deadline=None)
 def test_alexander_symmetry_for_knots(b):
@@ -375,6 +382,19 @@ def test_double_cover_ranks_through_burau_namespace(monkeypatch):
     monkeypatch.setattr("qll.burau.corank_mod_p", record)
     assert double_cover_homology(TREFOIL, 3) == 1
     assert calls == [3]
+
+
+@given(braid_strategy(max_strands=8, max_len=12))
+@settings(max_examples=40, deadline=None)
+def test_presentation_is_square_of_side_strands_minus_one(b):
+    m = double_cover_presentation(b)
+    assert len(m) == b.strands - 1
+    assert all(len(row) == b.strands - 1 for row in m)
+
+
+def test_one_strand_presentation_is_empty():
+    assert double_cover_presentation(BraidWord(1, ())) == ()
+    assert determinant(BraidWord(1, ())) == 1
 
 
 def test_presentation_invariant_factors():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -155,7 +156,8 @@ def test_invariants_alexander_text(capsys):
 
 
 def test_invariants_computes_the_alexander_polynomial_once(capsys, monkeypatch):
-    # --det and --arf read |Delta(-1)| from the polynomial --alexander made
+    # only --alexander forms the polynomial; --det and --arf read the
+    # double-cover presentation
     import qll.burau
     import qll.cli
     calls, alexander_poly = [], qll.burau.alexander_poly
@@ -170,6 +172,31 @@ def test_invariants_computes_the_alexander_polynomial_once(capsys, monkeypatch):
     assert code == 0
     assert "alexander: t^2 - 3t + 1" in out and "det: 5" in out and "arf: 1" in out
     assert calls == [BraidWord(3, (1, -2, 1, -2))]
+
+
+def test_invariants_det_and_arf_form_no_alexander_polynomial(capsys, monkeypatch):
+    import qll.burau
+    import qll.cli
+
+    def refused(b):
+        raise AssertionError("alexander_poly called")
+    monkeypatch.setattr(qll.cli, "alexander_poly", refused)
+    monkeypatch.setattr(qll.burau, "alexander_poly", refused)
+    code, out, _ = run(capsys, "invariants", "--strands", "3", "--word",
+                       "1 -2 1 -2", "--det", "--arf", "--no-timings")
+    assert code == 0
+    assert "det: 5" in out and "arf: 1" in out
+
+
+def test_invariants_det_of_thirty_strands_is_prompt(capsys):
+    # the Alexander polynomial alone takes seconds at n = 30, m = 200
+    rng = random.Random(1)
+    word = " ".join(str(rng.randint(1, 29)) for _ in range(200))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "invariants", "--strands", "30", "--word", word,
+                       "--det", "--no-timings")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and out.splitlines()[-1].startswith("det: ")
 
 
 def test_invariants_linking_and_components(capsys):
@@ -513,6 +540,30 @@ def test_hom_estimate_excludes_wirtinger(capsys):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hom", "--strands", "2", "--word", "1", "--group", "symmetric 7",
+     "--estimate", "abc", "1"),
+    ("invariants", "--strands", "2", "--word", "1", "--hom-estimate",
+     "symmetric 7", "10", "x"),
+])
+def test_malformed_estimate_is_a_usage_error_before_any_price(capsys, argv):
+    # the S7 table, 5040^2 steps, is over the budget
+    code, _, err = run(capsys, *argv, "--budget", "1000")
+    assert code == 2
+    assert err.startswith("usage error: ") and "budget" not in err
+
+
+@pytest.mark.parametrize("method", [(), ("--wirtinger",)])
+def test_hom_prices_the_table_first_like_invariants(capsys, method):
+    table = "multiplication table of order 5040 needs 25401600 elementary steps"
+    code, _, err = run(capsys, "hom", "--strands", "3", "--word", "1 2",
+                       "--group", "symmetric 7", "--budget", "1000000", *method)
+    assert code == 3 and table in err
+    code, _, err = run(capsys, "invariants", "--strands", "3", "--word", "1 2",
+                       "--hom", "symmetric 7", "--budget", "1000000")
+    assert code == 3 and table in err
+
+
 def test_hom_budget_refusal_exit_code(capsys):
     code, _, err = run(capsys, "hom", "--strands", "3", "--word", "1 2",
                        "--group", "symmetric 4", "--budget", "10")
@@ -550,11 +601,12 @@ def test_check_table_jones_refusal_skips_the_level_laws(capsys):
 
 
 def test_budget_refusal_names_the_knob(capsys):
+    # the S4 table, 576 steps, fits; the count is refused
     code, _, err = run(capsys, "hom", "--strands", "4", "--word", "1 2 3",
-                       "--group", "symmetric 4", "--budget", "10")
+                       "--group", "symmetric 4", "--budget", "1000")
     assert code == 3
-    assert "needs 995328 elementary steps (budget 10)" in err
-    assert "--budget" in err.split("(budget 10)", 1)[1]
+    assert "needs 995328 elementary steps (budget 1000)" in err
+    assert "--budget" in err.split("(budget 1000)", 1)[1]
     assert "QLL_BUDGET" in err
 
 
