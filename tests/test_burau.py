@@ -398,7 +398,7 @@ def test_one_strand_presentation_is_empty():
 
 
 def test_presentation_invariant_factors():
-    # trefoil: H1 = Z/3 plus the free row-sum summand
+    # trefoil: H1 = Z/3
     factors = smith_normal_form(double_cover_presentation(TREFOIL))
     assert factors == (3,)
     factors = smith_normal_form(double_cover_presentation(FIG8))
