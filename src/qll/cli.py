@@ -21,10 +21,18 @@ is given.
 
 Corpus files are UTF-8 lines ``name ; strands ; word ; key=value, ...``
 with ``#`` comments.  Braid words are space-separated nonzero integers
-(sign = crossing sign, magnitude = strand position).  Expected-value keys:
-``components``, ``det``, ``d3``, ``d5``, ``arf``, ``jones.l3``,
-``jones.l4`` (integer-valued specializations only) and ``hom.<groupspec>``
-for the built-in group specs of :func:`qll.homcount.builtin_group`.
+(sign = crossing sign, magnitude = strand position).  Expected-value keys
+are those of ``LITERALS`` (``components``, ``det``, ``d3``, ``d5``,
+``arf``, ``jones.l3``, ``jones.l4``; the Jones keys for integer-valued
+specializations only) and ``hom.<groupspec>`` for the built-in group specs
+of :func:`qll.homcount.builtin_group`.  An unknown key, or a malformed or
+over-cap group spec, is a usage error naming the file and line.
+
+``check-table`` reports one row per check on each entry, in order: the
+``LAWS`` (closed form against the state-sum oracle, and the level-3, 4 and
+6 laws), one row per expected literal, and the abelian law |G|^c for each
+of ``ABELIAN_LAW_GROUPS``.  ``_run_check`` runs every row alike: a check
+whose work the budget refuses is a skip row, not a failure.
 """
 from __future__ import annotations
 
@@ -64,11 +72,6 @@ ORACLE_LEVELS = (3, 4, 5, 6, 7, 10)
 
 # Abelian groups for the |G|^components law, checked on every corpus entry.
 ABELIAN_LAW_GROUPS = ("cyclic 2", "cyclic 3", "cyclic 6")
-
-_SCALAR_KEYS = frozenset(
-    ["components", "det", "d3", "d5", "arf", "jones.l3", "jones.l4"]
-)
-
 
 # ---------------------------------------------------------------------------
 # corpus files
@@ -122,9 +125,13 @@ def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusEntry]:
                     raise UsageError(
                         at + "malformed expected value %r" % item.strip()
                     )
-                if key not in _SCALAR_KEYS and not (
-                    key.startswith("hom.") and len(key) > 4
-                ):
+                if key.startswith("hom."):
+                    try:
+                        _parse_group(key[4:])
+                    except UsageError as exc:
+                        raise UsageError(
+                            at + "expected key %r: %s" % (key, exc)) from None
+                elif key not in LITERALS:
                     raise UsageError(at + "unknown expected key %r" % key)
                 if any(key == k for k, _ in expected):
                     raise UsageError(at + "duplicate expected key %r" % key)
@@ -212,12 +219,39 @@ def _word_text(word: tuple[int, ...]) -> str:
 # identity-check suite
 
 
-def _row(check: str, ok: bool, detail: str) -> dict:
-    return {"check": check, "verdict": "pass" if ok else "fail", "detail": detail}
+@dataclass(frozen=True)
+class _Link:
+    """One corpus braid under check: its closure's component count, its
+    Jones values (each level computed once), the run's budget and its group
+    builder ``groups(spec, budget)``."""
+
+    braid: BraidWord
+    c: int
+    jones: Callable[[int], CyclotomicNumber]
+    budget: int
+    groups: Callable[[str, int], FiniteGroup]
+
+    def hom(self, spec: str) -> tuple[int, int]:
+        """The exact homomorphism count into the group of spec, and |G|."""
+        group = _count_group(self.braid, spec, self.budget, self.groups)
+        return hom_count_exact(self.braid, group, self.budget), group.size
 
 
-def _skip(check: str, reason: str) -> dict:
-    return {"check": check, "verdict": "skip", "detail": reason}
+def _integer_or_text(v: CyclotomicNumber) -> int | str:
+    return v.as_int() if v.is_rational_integer() else _cyc_text(v)
+
+
+# Corpus key -> its value on a checked link; ``hom.<groupspec>`` keys, one
+# per built-in group, are read by `_Link.hom` instead.
+LITERALS: dict[str, Callable[[_Link], int | str]] = {
+    "components": lambda x: x.c,
+    "det": lambda x: determinant(x.braid),
+    "d3": lambda x: double_cover_homology(x.braid, 3),
+    "d5": lambda x: double_cover_homology(x.braid, 5),
+    "arf": lambda x: arf_knot(x.braid),
+    "jones.l3": lambda x: _integer_or_text(x.jones(3)),
+    "jones.l4": lambda x: _integer_or_text(x.jones(4)),
+}
 
 
 def _l6_targets(c: int, d3: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
@@ -233,157 +267,104 @@ def _l6_targets(c: int, d3: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     return target, -target
 
 
-def _check_expected(
-    entry: CorpusEntry,
-    key: str,
-    value: int,
-    jones_at,
-    c: int,
-    budget: int,
-    groups: Callable[[str], FiniteGroup],
-) -> dict:
-    name = "expected:%s" % key
-    try:
-        if key == "components":
-            actual: object = c
-        elif key == "det":
-            actual = determinant(entry.braid)
-        elif key == "d3":
-            actual = double_cover_homology(entry.braid, 3)
-        elif key == "d5":
-            actual = double_cover_homology(entry.braid, 5)
-        elif key == "arf":
-            actual = arf_knot(entry.braid)
-        elif key in ("jones.l3", "jones.l4"):
-            v = jones_at(3 if key == "jones.l3" else 4)
-            if not v.is_rational_integer():
-                return _row(
-                    name, False, "expected %d, got %s" % (value, _cyc_text(v))
-                )
-            actual = v.as_int()
-        else:  # hom.<groupspec>, vocabulary enforced by parse_corpus
-            actual = hom_count_exact(
-                entry.braid, _count_group(entry.braid, key[4:], budget, groups), budget)
-    except BudgetError as exc:
-        return _skip(name, str(exc))
-    except UsageError as exc:
-        return _row(name, False, "expected %d, got error: %s" % (value, exc))
-    return _row(name, actual == value, "expected %d, got %s" % (value, actual))
+def _statesum_oracle(x: _Link) -> tuple[bool, str]:
+    """Closed form vs the state-sum oracle, exact cyclotomic equality."""
+    for l in ORACLE_LEVELS:
+        lhs, rhs = x.jones(l), kauffman_bracket_statesum(x.braid, l, x.budget)
+        if lhs != rhs:
+            return False, "l=%d: closed form %s, state sum %s" % (
+                l, _cyc_text(lhs), _cyc_text(rhs))
+    return True, "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS)
 
 
-JONES_LAW_CHECKS = ("l3-component-sign", "l4-modulus-arf", "l6-d3-identity")
+def _l3_component_sign(x: _Link) -> tuple[bool, str]:
+    """Level 3: V = (-1)^(c-1)."""
+    sign = -1 if (x.c - 1) % 2 else 1
+    v3 = x.jones(3)
+    return (v3.is_rational_integer() and v3.as_int() == sign,
+            "V=%s, (-1)^(c-1)=%d with c=%d" % (_cyc_text(v3), sign, x.c))
 
 
-def _jones_law_rows(b: BraidWord, c: int, jones_at) -> list[dict]:
-    """The rows of JONES_LAW_CHECKS.  The Jones route's price does not depend
-    on the level, so a budget refusal skips all three."""
-    rows: list[dict] = []
-    # (ii) level 3: V = (-1)^(c-1)
-    sign = -1 if (c - 1) % 2 else 1
-    v3 = jones_at(3)
-    rows.append(
-        _row(
-            "l3-component-sign",
-            v3.is_rational_integer() and v3.as_int() == sign,
-            "V=%s, (-1)^(c-1)=%d with c=%d" % (_cyc_text(v3), sign, c),
-        )
-    )
-
-    # (iii) level 4: V = 0 or |V|^2 = 2^(c-1); knots carry the Arf sign
-    v4 = jones_at(4)
+def _l4_modulus_arf(x: _Link) -> tuple[bool, str]:
+    """Level 4: V = 0 or |V|^2 = 2^(c-1); knots carry the Arf sign."""
+    v4 = x.jones(4)
     if v4.is_zero():
-        ok, detail = True, "V=0"
-    else:
-        modulus_sq = v4 * v4.conjugate()
-        ok = (
-            modulus_sq.is_rational_integer()
-            and modulus_sq.as_int() == 2 ** (c - 1)
-        )
-        detail = "V*Vbar=%s, 2^(c-1)=%d" % (_cyc_text(modulus_sq), 2 ** (c - 1))
-        if ok and c == 1:
-            arf = arf_knot(b)
-            ok = v4.is_rational_integer() and v4.as_int() == (-1) ** arf
-            detail += "; V(i)=%s, (-1)^Arf=%d" % (_cyc_text(v4), (-1) ** arf)
-    rows.append(_row("l4-modulus-arf", ok, detail))
-
-    # (iv) level 6: V = +-i^(c-1) (i sqrt 3)^d3, sign observed and logged
-    v6 = jones_at(6)
-    d3 = double_cover_homology(b, 3)
-    plus, minus = _l6_targets(c, d3)
-    if v6 == plus:
-        ok, observed = True, "+"
-    elif v6 == minus:
-        ok, observed = True, "-"
-    else:
-        ok, observed = False, "none"
-    rows.append(
-        _row(
-            "l6-d3-identity",
-            ok,
-            "V=%s, i^(c-1)(i*sqrt3)^d3=%s, d3=%d, sign=%s"
-            % (_cyc_text(v6), _cyc_text(plus), d3, observed),
-        )
+        return True, "V=0"
+    modulus_sq = v4 * v4.conjugate()
+    ok = (
+        modulus_sq.is_rational_integer()
+        and modulus_sq.as_int() == 2 ** (x.c - 1)
     )
-    return rows
+    detail = "V*Vbar=%s, 2^(c-1)=%d" % (_cyc_text(modulus_sq), 2 ** (x.c - 1))
+    if ok and x.c == 1:
+        arf = arf_knot(x.braid)
+        ok = v4.is_rational_integer() and v4.as_int() == (-1) ** arf
+        detail += "; V(i)=%s, (-1)^Arf=%d" % (_cyc_text(v4), (-1) ** arf)
+    return ok, detail
 
 
-def run_entry_checks(
-    entry: CorpusEntry, budget: int, groups: Callable[[str], FiniteGroup]
-) -> list[dict]:
-    """All identity checks for one corpus entry, in a fixed order; `groups`
-    builds a group from its spec (one cache per run)."""
+def _l6_d3_identity(x: _Link) -> tuple[bool, str]:
+    """Level 6: V = +-i^(c-1) (i sqrt 3)^d3, the sign observed and logged."""
+    v6 = x.jones(6)
+    d3 = double_cover_homology(x.braid, 3)
+    plus, minus = _l6_targets(x.c, d3)
+    observed = "+" if v6 == plus else "-" if v6 == minus else "none"
+    return observed != "none", "V=%s, i^(c-1)(i*sqrt3)^d3=%s, d3=%d, sign=%s" % (
+        _cyc_text(v6), _cyc_text(plus), d3, observed)
+
+
+# The laws checked on every corpus entry, in report order.  The Jones
+# route's price does not depend on the level, so a budget that refuses one
+# level law refuses all three.
+LAWS = (
+    ("jones-vs-statesum", _statesum_oracle),
+    ("l3-component-sign", _l3_component_sign),
+    ("l4-modulus-arf", _l4_modulus_arf),
+    ("l6-d3-identity", _l6_d3_identity),
+)
+
+
+def _expected(x: _Link, key: str, value: int) -> tuple[bool, str]:
+    """A frozen corpus literal against its computed value."""
+    try:
+        actual = x.hom(key[4:])[0] if key.startswith("hom.") else LITERALS[key](x)
+    except UsageError as exc:
+        actual = "error: %s" % exc
+    return actual == value, "expected %d, got %s" % (value, actual)
+
+
+def _abelian_law(x: _Link, spec: str) -> tuple[bool, str]:
+    """The hom count into an abelian group G is |G|^c."""
+    count, size = x.hom(spec)
+    return count == size ** x.c, "H=%d, |G|^c=%d with c=%d" % (
+        count, size ** x.c, x.c)
+
+
+def _run_check(name: str, body: Callable[[], tuple[bool, str]]) -> dict:
+    """One report row from body() = (ok, detail); a budget refusal skips
+    the row and gives the refusal as its detail."""
+    try:
+        ok, detail = body()
+    except BudgetError as exc:
+        return {"check": name, "verdict": "skip", "detail": str(exc)}
+    return {"check": name, "verdict": "pass" if ok else "fail", "detail": detail}
+
+
+def run_entry_checks(entry: CorpusEntry, budget: int,
+                     groups: Callable[[str, int], FiniteGroup]) -> list[dict]:
+    """All identity checks for one corpus entry, in a fixed order: the laws,
+    the entry's literals, then the abelian laws; `groups(spec, budget)`
+    builds a group (one cache per run)."""
     b = entry.braid
-    c = closure_components(b)
-    rows: list[dict] = []
-    jones_cache: dict[int, CyclotomicNumber] = {}
-
-    def jones_at(l: int) -> CyclotomicNumber:
-        if l not in jones_cache:
-            jones_cache[l] = jones_at_root(b, l, budget)
-        return jones_cache[l]
-
-    # (i) closed form vs state-sum oracle, exact cyclotomic equality
-    try:
-        for l in ORACLE_LEVELS:
-            lhs, rhs = jones_at(l), kauffman_bracket_statesum(b, l, budget)
-            if lhs != rhs:
-                ok, detail = False, "l=%d: closed form %s, state sum %s" % (
-                    l, _cyc_text(lhs), _cyc_text(rhs))
-                break
-        else:
-            ok = True
-            detail = "equal at l=%s" % ",".join(str(l) for l in ORACLE_LEVELS)
-        rows.append(_row("jones-vs-statesum", ok, detail))
-    except BudgetError as exc:
-        rows.append(_skip("jones-vs-statesum", str(exc)))
-
-    # (ii)-(iv) the level-3, level-4 and level-6 laws
-    try:
-        rows += _jones_law_rows(b, c, jones_at)
-    except BudgetError as exc:
-        rows += [_skip(name, str(exc)) for name in JONES_LAW_CHECKS]
-
-    # (v) frozen expected literals
-    for key, value in entry.expected:
-        rows.append(_check_expected(entry, key, value, jones_at, c, budget, groups))
-
-    # (vi) abelian hom-count law |G|^c
-    for spec in ABELIAN_LAW_GROUPS:
-        name = "abelian-law:%s" % spec
-        try:
-            group = _count_group(b, spec, budget, groups)
-            count = hom_count_exact(b, group, budget)
-        except BudgetError as exc:
-            rows.append(_skip(name, str(exc)))
-            continue
-        rows.append(
-            _row(
-                name,
-                count == group.size**c,
-                "H=%d, |G|^c=%d with c=%d" % (count, group.size**c, c),
-            )
-        )
-    return rows
+    x = _Link(b, closure_components(b),
+              functools.cache(functools.partial(jones_at_root, b, budget=budget)),
+              budget, groups)
+    checks = [(name, functools.partial(law, x)) for name, law in LAWS]
+    checks += [("expected:%s" % key, functools.partial(_expected, x, key, value))
+               for key, value in entry.expected]
+    checks += [("abelian-law:%s" % spec, functools.partial(_abelian_law, x, spec))
+               for spec in ABELIAN_LAW_GROUPS]
+    return [_run_check(name, body) for name, body in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +391,15 @@ def _limit(text: str | None, flag: str, default: int) -> int:
 
 
 def _count_group(b: BraidWord, spec: str, budget: int,
-                 groups: Callable[[str], FiniteGroup]) -> FiniteGroup:
-    """groups(spec) for `hom_count_exact` on b, called only once the spec's
-    table and then the count fit the budget: a refused count builds no
-    table."""
+                 groups: Callable[[str, int], FiniteGroup] = builtin_group,
+                 wirtinger: bool = False) -> FiniteGroup:
+    """groups(spec, budget) for `hom_count_exact`, or `wirtinger_hom_count`,
+    on b, called only once the spec's table and then the count fit the
+    budget: a refused count builds no table."""
     order = _parse_group(spec)[1]
     _require_table_budget(order, budget)
-    _require_hom_budget(b, order, budget)
-    return groups(spec)
+    _require_hom_budget(b, order, budget, wirtinger)
+    return groups(spec, budget)
 
 
 def _hom_estimate(b: BraidWord, spec: str, samples_text: str,
@@ -475,11 +457,9 @@ def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
         results["arf"] = arf_knot(b)
     if args.hom:
         hom: dict = {}
-        groups = functools.partial(builtin_group, budget=budget)
         for spec in args.hom:
             if spec not in hom:
-                hom[spec] = hom_count_exact(b, _count_group(b, spec, budget, groups),
-                                            budget)
+                hom[spec] = hom_count_exact(b, _count_group(b, spec, budget), budget)
         results["hom"] = hom
     if args.hom_estimate:
         results["hom_estimate"] = [
@@ -511,8 +491,7 @@ def _cmd_check_table(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         text, source = bundled_corpus_text(), "bundled"
     entries = parse_corpus(text, source)
-    groups = functools.lru_cache(maxsize=None)(
-        functools.partial(builtin_group, budget=budget))
+    groups = functools.cache(builtin_group)
     entry_reports = []
     passed = failed = skipped = 0
     for entry in entries:
@@ -582,12 +561,11 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
     if args.estimate is not None:
         results["method"] = "estimate"
         results.update(_hom_estimate(b, args.group, *args.estimate, budget))
-    else:  # the table, then the count, as `_count_group`: a refused one builds none
-        _require_table_budget(order, budget)
-        _require_hom_budget(b, order, budget, args.wirtinger)
+    else:
         counter = wirtinger_hom_count if args.wirtinger else hom_count_exact
         results["method"] = "wirtinger" if args.wirtinger else "hurwitz"
-        results["count"] = counter(b, builtin_group(args.group, budget), budget)
+        results["count"] = counter(
+            b, _count_group(b, args.group, budget, wirtinger=args.wirtinger), budget)
     return {
         "command": "hom",
         "input": {"strands": b.strands, "word": list(b.word)},

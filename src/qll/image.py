@@ -53,6 +53,7 @@ from .algebra import (CyclotomicNumber, UsageError, _is_prime, cyc_inverse,
                       euler_phi)
 from .braid import BraidWord
 from .burau import burau_mod_p
+from .tl_jones import loop_parameter
 
 _DEFAULT_BOUND = 10 ** 6
 _WITNESS_LEN = 6
@@ -312,7 +313,7 @@ def _tl_generators(n: int, l: int):
     if n == 1:
         return ()
     N = 4 * l
-    d = -(CyclotomicNumber.zeta(N, 2) + CyclotomicNumber.zeta(N, -2))
+    d = loop_parameter(l)
     qint = [CyclotomicNumber.zero(N), CyclotomicNumber.one(N)]  # [m]
     while len(qint) < l:
         qint.append(d * qint[-1] - qint[-2])
@@ -641,24 +642,25 @@ def _coxeter_finite(gens) -> bool:
     """True if Coxeter (1957) proves the projective image of the
     Temperley-Lieb letters `gens` finite: they satisfy the braid relations
     (`_braided`), each is a letter A + A^-1 E at A = zeta_N
-    (`_inverse_letter`), each sigma_i^k is exactly a scalar, k the order of
-    -A^-4 (the ratio of a letter's two eigenvalues), and 2(n + k) > n k on
-    n = len(gens) + 1 strands.  The projective image is then a quotient of
-    B_n / <<sigma_1^k>>, finite exactly when 1/n + 1/k > 1/2.  Checked once
-    per generator tuple."""
+    (`_inverse_letter`), k > 1 is the order of -A^-4 (the ratio of a
+    letter's two eigenvalues), and 2(n + k) > n k on n = len(gens) + 1
+    strands.  The projective image is then a quotient of
+    B_n / <<sigma_1^k>>, finite exactly when 1/n + 1/k > 1/2.
+
+    Each sigma_i^k is then exactly the scalar A^k, with no power formed:
+    `_inverse_letter` proves (sigma - A)(sigma + A^-3) = 0 exactly, and for
+    k > 1 the roots A and -A^-3 differ (their ratio is -A^-4 != 1), so the
+    minimal polynomial of sigma has distinct roots and sigma is
+    diagonalisable with eigenvalues in {A, -A^-3}.  Both roots have k-th
+    power A^k, since (-A^-3)^k = A^k (-A^-4)^k.  At k = 1 (N = 8) the roots
+    coincide and sigma need not be diagonalisable, so no verdict is given.
+    Checked once per generator tuple."""
     N, n = gens[0].order, len(gens) + 1
     k = N // gcd(N, (N // 2 - 4) % N)  # -A^-4 = zeta_N^(N/2 - 4)
-    if 2 * (n + k) <= n * k or not _braided(gens):
+    if k == 1 or 2 * (n + k) <= n * k or not _braided(gens):
         return False
     for g in gens:
         _inverse_letter(g)
-        P = g
-        for _ in range(k - 1):
-            P = P.mul(g)
-        d = P.rows[0][0]
-        if any(e != (d if r == c else 0)
-               for r, row in enumerate(P.rows) for c, e in enumerate(row)):
-            return False
     return True
 
 

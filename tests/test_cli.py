@@ -75,6 +75,8 @@ def test_parse_corpus_comments_and_blanks():
         ("a ; 2 ; 1 ; det=x", "not an integer"),
         ("a ; 2 ; 1 ; det=3, det=4", "duplicate expected key"),
         ("a ; 2 ; 1 ; det=3\na ; 2 ; 1", "duplicate entry name"),
+        ("a ; 2 ; 1 ; hom.symetric 3=6", "test:1: .*unknown group spec"),
+        ("a ; 2 ; 1 ; hom.symmetric 9=6", "test:1: .*exceeds the order cap"),
     ],
 )
 def test_parse_corpus_rejects(line, fragment):
@@ -294,6 +296,15 @@ def test_check_table_empty_corpus(tmp_path, capsys):
     assert "entries=0" in out
 
 
+@pytest.mark.parametrize("spec", ["symetric 3", "symmetric 9"])
+def test_check_table_malformed_group_spec_is_usage_error(tmp_path, capsys, spec):
+    corpus = tmp_path / "spec.corpus"
+    corpus.write_text("# header\ntrefoil ; 2 ; 1 1 1 ; hom.%s=6\n" % spec)
+    code, out, err = run(capsys, "check-table", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: %s:2: " % corpus)
+
+
 def test_check_table_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check-table", "--corpus", "/nonexistent.corpus")
     assert code == 2
@@ -328,6 +339,18 @@ def test_check_table_logs_l6_sign(capsys):
             if row["check"] == "l6-d3-identity"]
     assert rows and all("sign=" in row["detail"] for row in rows)
     assert {row["detail"][-1] for row in rows} <= {"+", "-"}
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ((), "check_table.txt"),
+    (("--budget", "13", "--json"), "check_table_budget13.json"),
+])
+def test_check_table_matches_the_golden_report(capsys, monkeypatch, argv, golden):
+    # every row's detail text, frozen from an earlier release of the suite
+    monkeypatch.delenv("QLL_BUDGET", raising=False)
+    code, out, _ = run(capsys, "check-table", "--no-timings", *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text("utf-8")
 
 
 def test_check_table_budget_skips_not_failures(tmp_path, capsys, monkeypatch):

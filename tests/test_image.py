@@ -726,6 +726,26 @@ def test_coxeter_finite_specs():
             assert _coxeter_finite(gens) == covered, (l, n)
 
 
+def test_letter_power_is_the_scalar_a_to_the_k():
+    # `_coxeter_finite` reads sigma_i^k = A^k from the letter's quadratic
+    # relation; here the power is formed, k being the least with (-A^-4)^k = 1
+    for l in range(3, 13):
+        N = 4 * l
+        ratio = -CyclotomicNumber.zeta(N, -4)
+        k, power = 1, ratio
+        while power != CyclotomicNumber.one(N):
+            k, power = k + 1, power * ratio
+        for n in range(2, 7):
+            for g in rep_generators(RepSpec("tl", n, l=l)):
+                P = g
+                for _ in range(k - 1):
+                    P = P.mul(g)
+                scalar, zero = CyclotomicNumber.zeta(N, k), CyclotomicNumber.zero(N)
+                assert P == CycMatrix(N, [[scalar if r == c else zero
+                                           for c in range(g.dim)]
+                                          for r in range(g.dim)]), (l, n)
+
+
 @pytest.mark.parametrize("l,n", COXETER_SPECS)
 def test_mod_p_order_matches_closure_at_two_primes(l, n):
     gens = rep_generators(RepSpec("tl", n, l=l))
