@@ -36,7 +36,15 @@ magnitude at most the dimension).  The word search never certifies a word
 in pairwise commuting letters, nor one in two adjacent letters whose image
 in SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
 central in the braid group of its letters, its eigenvalues are roots of
-unity, and the bound cannot break on it (`infinite_order_witness`).  Every permutation action goes through one
+unity, and the bound cannot break on it.  The search starts from the
+letters and drops a word whose matrix M = X/den is a power of zeta_N
+(N = 4l) times that of an earlier word.  It keys each word by X reduced at
+the degree-one prime P above the first admissible p = 1 mod N, the prime
+of `_order_mod_p`, scaled to first nonzero residue 1, and drops a word only
+after an exact check on a key collision.  The key is exact: p divides no
+denominator, and det X is den^dim times a root of unity, so X mod P != 0
+and words that differ by a power of zeta_N share a key
+(`infinite_order_witness`).  Every permutation action goes through one
 deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
 sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
 polynomial in it and its determinant a root of unity: no matrix is
@@ -45,6 +53,7 @@ inverted or eliminated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
@@ -110,14 +119,14 @@ class CycMatrix:
         return CycMatrix.identity(self.order, self.dim)
 
     def mul(self, other: "CycMatrix") -> "CycMatrix":
+        """The product, with `other` read as its columns of nonzero entries:
+        a letter's column holds at most two."""
         if self.order != other.order or self.dim != other.dim:
             raise UsageError("matrix shapes/orders differ")
-        n = self.dim
-        bcols = [[other.rows[k][c] for k in range(n)] for c in range(n)]
-        rows = []
-        for r in range(n):
-            arow = self.rows[r]
-            rows.append([_dot(arow, bcols[c]) for c in range(n)])
+        cols = [[(k, row[c]) for k, row in enumerate(other.rows)
+                 if not row[c].is_zero()] for c in range(other.dim)]
+        zero = CyclotomicNumber.zero(self.order)
+        rows = [[_dot(arow, col, zero) for col in cols] for arow in self.rows]
         return CycMatrix(self.order, rows, self.den * other.den)
 
     def trace(self) -> CyclotomicNumber:
@@ -147,7 +156,9 @@ class CycMatrix:
           unity, and lam, a root of unity in Q(zeta_N), N = 4l, is a power
           of zeta_N.
         So on such words the key classes are the cosets of <zeta_N>, the
-        scalars a finite projective image is taken modulo."""
+        scalars a finite projective image is taken modulo.  It is the key
+        of the test oracles; the word search reaches the same classes by
+        residues (`_residue_key`) and never calls it."""
         first = next((e for row in self.rows for e in row if not e.is_zero()), None)
         if first is None:
             return self.key()
@@ -167,14 +178,14 @@ class CycMatrix:
         return "CycMatrix(order=%d, dim=%d, den=%d)" % (self.order, self.dim, self.den)
 
 
-def _dot(arow, bcol):
-    acc = None
-    for a, b in zip(arow, bcol):
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else CyclotomicNumber.zero(arow[0].order)
+def _dot(arow, col, zero):
+    """The row `arow` times a column given as its (row, entry) pairs."""
+    acc = zero
+    for k, b in col:
+        a = arow[k]
+        if not a.is_zero():
+            acc = a * b if acc is zero else acc + a * b
+    return acc
 
 
 class FpMatrix:
@@ -575,9 +586,23 @@ def _periodic(word) -> bool:
 def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     """Search words in the generators for a matrix certified to have
     infinite projective order; None if no word up to max_len certifies.
-    Words run shortest first, each length in the alphabet order sigma_1,
-    sigma_1^-1, sigma_2, ...; a word whose matrix is, up to a scalar, that
-    of an earlier word is dropped and not extended.
+    Words run shortest first from the letters themselves, each length in
+    the alphabet order sigma_1, sigma_1^-1, sigma_2, ...; a word whose
+    matrix is a power of zeta_N times that of an earlier word is dropped
+    and not extended, and every word of length >= 2 costs one product.
+
+    Words are deduplicated by a residue key (`_residue_key`): the numerator
+    X of M = X/den at the degree-one prime P above the first admissible
+    prime p = 1 mod N (`_admissible_primes`, `_root_powers`, the prime
+    `_reduce_mod_p` reduces at), scaled so its first nonzero residue is 1.
+    A word is dropped only when an exact check on a key collision finds
+    X = zeta_N^t X0 (`_zeta_multiple`).  The key is exact:
+    - p divides no denominator;
+    - det X is den^dim times a root of unity, so X mod P != 0;
+    - so words that differ by a power of zeta_N always share a key;
+    - so the dedup classes are the cosets of <zeta_N> that `canonical_key`
+      names, the key of the test oracles, and the words searched and the
+      witness found are those of a search keyed by it.
 
     Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
     N its order, and together they must satisfy the braid relations, as
@@ -613,8 +638,10 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     if not _braided(gens):
         raise UsageError("generators do not satisfy the braid relations")
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
-    seen = set()
-    frontier = [((), gens[0].identity_like())]
+    p = next(_admissible_primes(gens))
+    powers = _root_powers(gens[0].order, p)
+    seen = {}  # residue key -> [(M, first residue)] of the words kept
+    frontier = [((), None)]
     for _ in range(max_len):
         nxt = []
         for word, M in frontier:
@@ -622,16 +649,47 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
                 if word and a == -word[-1]:
                     continue
                 w2 = word + (a,)
-                M2 = M.mul(by_letter[a])
-                k = M2.canonical_key()
-                if k in seen:
+                M2 = by_letter[a] if M is None else M.mul(by_letter[a])
+                key, f = _residue_key(M2, powers, p)
+                kept = seen.setdefault(key, [])
+                if any(_zeta_multiple(M0, f0, M2, f, powers, p)
+                       for M0, f0 in kept):
                     continue  # same subtree of products, found earlier/shorter
-                seen.add(k)
+                kept.append((M2, f))
                 if not _periodic(w2) and _trace_certificate(M2):
                     return w2
                 nxt.append((w2, M2))
         frontier = nxt
     return None
+
+
+def _residue_key(M: CycMatrix, powers, p: int):
+    """(key, f) for M = X/den: the entries of X at the prime of
+    `_root_powers`, row by row, scaled so that the first nonzero one is 1,
+    and that first nonzero residue f.  For a word in Temperley-Lieb letters
+    X mod P is nonzero: det X = den^dim det M, p divides no den, and det M
+    is a root of unity."""
+    res = [_residue(e, powers, p) for row in M.rows for e in row]
+    f = next(r for r in res if r)
+    s = pow(f, -1, p)
+    return tuple(r * s % p for r in res), f
+
+
+def _zeta_multiple(M0: CycMatrix, f0: int, M: CycMatrix, f: int,
+                   powers, p: int) -> bool:
+    """True if M = zeta_N^t M0 for some t, given that M0 and M share a
+    `_residue_key` with first residues f0 and f.  Both are in lowest terms
+    and zeta_N^t is a unit, so then den = den0 and z^t = f/f0, which names
+    t in the table `powers` of z^t; the check is X = zeta_N^t X0 entry by
+    entry, each zeta_N^t x0 the coefficients of x0 shifted up t places
+    mod Phi_N."""
+    r = f * pow(f0, -1, p) % p
+    if M.den != M0.den or r not in powers:
+        return False
+    N, pad = M.order, [0] * powers.index(r)
+    return all(CyclotomicNumber(N, pad + list(x0.coeffs)).coeffs == x.coeffs
+               for row0, row in zip(M0.rows, M.rows)
+               for x0, x in zip(row0, row))
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +735,32 @@ def _admissible_primes(gens):
 
 
 @lru_cache(maxsize=None)
-def _reduce_mod_p(gens, p: int):
-    """`gens` at the prime above p where zeta_N -> z, the first
-    a^((p - 1)/N), a = 2, 3, ..., of order N in F_p (p = 1 mod N), each
-    matrix as its `_sparse_columns`.  Built once per tuple and prime."""
-    N = gens[0].order
+def _root_powers(N: int, p: int):
+    """z^0 .. z^(N - 1) for z the first a^((p - 1)/N), a = 2, 3, ..., of
+    order N in F_p (p = 1 mod N): zeta_N -> z names the degree-one prime
+    P = (p, zeta_N - z) above p at which `_reduce_mod_p` and
+    `infinite_order_witness` reduce.  Built once per order and prime."""
     primes = [q for q in range(2, N + 1) if N % q == 0 and _is_prime(q)]
     z = next(z for z in (pow(a, (p - 1) // N, p) for a in range(2, p))
              if all(pow(z, N // q, p) != 1 for q in primes))
-    powers = [pow(z, j, p) for j in range(euler_phi(N))]
+    return tuple(pow(z, j, p) for j in range(N))
+
+
+def _residue(x: CyclotomicNumber, powers, p: int) -> int:
+    """The cyclotomic integer x mod the prime of `_root_powers`."""
+    return sum(map(operator.mul, x.coeffs, powers)) % p
+
+
+@lru_cache(maxsize=None)
+def _reduce_mod_p(gens, p: int):
+    """`gens` at the degree-one prime above p (`_root_powers`), each matrix
+    as its `_sparse_columns`.  Built once per tuple and prime."""
+    powers = _root_powers(gens[0].order, p)
     mats = []
     for g in gens:
         dinv = pow(g.den, -1, p)
-        rows = [[sum(c * w for c, w in zip(e.coeffs, powers)) * dinv % p
-                 for e in row] for row in g.rows]
+        rows = [[_residue(e, powers, p) * dinv % p for e in row]
+                for row in g.rows]
         mats.append(_sparse_columns(rows))
     return tuple(mats)
 
@@ -822,7 +892,8 @@ def _order_mod_p(gens, bound: int, p: int):
       prime to p, all congruent to c modulo a prime above P, and such roots
       stay distinct modulo it, so they are all one lam.  g has finite order,
       so it is diagonalisable and equals lam I, a power of zeta_N times I:
-      one of the scalars `canonical_key` identifies.
+      one of the scalar classes `canonical_key` names as the key of the
+      test oracles, and the word search drops words by.
     So the image of G in PGL_r(F_p) has the order of its projective image
     in characteristic 0, the order `group_closure` finds.
 
@@ -881,10 +952,10 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
     so it is lam I.  Each letter's eigenvalues are A and -A^-3
     (`_inverse_letter` checks it), so determinants are roots of unity,
     lam^r is one, and lam is a root of unity in Q(zeta_N), which N even
-    makes a power of zeta_N: one of the scalars `canonical_key` identifies,
-    and lam conj(lam) = 1.  So the kernel of the action is exactly the
-    scalars of G, and the permutation group has the order of G modulo the
-    powers of zeta_N."""
+    makes a power of zeta_N: one of the scalar classes `canonical_key`
+    names as the key of the test oracles, and lam conj(lam) = 1.  So the
+    kernel of the action is exactly the scalars of G, and the permutation
+    group has the order of G modulo the powers of zeta_N."""
     for g in gens:
         _inverse_letter(g)
     N = gens[0].order

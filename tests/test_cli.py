@@ -353,6 +353,36 @@ def test_check_table_matches_the_golden_report(capsys, monkeypatch, argv, golden
     assert out == (Path(__file__).parent / "data" / golden).read_text("utf-8")
 
 
+_IMAGE_GOLDEN = {
+    # every Temperley-Lieb spec of acceptance criterion 11
+    "image_tl_grid.json": [("--tl", str(l), "--strands", str(n))
+                           for l in range(3, 13) for n in (2, 3, 4)],
+    # the specs of test_verdicts_of_larger_specs, and more at six strands
+    "image_tl_larger.json": [("--tl", str(l), "--strands", str(n))
+                             for l, n in ((10, 3), (6, 4), (5, 5), (5, 6),
+                                          (7, 6), (9, 6), (12, 6))],
+    # the Burau specs of the image tests above
+    "image_burau.json": [
+        ("--burau", "5", "2", "--strands", "3"),
+        ("--burau", "5", "2", "--strands", "5"),
+        ("--burau", "7", "3", "--strands", "4", "--bound", "10"),
+        ("--burau", "1000000000000000003", "2", "--strands", "3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(_IMAGE_GOLDEN))
+def test_image_matches_the_golden_reports(capsys, golden):
+    # each file is the JSON reports of its specs, one after another, frozen
+    # from an earlier release of the suite
+    out = []
+    for argv in _IMAGE_GOLDEN[golden]:
+        code, text, _ = run(capsys, "image", *argv, "--json", "--no-timings")
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == (Path(__file__).parent / "data" / golden).read_text("utf-8")
+
+
 def test_check_table_budget_skips_not_failures(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QLL_BUDGET", "10")
     code, out, _ = run(capsys, "check-table", "--no-timings")

@@ -1,6 +1,7 @@
 """Image classification: exact matrices, closure enumeration, the
 infinite-order trace certificate, and end-to-end verdicts."""
 
+import random
 import runpy
 import sys
 from functools import lru_cache, partial
@@ -18,8 +19,9 @@ from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
                        _columns, _fp_normal, _inverse_letter, _order_mod_p,
                        _paths, _periodic, _perm_group_order, _point_key,
-                       _point_orbit_order, _trace_certificate,
-                       classify_image, group_closure, infinite_order_witness,
+                       _point_orbit_order, _residue_key, _root_powers,
+                       _trace_certificate, _zeta_multiple, classify_image,
+                       group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
@@ -698,6 +700,80 @@ def test_certificate_never_fires_on_periodic_words():
                         seen.add(key)
                         assert not _trace_certificate(P), (l, n, w)
             frontier = nxt
+
+
+def residue_prime(gens):
+    p = next(_admissible_primes(gens))
+    return p, _root_powers(gens[0].order, p)
+
+
+@pytest.mark.parametrize("l,n", [(4, 4), (6, 4), (10, 3), (5, 4), (10, 4)])
+def test_residue_key_classes_are_canonical_key_classes(l, n):
+    # two words share a residue key and pass the exact check exactly when
+    # their canonical keys are equal, on finite and infinite images
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    p, powers = residue_prime(gens)
+    rng = random.Random(100 * l + n)
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    words = [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+             for _ in range(60)]
+    for i in range(1, n - 1):  # equal matrices by the braid relation
+        head = tuple(rng.choice(alphabet) for _ in range(2))
+        words += [head + (i, i + 1, i), head + (i + 1, i, i + 1)]
+    mats = [word_matrix(n, l, w) for w in words]
+    keys = [_residue_key(M, powers, p) for M in mats]
+    canon = [M.canonical_key() for M in mats]
+    equal = 0
+    for a in range(len(mats)):
+        for b in range(a):
+            (ka, fa), (kb, fb) = keys[a], keys[b]
+            same = ka == kb and _zeta_multiple(mats[b], fb, mats[a], fa,
+                                               powers, p)
+            assert same == (canon[a] == canon[b]), (words[a], words[b])
+            equal += same
+    assert equal
+
+
+def test_scalar_multiples_pass_and_a_forced_collision_fails():
+    # X' = zeta^t X shares X's key and passes the exact check; X' with one
+    # coefficient changed by p has X's residues but is no scalar multiple
+    gens = rep_generators(RepSpec("tl", 4, l=5))
+    p, powers = residue_prime(gens)
+    M = word_matrix(4, 5, (1, -2, 3, 2))
+    N = M.order
+    key, f = _residue_key(M, powers, p)
+    for t in (0, 1, 7, N - 1):
+        rows = [[CyclotomicNumber.zeta(N, t) * e for e in row] for row in M.rows]
+        scaled = CycMatrix(N, rows, M.den)
+        k2, f2 = _residue_key(scaled, powers, p)
+        assert k2 == key and _zeta_multiple(M, f, scaled, f2, powers, p)
+        coeffs = list(rows[0][0].coeffs)
+        coeffs[1] += p
+        rows[0][0] = CyclotomicNumber(N, coeffs)
+        forged = CycMatrix(N, rows, M.den)
+        assert forged.den == M.den
+        k3, f3 = _residue_key(forged, powers, p)
+        assert (k3, f3) == (k2, f2)
+        assert forged.canonical_key() != M.canonical_key()
+        assert not _zeta_multiple(M, f, forged, f3, powers, p)
+
+
+@pytest.mark.parametrize("l,n", [(5, 4), (4, 4), (7, 3)])
+def test_search_forms_one_product_per_longer_word(monkeypatch, l, n):
+    # letters are words of length 1 and need no product; every word of
+    # length >= 2 is one product with a letter.  With every word marked
+    # periodic, no certificate (and no power) is formed.
+    import qll.image as image
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    infinite_order_witness(gens, 1)  # inverse letters, braid check: cached
+    products, kept = [], []
+    mul = CycMatrix.mul
+    monkeypatch.setattr(CycMatrix, "mul",
+                        lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(image, "_periodic", lambda w: kept.append(w) or True)
+    assert infinite_order_witness(gens, 4) is None
+    visited = (2 * len(gens) - 1) * sum(1 for w in kept if len(w) < 4)
+    assert len(products) == visited > 0
 
 
 def test_unbraided_generators_are_refused():
