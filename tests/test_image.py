@@ -743,10 +743,10 @@ def test_scalar_multiples_pass_and_a_forced_collision_fails():
     N = M.order
     key, f = _residue_key(M, powers, p)
     for t in (0, 1, 7, N - 1):
-        rows = [[CyclotomicNumber.zeta(N, t) * e for e in row] for row in M.rows]
-        scaled = CycMatrix(N, rows, M.den)
-        k2, f2 = _residue_key(scaled, powers, p)
-        assert k2 == key and _zeta_multiple(M, f, scaled, f2, powers, p)
+        moved = scaled(M, CyclotomicNumber.zeta(N, t))
+        k2, f2 = _residue_key(moved, powers, p)
+        assert k2 == key and _zeta_multiple(M, f, moved, f2, powers, p)
+        rows = [list(row) for row in moved.rows]
         coeffs = list(rows[0][0].coeffs)
         coeffs[1] += p
         rows[0][0] = CyclotomicNumber(N, coeffs)
@@ -763,14 +763,14 @@ def test_search_forms_one_product_per_longer_word(monkeypatch, l, n):
     # letters are words of length 1 and need no product; every word of
     # length >= 2 is one product with a letter.  With every word marked
     # periodic, no certificate (and no power) is formed.
-    import qll.image as image
     gens = rep_generators(RepSpec("tl", n, l=l))
     infinite_order_witness(gens, 1)  # inverse letters, braid check: cached
     products, kept = [], []
     mul = CycMatrix.mul
     monkeypatch.setattr(CycMatrix, "mul",
                         lambda a, b: products.append(1) or mul(a, b))
-    monkeypatch.setattr(image, "_periodic", lambda w: kept.append(w) or True)
+    monkeypatch.setattr("qll.image._periodic",
+                        lambda w: kept.append(w) or True)
     assert infinite_order_witness(gens, 4) is None
     visited = (2 * len(gens) - 1) * sum(1 for w in kept if len(w) < 4)
     assert len(products) == visited > 0
