@@ -17,14 +17,17 @@ A TLElement keeps each coefficient packed: one int holding 2l signed digits
 of an element of Z[A]/(A^{2l}+1), which maps onto Z[zeta_{4l}], of a width
 that bounds the digit mass of the whole element.  braid_to_tl works in that
 form: one global power of A is factored out of every letter, and the width
-is proved sufficient from the word length, so a letter costs digit rotations
-and int additions per live term.  Its e_i tables hold one basis index per
-diagram, found by rewiring two chords in O(n); d . e_i closes a loop exactly
-when it is d again, the entry that keeps its own index.  markov_trace adds
-the packed coefficients by closure-loop count and reduces only those at most
-n sums modulo the cyclotomic polynomial; TLElement.coeffs reduces each
-coefficient on first access, for equality and display.  jones_at_root is
-priced at C_n (m + n^2) steps and refuses before it builds anything.
+is proved sufficient from the word length.  Its e_i tables hold one basis
+index per diagram, found by rewiring two chords in O(n); d . e_i closes a
+loop exactly when it is d again, the entry that keeps its own index.  So a
+letter changes only the diagrams e_i fixes, each by one digit rotation of
+its own coefficient and one of the sum of its preimages; every other
+coefficient is carried over as it is.  markov_trace adds the packed
+coefficients by closure-loop count, unpacks only those at most n sums, runs
+Horner in d on their 2l digits and reduces once modulo the cyclotomic
+polynomial; TLElement.coeffs reduces each coefficient on first access, for
+equality and display.  jones_at_root is priced at C_n (m + n^2) steps and
+refuses before it builds anything.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -230,13 +233,19 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     every letter is collected into the starting coefficient A^writhe, the
     identity part of a term is carried over unchanged, and the e_i part is
     multiplied by A^{-+2}, or by A^{-+2} d = -(1 + A^{-+4}) when the one
-    loop that right multiplication by e_i can close does close.  Each
-    product by a power of A is a digit rotation.  The digit width is
-    w = bitlen(3^m) + 2 for m letters: the total |digit| mass of the element
-    starts at 1 and at most triples per letter (x1 for the identity part, at
-    most x2 for the e_i part), so it stays below 3^m < 2^(w-2), and both the
-    rounding in each rotation and any later unpacking, of one coefficient or
-    of a sum of them, read every digit back exactly."""
+    loop that right multiplication by e_i can close does close.  The
+    product is updated in place: a diagram e_i fixes (the loop closes)
+    becomes c + (-c - c A^{-+4}) = -c A^{-+4}; any other diagram keeps its
+    coefficient, which is also added into the sum of preimages of its image
+    k = d . e_i, a diagram e_i fixes; each such sum is then multiplied by
+    A^{-+2} once and added to k's coefficient, which is deleted when it
+    reaches 0.  Each product by a power of A is a digit rotation.  The digit
+    width is w = bitlen(3^m) + 2 for m letters: the total |digit| mass of
+    the element starts at 1 and at most triples per letter (x1 for the
+    identity part, at most x2 for the e_i part), so it stays below
+    3^m < 2^(w-2), and both the rounding in each rotation, of one
+    coefficient or of a sum of them, and any later unpacking read every
+    digit back exactly."""
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
     n, n2 = b.strands, 2 * l
@@ -251,19 +260,25 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
         pos = letter > 0
         s2, h2, sh2 = _rotation(n2 - 2 if pos else 2, n2, w)
         s4, h4, sh4 = _rotation(n2 - 4 if pos else 4, n2, w)
-        nxt = dict(cur)
+        moved = {}  # image -> sum of the coefficients e_i moves onto it
         for k, c in cur.items():
             rk = table[k]
-            if rk == k:  # the loop closed: -c - c*A^{-+4}
+            if rk == k:  # the loop closed: c + (-c - c*A^{-+4})
                 top = (c + h4) >> s4
-                r = ((c - (top << s4)) << sh4) - top
-                v = r - c if pos else -r - c
-            else:  # c*A^{-+2}
-                top = (c + h2) >> s2
-                r = ((c - (top << s2)) << sh2) - top
-                v = -r if pos else r
-            nxt[rk] = nxt.get(rk, 0) + v
-        cur = {k: v for k, v in nxt.items() if v}
+                low = (c - (top << s4)) << sh4
+                cur[k] = low - top if pos else top - low
+            elif rk in moved:
+                moved[rk] += c
+            else:
+                moved[rk] = c
+        for k, c in moved.items():  # one c*A^{-+2} per image
+            top = (c + h2) >> s2
+            low = (c - (top << s2)) << sh2
+            v = cur.get(k, 0) + (top - low if pos else low - top)
+            if v:
+                cur[k] = v
+            else:
+                cur.pop(k, None)
     return TLElement._from_packed(n, l, w, cur)
 
 
@@ -271,16 +286,21 @@ def markov_trace(x: TLElement) -> CyclotomicNumber:
     """Close each diagram (top k joined to bottom k) and weight by
     d^{loops-1}; the trace of the identity in TL_1 is 1.  The packed
     coefficients are added by loop count, and only those at most n sums are
-    unpacked and reduced: TLElement's mass bound makes each exact."""
-    delta = loop_parameter(x.l)
+    unpacked, exactly by TLElement's mass bound.  Horner in d = -A^2 - A^-2
+    then runs on 2l digits of Z[A]/(A^{2l}+1), where each product by d is
+    two negacyclic shifts by 2, and only the final value is reduced modulo
+    the cyclotomic polynomial."""
+    n2 = 2 * x.l
     table = _closure_loops_table(x.n)
     by_loops = [0] * x.n  # packed coefficient sums by loops - 1
     for k, v in x.packed.items():
         by_loops[table[k] - 1] += v
-    total = CyclotomicNumber.zero(4 * x.l)
-    for v in reversed(by_loops):  # Horner in d
-        total = total * delta + CyclotomicNumber(4 * x.l, signed_digits(v, 2 * x.l, x.w))
-    return total
+    t = [0] * n2
+    for v in reversed(by_loops):  # Horner in d: t*A^2 and t*A^-2, negacyclic
+        t = [s - a - b for s, a, b in zip(signed_digits(v, n2, x.w),
+                                          [-t[-2], -t[-1]] + t[:-2],
+                                          t[2:] + [-t[0], -t[1]])]
+    return CyclotomicNumber(4 * x.l, t)
 
 
 def _writhe_normalization(w: int, l: int) -> CyclotomicNumber:

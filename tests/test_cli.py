@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qll.algebra import UsageError
-from qll.braid import BraidWord
+from qll.braid import BraidWord, closure_components, parse_braid
 from qll.cli import (
     bundled_corpus_text,
     main,
@@ -381,6 +381,41 @@ def test_image_matches_the_golden_reports(capsys, golden):
         assert code == 0
         out.append(text)
     assert "".join(out) == (Path(__file__).parent / "data" / golden).read_text("utf-8")
+
+
+_INVARIANTS_FLAGS = ([a for l in range(3, 13) for a in ("--jones", str(l))]
+                     + ["--components", "--linking", "--alexander", "--det",
+                        "--dp", "3", "--dp", "5"])
+
+# two 7-strand, 40-letter words drawn with random.Random(3201) and (3202),
+# each with a braid relator r = s_i s_i+1 s_i s_i+1^-1 s_i^-1 s_i+1^-1
+# conjugated in as g r g^-1
+_RELATOR_WORDS = [
+    "5 5 -4 -4 -3 -1 -3 -5 6 3 5 6 5 -6 -5 -6 -3 -6 5 3 -5 1 3 -6 2 3 -4 3 1 3 "
+    "-1 3 3 -4 -2 6 1 1 2 -5",
+    "-1 -4 1 -2 6 -6 -1 5 -4 -2 4 4 6 -3 4 -5 -5 6 3 4 3 -4 -3 -4 -6 5 5 -4 -6 "
+    "1 -5 -2 1 -4 6 -5 2 6 -3 2",
+]
+
+
+def _invariants_golden_argv():
+    braids = [e.braid for e in parse_corpus(bundled_corpus_text(), "bundled")]
+    for b in braids + [parse_braid(word, 7) for word in _RELATOR_WORDS]:
+        arf = ["--arf"] if closure_components(b) == 1 else []  # a link exits 2
+        yield ["--strands", str(b.strands), "--word", " ".join(map(str, b.word)),
+               *_INVARIANTS_FLAGS, *arf]
+
+
+def test_invariants_match_the_golden_reports(capsys):
+    # the JSON reports of every corpus entry and both relator words, one
+    # after another, frozen from an earlier release of the suite
+    out = []
+    for argv in _invariants_golden_argv():
+        code, text, _ = run(capsys, "invariants", *argv, "--json", "--no-timings")
+        assert code == 0
+        out.append(text)
+    golden = Path(__file__).parent / "data" / "invariants_corpus.json"
+    assert "".join(out) == golden.read_text("utf-8")
 
 
 def test_check_table_budget_skips_not_failures(tmp_path, capsys, monkeypatch):

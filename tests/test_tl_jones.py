@@ -310,6 +310,33 @@ def test_long_words_keep_digit_width(l):
         _reference_braid_to_tl(BraidWord(5, word), l)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_braids(max_strands=7, max_len=30), st.integers(3, 12))
+def test_braid_to_tl_keeps_no_zero_coefficient(b, l):
+    assert 0 not in braid_to_tl(b, l).packed.values()
+
+
+@pytest.mark.parametrize("l", [3, 5, 10])
+def test_conjugated_relator_cancels_to_one_term(l):
+    # w g r g^-1 w^-1 is the trivial braid for a braid relator r, so every
+    # diagram but the identity ends with coefficient exactly 0 in
+    # Z[A]/(A^{2l}+1), and each must have been deleted
+    n, rng = 6, random.Random(l)
+
+    def word(m):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(m))
+
+    def inv(u):
+        return tuple(-x for x in reversed(u))
+
+    relators = [(i, i + 1, i, -i - 1, -i, -i - 1) for i in range(1, n - 1)]
+    relators += [(1, 3, -1, -3), (2, 5, -2, -5)]
+    for r in relators:
+        w, g = word(12), word(5)
+        b = BraidWord(n, w + g + r + inv(g) + inv(w))
+        assert braid_to_tl(b, l).packed == TLElement.identity(n, l).packed
+
+
 # ---------------------------------------------------------------------------
 # closure trace
 
@@ -349,6 +376,18 @@ def test_packed_trace_matches_reference_sum(b, l):
     rebuilt = TLElement(b.strands, l, x.coeffs)
     assert rebuilt == x
     assert markov_trace(rebuilt) == expected
+
+
+# at l = 3 the digit ring is the smallest, 2l = 6; the powers of s1 put the
+# identity coefficient A^k on every digit, the top two included, which wrap
+# round in the products by A^2 and A^-2
+@pytest.mark.parametrize("b, l", [(BraidWord(1, ()), 3)]
+                         + [(BraidWord(2, (s,) * k), 3) for s in (1, -1) for k in range(7)]
+                         + [(BraidWord(3, (1, -2, 1)), 1000)])
+def test_trace_horner_edge_cases(b, l):
+    x = braid_to_tl(b, l)
+    assert markov_trace(x) == reference_trace(x)
+    assert jones_at_root(b, l) == kauffman_bracket_statesum(b, l)
 
 
 def test_large_coefficients_round_trip():
