@@ -4,9 +4,9 @@ Two independent routes are implemented.  The fast route counts fixed points
 of the braid's Hurwitz action on G^n (a homomorphism from the closure's
 group is exactly a strand labelling fixed by the braid).  Conjugating every
 label by one element of G commutes with the Hurwitz action, so the fixed set
-is a union of orbits of simultaneous conjugation: the route applies the word
-to one tuple per orbit, found position by position down a chain of
-centralisers, and adds the orbit's size when the tuple is fixed.  A letter
+is a union of orbits of simultaneous conjugation: the route collects one
+tuple per orbit, found position by position down a chain of centralisers,
+and adds the orbit's size when the tuple is fixed.  A letter
 moves each of its two labels to the other's position up to conjugation, so
 in a fixed tuple the labels along each cycle of the braid's permutation,
 the meridians of one link component, lie in one conjugacy class; the route
@@ -15,6 +15,13 @@ classes of G, so each node of the chain keeps its orbits grouped by class,
 the filter drops whole orbits, and every weight stays exact.  One
 recursion serves every position, down to a central centraliser whose
 orbits are single elements.
+
+The word is applied to a whole batch of tuples at once.  The batch is held
+as n columns of labels, column j holding label j of every tuple; a letter
+builds one new column from two old ones and moves the other by reference,
+and a tuple is fixed when its row of the final columns equals its row of the
+original ones.  The exact count, the estimator and `hurwitz_act` (a batch of
+one) share this one kernel.
 
 The oracle route builds the Wirtinger presentation of the closure diagram —
 one generator per arc, one conjugation relation per crossing — and counts
@@ -31,10 +38,10 @@ redrawn from ``b"<seed>:<idx>:<k>"`` for k = 1, 2, ... while it is at or
 above the largest multiple of N that fits in nb bytes; its value mod N is
 the tuple's mixed-radix code, label j being base-|G| digit j, most
 significant first.
-When |G|^n is at most the sample count, the estimator keeps, for one call,
-a table of |G|^n bytes with the verdict of every tuple drawn so far, so the
-word is applied once per distinct tuple; a verdict depends on the tuple
-alone, so the hit count and both outputs stay what they were.
+When |G|^n is at most the sample count, the estimator first fills, for one
+call, a table of |G|^n bytes with the verdict of every tuple, in code order,
+and then only looks the samples up; a verdict depends on the tuple alone,
+so the hit count and both outputs stay what they were.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +61,10 @@ from .braid import BraidWord, component_of_strand
 
 _MAX_ORDER = 10 ** 4
 _ERROR_UNIT = 10 ** 9  # the estimator's error is a multiple of 1/_ERROR_UNIT
-_BLOCK = 1024  # estimator samples per SHAKE-256 call, fixed by its stream
+# estimator samples per SHAKE-256 call, fixed by its stream; also the
+# exact count's batch of leaves
+_BLOCK = 1024
+_SLICE = 256  # estimator samples decoded at a time, tuples per table batch
 
 
 @dataclass(frozen=True)
@@ -255,27 +266,44 @@ def _word_ops(b: BraidWord):
     return [(abs(letter) - 1, letter > 0) for letter in b.word]
 
 
-def _act(g: list[int], ops, mul, inv) -> None:
-    """The Hurwitz action of the word `ops` (from `_word_ops`) on the
-    labelling g, in place, given the group's tables."""
+def _act(cols, ops, mul, inv) -> list:
+    """The Hurwitz action of the word `ops` (from `_word_ops`) on a batch
+    of labellings held as columns, cols[j][t] being label j of tuple t,
+    given the group's tables.  Each letter builds one new column and moves
+    the other by reference; returns the final columns, leaving `cols` as it
+    was."""
+    cols = list(cols)
     for i, positive in ops:
-        a, c = g[i], g[i + 1]
+        a, c = cols[i], cols[i + 1]
         if positive:
-            g[i] = mul[mul[a][c]][inv[a]]
-            g[i + 1] = a
+            cols[i] = [mul[mul[x][y]][inv[x]] for x, y in zip(a, c)]
+            cols[i + 1] = a
         else:
-            g[i] = c
-            g[i + 1] = mul[mul[inv[c]][a]][c]
+            cols[i] = c
+            cols[i + 1] = [mul[mul[inv[y]][x]][y] for x, y in zip(a, c)]
+    return cols
+
+
+def _fixed(cols, ops, mul, inv):
+    """Whether each tuple of the batch `cols` (as for `_act`) is fixed by
+    the word, in batch order."""
+    return map(operator.eq, zip(*_act(cols, ops, mul, inv)), zip(*cols))
 
 
 def hurwitz_act(b: BraidWord, x: tuple[int, ...], G: FiniteGroup) -> tuple[int, ...]:
     """Act on a strand labelling: a positive letter sends (g_i, g_{i+1}) to
-    (g_i g_{i+1} g_i^-1, g_i); a negative letter is the inverse move."""
+    (g_i g_{i+1} g_i^-1, g_i); a negative letter is the inverse move.
+
+    >>> S3 = builtin_group("symmetric 3")
+    >>> hurwitz_act(BraidWord(2, (1,)), (1, 2), S3)
+    (5, 1)
+    >>> hurwitz_act(BraidWord(2, (1, -1)), (1, 2), S3)
+    (1, 2)
+    """
     if len(x) != b.strands:
         raise UsageError("tuple length %d != strand count %d" % (len(x), b.strands))
-    g = list(x)
-    _act(g, _word_ops(b), G.mul, G.inv)
-    return tuple(g)
+    return tuple(col[0] for col in _act([(v,) for v in x], _word_ops(b),
+                                        G.mul, G.inv))
 
 
 def _conjugation_orbits(S, mul, inv):
@@ -340,16 +368,21 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
     whole orbits, and the weights |S x| stay exact.  Once S is central every
     orbit is one element, and the same recursion enumerates the rest.  The
     price stays |G|^n steps per letter, a looser upper bound: the word is
-    applied once per surviving representative."""
+    applied once per surviving representative.
+
+    The walk only collects its leaves t + (x,), each weighted by the product
+    of the orbit sizes on its path, and sends them to `_act` in batches of
+    about `_BLOCK`; the count is the sum of the weights of the fixed ones."""
     n = b.strands
     _require_hom_budget(b, G.size, budget)
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
-    act = _act
     head = _cycle_heads(b)
     everything = tuple(range(G.size))
     classes, class_of = _conjugation_orbits(everything, mul, inv)
     nodes = {}  # subgroup -> (it, its orbits, those orbits by class)
+    leaves, weights = [], []
+    count = 0
 
     def node(S, orbits=None):
         found = nodes.get(S)
@@ -362,29 +395,37 @@ def hom_count_exact(b: BraidWord, G: FiniteGroup,
                                 [[orbits[i] for i in ids] for ids in by_class])
         return found
 
-    def is_fixed(tup):
-        g = list(tup)
-        act(g, ops, mul, inv)
-        return tuple(g) == tup
+    def flush():
+        nonlocal count
+        count += sum(itertools.compress(
+            weights, _fixed(list(zip(*leaves)), ops, mul, inv)))
+        leaves.clear()
+        weights.clear()
 
-    def fixed(prefix, S, orbits, by_class):
-        # F(prefix), S being the centraliser of prefix
+    def walk(prefix, weight, S, orbits, by_class):
+        # collect the leaves below prefix, S being its centraliser
         j = len(prefix)
         h = head[j]
         if h < j:
             orbits = by_class[class_of[prefix[h]]]
         if j == n - 1:
-            return sum(k for x, k, _ in orbits if is_fixed(prefix + (x,)))
-        total = 0
+            for x, k, _ in orbits:
+                leaves.append(prefix + (x,))
+                weights.append(weight * k)
+            if len(leaves) >= _BLOCK:
+                flush()
+            return
         for entry in orbits:
             x, k, child = entry
             if child is None:
                 C = tuple(s for s in S if mul[s][x] == mul[x][s])
                 child = entry[2] = node(C)
-            total += k * fixed(prefix + (x,), *child)
-        return total
+            walk(prefix + (x,), weight * k, *child)
 
-    return fixed((), *node(everything, classes))
+    walk((), 1, *node(everything, classes))
+    if leaves:
+        flush()
+    return count
 
 
 def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
@@ -412,13 +453,17 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     calls `_require_printable_estimate`, which keeps nb under about 1.8 KB
     and so a block under 2 MB; a direct call has no such bound.
 
-    When |G|^n <= samples, a table of |G|^n bytes, indexed by code and
-    dropped when the call returns, records whether each tuple drawn so far
-    is fixed, so the tuple is decoded and the word applied at most once per
-    distinct code.  Whether a tuple is fixed depends on the tuple alone, so
-    the hit count is the same with or without it, and the table is never
-    larger than the sample count.  The price is samples x (letters + n)
-    steps, an upper bound when the table saves applications."""
+    The samples of a block are decoded `_SLICE` at a time: one list of
+    slot values, redrawn slot by slot only when its largest value is at or
+    above limit, then their codes.  When |G|^n <= samples, a table of |G|^n
+    bytes, filled first for every tuple in code order through `_act` and
+    dropped when the call returns, records whether each tuple is fixed, and
+    each slice only looks its codes up; whether a tuple is fixed depends on
+    the tuple alone, so the hit count is the same with or without it, and
+    the table is never larger than the sample count.  Above that, each
+    slice's tuples go through `_act` as one batch.  The price is samples x
+    (letters + n) steps, an upper bound in both regimes, as |G|^n <=
+    samples wherever the table is filled."""
     if samples < 1:
         raise UsageError("need at least one sample")
     n, size = b.strands, G.size
@@ -429,36 +474,40 @@ def hom_count_estimate(b: BraidWord, G: FiniteGroup, samples: int,
     mul, inv = G.mul, G.inv
     ops = _word_ops(b)
 
+    table = None
+    if total <= samples:  # table[code]: 1 if the tuple is fixed, else 0
+        table = bytearray(total)
+        tuples = itertools.product(range(size), repeat=n)
+        for start in range(0, total, _SLICE):
+            cols = list(zip(*itertools.islice(tuples, _SLICE)))
+            table[start:start + len(cols[0])] = _fixed(cols, ops, mul, inv)
+    powers = [size ** (n - 1 - j) for j in range(n)]
+
     shake, from_bytes = hashlib.shake_256, int.from_bytes
     nb = (total.bit_length() + 71) // 8
     limit = (1 << 8 * nb) - (1 << 8 * nb) % total
-    # verdicts[code]: 0 not drawn yet, 1 fixed, 2 not fixed
-    verdicts = bytearray(total) if total <= samples else None
-    tup = [0] * n
     hits = 0
     for first in range(0, samples, _BLOCK):
         count = min(_BLOCK, samples - first)
         block = shake(b"%d:%d" % (seed, first // _BLOCK)).digest(count * nb)
-        for offset in range(0, count * nb, nb):
-            x = from_bytes(block[offset:offset + nb], "big")
-            k = 0
-            while x >= limit:
-                k += 1
-                x = from_bytes(shake(b"%d:%d:%d" % (
-                    seed, first + offset // nb, k)).digest(nb), "big")
-            code = x % total
-            if verdicts is not None and verdicts[code]:
-                hits += verdicts[code] == 1
-                continue
-            rest = code
-            for j in range(n - 1, -1, -1):
-                rest, tup[j] = divmod(rest, size)
-            g = tup[:]
-            _act(g, ops, mul, inv)
-            fixed = g == tup
-            hits += fixed
-            if verdicts is not None:
-                verdicts[code] = 2 - fixed
+        for lo in range(0, count, _SLICE):
+            hi = min(lo + _SLICE, count)
+            xs = [from_bytes(block[o:o + nb], "big")
+                  for o in range(lo * nb, hi * nb, nb)]
+            if max(xs) >= limit:
+                for s, x in enumerate(xs):
+                    k = 0
+                    while x >= limit:
+                        k += 1
+                        x = from_bytes(shake(b"%d:%d:%d" % (
+                            seed, first + lo + s, k)).digest(nb), "big")
+                    xs[s] = x
+            codes = [x % total for x in xs]
+            if table is not None:
+                hits += sum(map(table.__getitem__, codes))
+            else:
+                cols = [[c // p % size for c in codes] for p in powers]
+                hits += sum(_fixed(cols, ops, mul, inv))
     estimate = Fraction(hits * total, samples)
     # binomial error at p = (hits+1)/(samples+2), which stays nonzero when no
     # sample or every sample hits, rounded up to a multiple of 1/D

@@ -26,8 +26,9 @@ coefficient is carried over as it is.  markov_trace adds the packed
 coefficients by closure-loop count, unpacks only those at most n sums, runs
 Horner in d on their 2l digits and reduces once modulo the cyclotomic
 polynomial; TLElement.coeffs reduces each coefficient on first access, for
-equality and display.  jones_at_root is priced at C_n (m + n^2) steps and
-refuses before it builds anything.
+equality and display.  jones_at_root multiplies those digits by the writhe
+factor with one signed rotation before that one reduction; it is priced at
+C_n (m + n^2) steps and refuses before it builds anything.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -282,14 +283,10 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     return TLElement._from_packed(n, l, w, cur)
 
 
-def markov_trace(x: TLElement) -> CyclotomicNumber:
-    """Close each diagram (top k joined to bottom k) and weight by
-    d^{loops-1}; the trace of the identity in TL_1 is 1.  The packed
-    coefficients are added by loop count, and only those at most n sums are
-    unpacked, exactly by TLElement's mass bound.  Horner in d = -A^2 - A^-2
-    then runs on 2l digits of Z[A]/(A^{2l}+1), where each product by d is
-    two negacyclic shifts by 2, and only the final value is reduced modulo
-    the cyclotomic polynomial."""
+def _trace_digits(x: TLElement) -> list[int]:
+    """The Markov trace of x as 2l digits of Z[A]/(A^{2l}+1), lowest
+    first, before any reduction modulo the cyclotomic polynomial (see
+    `markov_trace`)."""
     n2 = 2 * x.l
     table = _closure_loops_table(x.n)
     by_loops = [0] * x.n  # packed coefficient sums by loops - 1
@@ -300,7 +297,18 @@ def markov_trace(x: TLElement) -> CyclotomicNumber:
         t = [s - a - b for s, a, b in zip(signed_digits(v, n2, x.w),
                                           [-t[-2], -t[-1]] + t[:-2],
                                           t[2:] + [-t[0], -t[1]])]
-    return CyclotomicNumber(4 * x.l, t)
+    return t
+
+
+def markov_trace(x: TLElement) -> CyclotomicNumber:
+    """Close each diagram (top k joined to bottom k) and weight by
+    d^{loops-1}; the trace of the identity in TL_1 is 1.  The packed
+    coefficients are added by loop count, and only those at most n sums are
+    unpacked, exactly by TLElement's mass bound.  Horner in d = -A^2 - A^-2
+    then runs on 2l digits of Z[A]/(A^{2l}+1), where each product by d is
+    two negacyclic shifts by 2, and only the final value is reduced modulo
+    the cyclotomic polynomial."""
+    return CyclotomicNumber(4 * x.l, _trace_digits(x))
 
 
 def _writhe_normalization(w: int, l: int) -> CyclotomicNumber:
@@ -315,7 +323,10 @@ def jones_at_root(b: BraidWord, l: int,
     normalized so every unknot presentation evaluates to 1.  Priced at
     C_n (m + n^2) steps for m letters on n strands, before any basis or
     table is built: each letter visits at most C_n live terms, and the n-1
-    e_i tables rewire O(n) per entry of the C_n-diagram basis.
+    e_i tables rewire O(n) per entry of the C_n-diagram basis.  The writhe
+    factor (-A)^{-3w} is (-1)^w A^e with e = -3w mod 4l, and A^{2l} = -1, so
+    it multiplies the trace's digits by one signed negacyclic rotation by
+    e mod 2l before the one reduction.
 
     >>> jones_at_root(BraidWord(3, (1, -2, 1, -2)), 4).as_int()
     -1
@@ -328,8 +339,14 @@ def jones_at_root(b: BraidWord, l: int,
                          "Jones route")
     _require_budget(comb(2 * n, n) // (n + 1) * (len(b.word) + n * n), budget,
                     "Jones route")
-    tr = markov_trace(braid_to_tl(b, l))
-    return _writhe_normalization(writhe(b), l) * tr
+    t = _trace_digits(braid_to_tl(b, l))
+    w = writhe(b)
+    e = -3 * w % (4 * l)
+    r = e % (2 * l)
+    s = -1 if w % 2 != (e >= 2 * l) else 1  # (-1)^w (-1)^(e >= 2l)
+    cut = 2 * l - r  # digit j moves to j + r, wrapping with a sign change
+    return CyclotomicNumber(4 * l, [-s * v for v in t[cut:]]
+                            + [s * v for v in t[:cut]])
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,8 +5,9 @@
 every diagram and walking every composite in full; ``smith_normal_form``
 checks the Bareiss ranks and determinants of ``qll.algebra`` and ``qll.burau``
 by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
-orders of ``qll.image`` by listing every projective element.  None of them
-shares code with the route it checks: the only name taken from ``qll`` is
+orders of ``qll.image`` by listing every projective element;
+``hurwitz_move`` checks the column kernel of ``qll.homcount`` one tuple and
+one letter at a time.  None of them shares code with the route it checks: the only name taken from ``qll`` is
 the exception type, so that the tests can expect one ``UsageError`` from
 either side, and ``enumerated_order`` multiplies the matrices it is given
 by their own ``mul`` and keys them by their own ``canonical_key``, which no
@@ -179,3 +180,20 @@ def enumerated_order(gens, bound: int = 10 ** 6):
                     nxt.append(w)
         frontier = nxt
     return len(seen)
+
+
+def hurwitz_move(word, x, mul, inv) -> tuple[int, ...]:
+    """The Hurwitz action of the braid letters `word` on the labelling x,
+    one tuple and one letter at a time, given a group's multiplication table
+    and inverses: a positive letter i sends (g_i, g_{i+1}) to
+    (g_i g_{i+1} g_i^-1, g_i), a negative one (g_i, g_{i+1}) to
+    (g_{i+1}, g_{i+1}^-1 g_i g_{i+1})."""
+    g = list(x)
+    for letter in word:
+        i = abs(letter) - 1
+        a, c = g[i], g[i + 1]
+        if letter > 0:
+            g[i], g[i + 1] = mul[mul[a][c]][inv[a]], a
+        else:
+            g[i], g[i + 1] = c, mul[mul[inv[c]][a]][c]
+    return tuple(g)

@@ -4,6 +4,7 @@ counts against a Wirtinger-presentation oracle, and the seeded estimator."""
 import hashlib
 import itertools
 import math
+import random
 import runpy
 import sys
 import tracemalloc
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 import qll.homcount
 from qll.algebra import BudgetError, UsageError
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
-from qll.homcount import (FiniteGroup, _parse_group, builtin_group,
-                          hom_count_estimate, hom_count_exact, hurwitz_act,
-                          wirtinger_hom_count)
+from qll.homcount import (_SLICE, FiniteGroup, _act, _parse_group, _word_ops,
+                          builtin_group, hom_count_estimate, hom_count_exact,
+                          hurwitz_act, wirtinger_hom_count)
 
 import test_cli
+from oracles import hurwitz_move
 
 Z2 = builtin_group("cyclic 2")
 Z3 = builtin_group("cyclic 3")
@@ -252,6 +254,31 @@ def test_hurwitz_wrong_length_rejected():
         hurwitz_act(BraidWord(3, (1,)), (0, 0), S3)
 
 
+@st.composite
+def kernel_batch(draw):
+    G = draw(st.sampled_from([Z2, S3, D4, Q8, Q8_S3]))
+    n = draw(st.integers(1, 6))
+    letters = [i for i in range(1 - n, n) if i]
+    word = draw(st.lists(st.sampled_from(letters), max_size=20)) if letters else []
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    batch = [tuple(rng.randrange(G.size) for _ in range(n))
+             for _ in range(draw(st.integers(1, 300)))]
+    return G, tuple(word), batch
+
+
+@given(kernel_batch())
+@example((S3, (), [(0,)]))
+@example((Q8_S3, (1, -1, 2, -2, 5, -5), [(47,) * 6] * 300))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_the_per_tuple_reference(case):
+    G, word, batch = case
+    cols = list(zip(*batch))
+    moved = _act(cols, _word_ops(BraidWord(len(batch[0]), word)), G.mul, G.inv)
+    assert list(zip(*moved)) == [hurwitz_move(word, x, G.mul, G.inv)
+                                 for x in batch]
+    assert list(zip(*cols)) == batch  # the input columns are not written
+
+
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
        st.tuples(*[st.integers(0, 5)] * 4))
 @settings(max_examples=60, deadline=None)
@@ -349,7 +376,7 @@ def test_markov_moves_preserve_counts(n, raw, conj, sign):
 
 def naive_hom_count(b, G):
     return sum(1 for x in itertools.product(range(G.size), repeat=b.strands)
-               if hurwitz_act(b, x, G) == x)
+               if hurwitz_move(b.word, x, G.mul, G.inv) == x)
 
 
 def test_relabelled_group_moves_the_identity():
@@ -392,12 +419,14 @@ def test_orbit_count_matches_naive_and_wirtinger(case):
 
 
 def counted_act(monkeypatch):
+    # the tuples the kernel is given, summed over its calls: each batch holds
+    # one label column per strand, one entry per tuple
     calls = [0]
     act = qll.homcount._act
 
-    def counting(*args):
-        calls[0] += 1
-        act(*args)
+    def counting(cols, *args):
+        calls[0] += len(cols[0])
+        return act(cols, *args)
 
     monkeypatch.setattr(qll.homcount, "_act", counting)
     return calls
@@ -461,6 +490,14 @@ def test_class_pruning_cuts_the_work(monkeypatch):
         assert calls[0] == conjugation_orbit_count(G, 3)
 
 
+def test_three_component_link_over_q8_x_s3():
+    # the benchmark's heaviest exact job shape: 8,624 leaves of 16 letters
+    b = BraidWord(3, (-1, -1, 2, 1, 2, 1, 2, 2, 2, 1, 2, -1, 2, 2, -1, -2))
+    assert closure_components(b) == 3
+    assert hom_count_exact(b, Q8_S3) == 14784
+    assert wirtinger_hom_count(b, Q8_S3) == 14784
+
+
 def test_orbit_route_skips_tuples(monkeypatch):
     calls = counted_act(monkeypatch)
     assert hom_count_exact(SQUARE, S3) == 30
@@ -480,6 +517,15 @@ def test_oracles_do_not_use_the_orbit_route(monkeypatch, capsys):
             assert wirtinger_hom_count(TREFOIL, S3) == 12
             assert wirtinger_hom_count(FIG8, S3) == 6
             test_cli.test_hom_estimate_full_text(capsys)  # the estimator's frozen text
+
+
+def test_wirtinger_does_not_call_the_kernel(monkeypatch):
+    def broken(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(qll.homcount, "_act", broken)
+    assert wirtinger_hom_count(TREFOIL, S3) == 12
+    assert wirtinger_hom_count(FIG8, Q8) == naive_hom_count(FIG8, Q8)
 
 
 def test_exact_budget_refusal():
@@ -572,14 +618,7 @@ def reference_estimate(b, G, samples, seed, shake=hashlib.shake_256):
                 shake(b"%d:%d:%d" % (seed, idx, redraw)).digest(nb), "big")
         code = value % total
         tup = tuple(code // size ** (n - 1 - j) % size for j in range(n))
-        g = list(tup)
-        for i, positive in ((abs(x) - 1, x > 0) for x in b.word):
-            a, c = g[i], g[i + 1]
-            if positive:
-                g[i], g[i + 1] = G.mul[G.mul[a][c]][G.inv[a]], a
-            else:
-                g[i], g[i + 1] = c, G.mul[G.mul[G.inv[c]][a]][c]
-        if tuple(g) == tup:
+        if hurwitz_move(b.word, tup, G.mul, G.inv) == tup:
             hits += 1
     total = size ** n
     estimate = Fraction(hits * total, samples)
@@ -697,6 +736,34 @@ def test_estimate_redraws_a_slot_past_the_last_multiple(monkeypatch):
     assert result != reference_estimate(b, S3, 300, seed)
 
 
+def test_estimate_redraws_a_slot_in_a_later_slice(monkeypatch):
+    # slot 299 of block 1, sample 1,323, lies in the second slice of its
+    # block; its redraw is keyed by the sample's own index, and the redrawn
+    # tuple is fixed while both the slot's own and the all-0xff one are not
+    b, seed = BraidWord(3, (1, -2, 1, -2)), 4
+    keys = []
+
+    class Forced:
+        def __init__(self, data):
+            self.data = data
+
+        def digest(self, length):
+            keys.append(self.data)
+            out = hashlib.shake_256(self.data).digest(length)
+            if self.data == b"4:1" and length >= 300 * 9:
+                out = out[:299 * 9] + b"\xff" * 9 + out[300 * 9:]
+            return out
+
+    class FakeHashlib:
+        shake_256 = Forced
+
+    monkeypatch.setattr(qll.homcount, "hashlib", FakeHashlib)
+    result = hom_count_estimate(b, S3, 1500, seed)
+    assert keys == [b"4:0", b"4:1", b"4:1323:1"]
+    assert result == reference_estimate(b, S3, 1500, seed, shake=Forced)
+    assert result != reference_estimate(b, S3, 1500, seed)
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -725,6 +792,21 @@ def test_estimate_applies_the_word_once_per_distinct_tuple(monkeypatch):
     calls[0] = 0
     assert hom_count_estimate(b, S3, 215, 8) == reference_estimate(b, S3, 215, 8)
     assert calls[0] == 215
+
+
+@pytest.mark.parametrize("b,G", [
+    (BraidWord(3, (1, -2, 1, -2)), S3),  # 216 tuples
+    (BraidWord(3, (1, 2, -1, 2)), Q8),  # 512 tuples, two whole slices
+    (BraidWord(4, (1, -2, 3, 2)), S3),  # 1,296 tuples, past one block
+])
+def test_estimate_at_the_table_and_slice_edges(b, G):
+    # both sides of the table regime, and sample counts that end inside a
+    # slice, on a slice boundary and inside a later block
+    total = G.size ** b.strands
+    for samples in sorted({total - 1, total, total + 1, _SLICE - 1, _SLICE,
+                           _SLICE + 1, 2 * _SLICE + 5, 1024 + _SLICE + 3}):
+        assert hom_count_estimate(b, G, samples, 17) == \
+            reference_estimate(b, G, samples, 17), samples
 
 
 def test_estimate_table_memory_is_one_byte_per_tuple():

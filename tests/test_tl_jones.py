@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import qll.algebra
 import qll.tl_jones
 from qll.algebra import BudgetError, CyclotomicNumber, UsageError
-from qll.braid import BraidWord, conjugate, stabilize
+from qll.braid import BraidWord, conjugate, stabilize, writhe
 from qll.tl_jones import (
     TLElement,
     _basis_index,
@@ -22,6 +22,7 @@ from qll.tl_jones import (
     _closure_loops_table,
     _compose_right_table,
     _matchings,
+    _writhe_normalization,
     braid_to_tl,
     jones_at_root,
     kauffman_bracket_statesum,
@@ -432,6 +433,15 @@ def test_jones_route_price():
     assert jones_at_root(b, 5, budget=price) == kauffman_bracket_statesum(b, 5)
     with pytest.raises(UsageError):
         jones_at_root(b, 2, budget=1)
+
+
+@given(small_braids(max_strands=5, max_len=40), st.integers(3, 12))
+@settings(max_examples=80, deadline=None)
+def test_writhe_rotation_equals_the_normalisation_product(b, l):
+    # the signed rotation of the trace's digits against the full product
+    # (-A)^(-3w) * trace, for writhes past 4l in both signs
+    product = _writhe_normalization(writhe(b), l) * markov_trace(braid_to_tl(b, l))
+    assert jones_at_root(b, l) == product
 
 
 # ---------------------------------------------------------------------------
