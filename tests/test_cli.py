@@ -418,6 +418,49 @@ def test_invariants_match_the_golden_reports(capsys):
     assert "".join(out) == golden.read_text("utf-8")
 
 
+def test_invariants_text_matches_the_golden_report(capsys):
+    # the text reports of the same runs, frozen from an earlier release
+    out = []
+    for argv in _invariants_golden_argv():
+        code, text, _ = run(capsys, "invariants", *argv, "--no-timings")
+        assert code == 0
+        out.append(text)
+    golden = Path(__file__).parent / "data" / "invariants_corpus.txt"
+    assert "".join(out) == golden.read_text("utf-8")
+
+
+_HOM_LINKS = [("2", "1 1 1"), ("3", "1 -2 1 -2"), ("2", "1 1"),
+              ("3", "1 -2 1 -2 1"), ("3", "1 -2 1 -2 1 -2")]
+_HOM_GROUPS = ["symmetric 3", "quaternion8", "dihedral 4 x cyclic 2"]
+
+
+def _hom_golden_argv():
+    for strands, word in _HOM_LINKS:
+        link = ["--strands", strands, "--word", word]
+        for fmt in ([], ["--json"]):
+            for group in _HOM_GROUPS:
+                for method in ([], ["--wirtinger"], ["--estimate", "500", "7"]):
+                    yield ["hom", *link, "--group", group, *method, *fmt]
+            yield ["invariants", *link,
+                   *[a for g in _HOM_GROUPS for a in ("--hom", g)],
+                   "--hom", _HOM_GROUPS[0],  # a repeated spec is counted once
+                   "--hom-estimate", _HOM_GROUPS[0], "500", "7",
+                   "--hom-estimate", _HOM_GROUPS[2], "300", "11", *fmt]
+
+
+def test_hom_matches_the_golden_reports(capsys):
+    # Hurwitz, Wirtinger and the estimate on five corpus links, as text and
+    # JSON, and the same counts through invariants, frozen from an earlier
+    # release of the suite
+    out = []
+    for argv in _hom_golden_argv():
+        code, text, _ = run(capsys, *argv, "--no-timings")
+        assert code == 0
+        out.append(text)
+    golden = Path(__file__).parent / "data" / "hom_corpus.txt"
+    assert "".join(out) == golden.read_text("utf-8")
+
+
 def test_check_table_budget_skips_not_failures(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QLL_BUDGET", "10")
     code, out, _ = run(capsys, "check-table", "--no-timings")
