@@ -213,10 +213,6 @@ def _stretch(poly, k: int) -> list[int]:
     return out
 
 
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
-
-
 class CyclotomicNumber:
     """An element of Z[z_n], reduced into the power basis of length phi(n).
 
@@ -399,24 +395,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return "CyclotomicNumber(%d, %r)" % (self.order, list(self.coeffs))
-
-
-def cyc_inverse(x: CyclotomicNumber) -> tuple[CyclotomicNumber, int]:
-    """Exact inverse in Q(z_n) as a pair (c, m) with 1/x = c/m: c is the
-    product of the other Galois conjugates of x, and m = x c, the norm, a
-    nonzero integer.
-
-    >>> c, m = cyc_inverse(CyclotomicNumber.zeta(4) + 1)
-    >>> m, (CyclotomicNumber.zeta(4) + 1) * c == m
-    (2, True)
-    """
-    if x.is_zero():
-        raise ZeroDivisionError("cyclotomic inverse of zero")
-    prod = CyclotomicNumber.one(x.order)
-    for a in _units(x.order):
-        if a != 1:
-            prod = prod * x.galois(a)
-    return prod, (x * prod).as_int()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``invariants``  -- evaluate selected invariants of one braid closure.
+* ``invariants``  -- evaluate selected invariants of one braid closure.  Its
+  flags, report keys, text lines and usage message all come from the one
+  table ``INVARIANTS``, in report order.
 * ``check-table`` -- run the identity-check suite over a corpus of links
   with frozen expected values (bundled corpus by default).
 * ``image``       -- classify the image of a braid-group representation.
@@ -426,52 +428,80 @@ def _hom_estimate(b: BraidWord, spec: str, samples_text: str,
     }
 
 
+def _linking(b: BraidWord) -> dict:
+    matrix = [list(row) for row in linking_matrix(b)]
+    total = sum(sum(row[i + 1:]) for i, row in enumerate(matrix))
+    return {"matrix": matrix, "total": total}
+
+
+def _each(values: list[int], value: Callable[[int], object]) -> dict:
+    """value(v) keyed by str(v), for each distinct v in increasing order."""
+    return {str(v): value(v) for v in sorted(set(values))}
+
+
+# The invariants of one closure, in report order: (flag, argparse options,
+# value(braid, argument, budget) for the JSON report, lines(value) for the
+# text report).  The report key is the flag's argparse dest, `_key(flag)`.
+INVARIANTS = (
+    ("--components", {"action": "store_true"},
+     lambda b, _, budget: closure_components(b),
+     lambda v: ["components: %d" % v]),
+    ("--linking", {"action": "store_true"},
+     lambda b, _, budget: _linking(b),
+     lambda v: ["linking: total=%d matrix=%s" % (
+         v["total"], ";".join(",".join(map(str, row)) for row in v["matrix"]))]),
+    ("--jones", {"type": int, "action": "append", "metavar": "L",
+                 "help": "Jones at level L"},
+     lambda b, levels, budget: _each(
+         levels, lambda l: _cyc_json(jones_at_root(b, l, budget))),
+     lambda v: ["jones[%s]: %s" % (l, _json_value_text(x)) for l, x in v.items()]),
+    ("--alexander", {"action": "store_true"},
+     lambda b, _, budget: _poly_json(alexander_poly(b)),
+     lambda v: ["alexander: %s" % v["text"]]),
+    ("--det", {"action": "store_true"},
+     lambda b, _, budget: determinant(b),
+     lambda v: ["det: %d" % v]),
+    ("--dp", {"type": int, "action": "append", "metavar": "P",
+              "help": "double-cover homology rank at prime P"},
+     lambda b, primes, budget: _each(
+         primes, lambda p: double_cover_homology(b, p)),
+     lambda v: ["d%s: %d" % item for item in v.items()]),
+    ("--arf", {"action": "store_true", "help": "Arf invariant (knots)"},
+     lambda b, _, budget: arf_knot(b),
+     lambda v: ["arf: %d" % v]),
+    ("--hom", {"action": "append", "metavar": "GROUP",
+               "help": "exact homomorphism count into a built-in group"},
+     lambda b, specs, budget: {
+         spec: hom_count_exact(b, _count_group(b, spec, budget), budget)
+         for spec in dict.fromkeys(specs)},
+     lambda v: ["hom[%s]: %d" % item for item in v.items()]),
+    ("--hom-estimate", {"nargs": 3, "action": "append",
+                        "metavar": ("GROUP", "SAMPLES", "SEED"),
+                        "help": "seeded sampling estimate of the homomorphism count"},
+     lambda b, requests, budget: [
+         {"group": spec, **_hom_estimate(b, spec, samples, seed, budget)}
+         for spec, samples, seed in requests],
+     lambda v: ["hom-estimate[%s]: %s" % (r["group"], _estimate_text(r))
+                for r in v]),
+)
+
+
+def _key(flag: str) -> str:
+    """The report key of an `INVARIANTS` flag: its argparse dest."""
+    return flag[2:].replace("-", "_")
+
+
 def _cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
     budget = _limit(args.budget, "--budget", _DEFAULT_BUDGET)
     b = parse_braid(args.word, args.strands)
     results: dict = {}
-    if args.components:
-        results["components"] = closure_components(b)
-    if args.linking:
-        matrix = linking_matrix(b)
-        total = sum(
-            matrix[i][j]
-            for i in range(len(matrix))
-            for j in range(i + 1, len(matrix))
-        )
-        results["linking"] = {"matrix": [list(r) for r in matrix], "total": total}
-    if args.jones:
-        results["jones"] = {
-            str(l): _cyc_json(jones_at_root(b, l, budget))
-            for l in sorted(set(args.jones))
-        }
-    if args.alexander:
-        results["alexander"] = _poly_json(alexander_poly(b))
-    if args.det:
-        results["det"] = determinant(b)
-    if args.dp:
-        results["dp"] = {
-            str(p): double_cover_homology(b, p) for p in sorted(set(args.dp))
-        }
-    if args.arf:
-        results["arf"] = arf_knot(b)
-    if args.hom:
-        hom: dict = {}
-        for spec in args.hom:
-            if spec not in hom:
-                hom[spec] = hom_count_exact(b, _count_group(b, spec, budget), budget)
-        results["hom"] = hom
-    if args.hom_estimate:
-        results["hom_estimate"] = [
-            {"group": spec, **_hom_estimate(b, spec, samples, seed, budget)}
-            for spec, samples, seed in args.hom_estimate
-        ]
+    for flag, _, value, _ in INVARIANTS:
+        argument = getattr(args, _key(flag))
+        if argument:
+            results[_key(flag)] = value(b, argument, budget)
     if not results:
-        raise UsageError(
-            "no invariants requested; pass at least one of --components, "
-            "--linking, --jones, --alexander, --det, --dp, --arf, --hom, "
-            "--hom-estimate"
-        )
+        raise UsageError("no invariants requested; pass at least one of "
+                         + ", ".join(flag for flag, *_ in INVARIANTS))
     return {
         "command": "invariants",
         "input": {"strands": b.strands, "word": list(b.word)},
@@ -598,36 +628,10 @@ def _estimate_text(record: dict) -> str:
 
 
 def _render_invariants(report: dict) -> str:
-    lines = _input_lines(report)
     results = report["results"]
-    if "components" in results:
-        lines.append("components: %d" % results["components"])
-    if "linking" in results:
-        matrix = results["linking"]["matrix"]
-        lines.append(
-            "linking: total=%d matrix=%s"
-            % (
-                results["linking"]["total"],
-                ";".join(",".join(str(x) for x in row) for row in matrix),
-            )
-        )
-    for l, value in results.get("jones", {}).items():
-        lines.append("jones[%s]: %s" % (l, _json_value_text(value)))
-    if "alexander" in results:
-        lines.append("alexander: %s" % results["alexander"]["text"])
-    if "det" in results:
-        lines.append("det: %d" % results["det"])
-    for p, value in results.get("dp", {}).items():
-        lines.append("d%s: %d" % (p, value))
-    if "arf" in results:
-        lines.append("arf: %d" % results["arf"])
-    for spec, count in results.get("hom", {}).items():
-        lines.append("hom[%s]: %d" % (spec, count))
-    for record in results.get("hom_estimate", []):
-        lines.append(
-            "hom-estimate[%s]: %s" % (record["group"], _estimate_text(record))
-        )
-    return "\n".join(lines)
+    return "\n".join(_input_lines(report) + [
+        line for flag, _, _, lines in INVARIANTS if _key(flag) in results
+        for line in lines(results[_key(flag)])])
 
 
 def _json_value_text(value: dict) -> str:
@@ -755,34 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariants", help="invariants of one braid closure")
     inv.add_argument("--strands", type=int, required=True)
     inv.add_argument("--word", required=True, help="space-separated letters")
-    inv.add_argument(
-        "--jones", type=int, action="append", metavar="L", help="Jones at level L"
-    )
-    inv.add_argument("--alexander", action="store_true")
-    inv.add_argument("--det", action="store_true")
-    inv.add_argument(
-        "--dp",
-        type=int,
-        action="append",
-        metavar="P",
-        help="double-cover homology rank at prime P",
-    )
-    inv.add_argument("--arf", action="store_true", help="Arf invariant (knots)")
-    inv.add_argument(
-        "--hom",
-        action="append",
-        metavar="GROUP",
-        help="exact homomorphism count into a built-in group",
-    )
-    inv.add_argument(
-        "--hom-estimate",
-        nargs=3,
-        action="append",
-        metavar=("GROUP", "SAMPLES", "SEED"),
-        help="seeded sampling estimate of the homomorphism count",
-    )
-    inv.add_argument("--components", action="store_true")
-    inv.add_argument("--linking", action="store_true")
+    for flag, options, _, _ in INVARIANTS:
+        inv.add_argument(flag, **options)
     inv.add_argument("--budget")
     _add_common_flags(inv)
     inv.set_defaults(handler=_cmd_invariants)

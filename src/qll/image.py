@@ -48,7 +48,10 @@ and words that differ by a power of zeta_N share a key
 deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
 sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
 polynomial in it and its determinant a root of unity: no matrix is
-inverted or eliminated.
+inverted or eliminated.  Nor is any field element: the letters' entries
+[p_i + 1]/[k + 1] take each 1/[k + 1] in closed form, a sum of powers of A
+over the order r of q^(2k+2) (`_qint_inverse`), and no Galois norm is
+formed.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
 
-from .algebra import (CyclotomicNumber, UsageError, _is_prime, cyc_inverse,
-                      euler_phi)
+from .algebra import CyclotomicNumber, UsageError, _is_prime, euler_phi
 from .braid import BraidWord
 from .burau import burau_mod_p
 from .tl_jones import loop_parameter
@@ -312,6 +314,28 @@ def quotient_dimension(n: int, l: int) -> int:
     return sum(ends.count(k) ** 2 for k in set(ends))
 
 
+def _qint_inverse(k: int, l: int) -> tuple[CyclotomicNumber, int]:
+    """(c_k, r_k) with 1/[k+1] = c_k/r_k, c_k in Z[A], A = zeta_{4l},
+    0 <= k <= l-2.  With q = -A^2, [k+1] = (x - 1)/((q - 1/q) q^(k+1)) for
+    x = q^(2k+2) = A^(4k+4), whose order r_k = l/gcd(l, k+1) is > 1; and
+    (x - 1) sum_{s<r} s x^s = r for any x of order r, so
+    c_k = (q - 1/q) q^(k+1) sum_{s<r} s x^s = (-1)^(k+1) (A^2k - A^(2k+4))
+    sum_{s<r} s x^s.
+
+    >>> c, r = _qint_inverse(1, 3)  # [2] = d = -1 at l = 3
+    >>> r, c == CyclotomicNumber.from_int(-r, 12)
+    (3, True)
+    """
+    N, r = 4 * l, l // gcd(l, k + 1)
+    sign = -1 if k % 2 == 0 else 1
+    coeffs = [0] * N
+    for s in range(1, r):
+        e = 2 * k + 4 * (k + 1) * s
+        coeffs[e % N] += sign * s
+        coeffs[(e + 4) % N] -= sign * s
+    return CyclotomicNumber(N, coeffs), r
+
+
 @lru_cache(maxsize=None)
 def _tl_generators(n: int, l: int):
     """sigma_i = A + A^-1 E_i on the path basis, A = zeta_{4l}.  E_i acts
@@ -320,7 +344,7 @@ def _tl_generators(n: int, l: int):
     Jones-Wenzl form conjugated by the diagonal prod_j sqrt([p_j + 1]), so no
     square root appears.  The quantum integers are taken at q = -A^2, so
     that [2] = q + 1/q = d and [m+1] = d [m] - [m-1].  Every entry is
-    built over one denominator, the lcm of the norms of the [k + 1]."""
+    built over one denominator, the lcm of the r_k of `_qint_inverse`."""
     if n == 1:
         return ()
     N = 4 * l
@@ -328,7 +352,7 @@ def _tl_generators(n: int, l: int):
     qint = [CyclotomicNumber.zero(N), CyclotomicNumber.one(N)]  # [m]
     while len(qint) < l:
         qint.append(d * qint[-1] - qint[-2])
-    inv = [cyc_inverse(x) for x in qint[1:]]  # 1/[k+1] = c_k/m_k
+    inv = [_qint_inverse(k, l) for k in range(l - 1)]  # 1/[k+1] = c_k/r_k
     den = lcm(*(m for _, m in inv))
     scaled = [c * (den // m) for c, m in inv]  # den/[k+1]
     A = CyclotomicNumber.zeta(N) * den

@@ -20,7 +20,6 @@ from qll.algebra import (
     _require_budget,
     _require_budget_bits,
     corank_mod_p,
-    cyc_inverse,
     cyclotomic_polynomial,
     euler_phi,
     moebius,
@@ -209,16 +208,6 @@ def test_embed_roundtrip_preserves_value():
     assert b.order == 24
     with pytest.raises(UsageError):
         a.embed(9)
-
-
-@settings(max_examples=80)
-@given(st.sampled_from([3, 4, 5, 8, 12, 20, 24, 28, 40, 48]).flatmap(cyc_strategy))
-def test_exact_inverse(a):
-    if a.is_zero():
-        return
-    c, m = cyc_inverse(a)
-    assert m != 0
-    assert a * c == m
 
 
 @settings(max_examples=150)

@@ -15,6 +15,7 @@ import pytest
 from qll.algebra import UsageError
 from qll.braid import BraidWord, closure_components, parse_braid
 from qll.cli import (
+    INVARIANTS,
     bundled_corpus_text,
     main,
     parse_corpus,
@@ -232,7 +233,27 @@ def test_invariants_estimate_deterministic(capsys):
 def test_invariants_requires_a_request(capsys):
     code, _, err = run(capsys, "invariants", "--strands", "2", "--word", "1")
     assert code == 2
-    assert "usage error" in err
+    assert err == (
+        "usage error: no invariants requested; pass at least one of "
+        "--components, --linking, --jones, --alexander, --det, --dp, --arf, "
+        "--hom, --hom-estimate\n")
+
+
+# the argument each INVARIANTS flag takes in the test below
+_ROW_ARGUMENTS = {"--jones": ["5"], "--dp": ["3"], "--hom": ["cyclic 2"],
+                  "--hom-estimate": ["cyclic 2", "20", "1"]}
+
+
+@pytest.mark.parametrize("row", INVARIANTS, ids=[row[0] for row in INVARIANTS])
+def test_each_invariants_row_gives_one_report_key(capsys, row):
+    flag = row[0]
+    code, out, _ = run(capsys, "invariants", "--strands", "2", "--word", "1 1 1",
+                       flag, *_ROW_ARGUMENTS.get(flag, []), "--json", "--no-timings")
+    assert code == 0
+    assert list(json.loads(out)["results"]) == [flag[2:].replace("-", "_")]
+    with pytest.raises(SystemExit):
+        main(["invariants", "--help"])
+    assert re.search(r"(?<![\w-])%s(?![\w-])" % flag, capsys.readouterr().out)
 
 
 def test_invariants_arf_on_link_is_usage_error(capsys):

@@ -4,9 +4,10 @@ infinite-order trace certificate, and end-to-end verdicts."""
 import random
 import runpy
 import sys
+import time
 from functools import lru_cache, partial
 from itertools import islice
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
                        _columns, _fp_normal, _inverse_letter, _order_mod_p,
                        _paths, _periodic, _perm_group_order, _point_key,
-                       _point_orbit_order, _residue_key, _root_powers,
-                       _trace_certificate, _zeta_multiple, classify_image,
+                       _point_orbit_order, _qint_inverse, _residue_key,
+                       _root_powers, _tl_generators, _trace_certificate,
+                       _zeta_multiple, classify_image,
                        group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
@@ -81,6 +83,26 @@ def quantum_integer(m, l):
     qinv = -CyclotomicNumber.zeta(4 * l, -2)
     return sum((q ** (m - 1 - j) * qinv ** j for j in range(m)),
                CyclotomicNumber.zero(4 * l))
+
+
+def test_quantum_integer_inverses_are_exact():
+    # [k+1] c_k = r_k, with [k+1] = (-1)^k (A^2k + A^(2k-4) + ... + A^-2k)
+    # summed from monomials, for every quantum integer the path basis uses
+    for l in range(3, 61):
+        N = 4 * l
+        for k in range(l - 1):
+            qint = sum((CyclotomicNumber.zeta(N, 2 * k - 4 * j) for j in range(k + 1)),
+                       CyclotomicNumber.zero(N)) * (-1) ** k
+            c, r = _qint_inverse(k, l)
+            assert r == l // gcd(l, k + 1) > 1
+            assert qint * c == r
+
+
+def test_tl_generators_at_large_l_are_prompt():
+    started = time.perf_counter()
+    (a, b) = _tl_generators.__wrapped__(3, 160)
+    assert time.perf_counter() - started < 1.0
+    assert a.mul(b).mul(a) == b.mul(a).mul(b)
 
 
 @lru_cache(maxsize=None)
