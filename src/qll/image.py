@@ -319,7 +319,7 @@ def _qint_inverse(k: int, l: int) -> tuple[CyclotomicNumber, int]:
     0 <= k <= l-2.  With q = -A^2, [k+1] = (x - 1)/((q - 1/q) q^(k+1)) for
     x = q^(2k+2) = A^(4k+4), whose order r_k = l/gcd(l, k+1) is > 1; and
     (x - 1) sum_{s<r} s x^s = r for any x of order r, so
-    c_k = (q - 1/q) q^(k+1) sum_{s<r} s x^s = (-1)^(k+1) (A^2k - A^(2k+4))
+    c_k = (q - 1/q) q^(k+1) sum_{s<r} s x^s = (-1)^(k+1) (A^(2k) - A^(2k+4))
     sum_{s<r} s x^s.
 
     >>> c, r = _qint_inverse(1, 3)  # [2] = d = -1 at l = 3
