@@ -3,8 +3,8 @@ and integer/modular matrix reductions.
 
 Ranks over F_p and integer determinants come from one fraction-free
 elimination, ``_bareiss``; determinants over Z[t, 1/t] are integer ones at
-t = 2^K (``burau._det``), read back by ``signed_digits``, the reader of
-every int packed from signed base-2^w digits.
+t = 2^K (``burau._det``).  Every int packed from signed base-2^w digits is
+written by ``pack_digits`` and read back by ``signed_digits``.
 
 Cyclotomic integers are stored in the power basis 1, z, ..., z^(phi(n)-1) of
 Z[z] with z a primitive n-th root of unity; every operation reduces modulo the
@@ -68,6 +68,20 @@ def _require_budget_bits(low_bits: int, budget: int, what: str):
 
 # ---------------------------------------------------------------------------
 # packed integers: signed base-2^w digits
+
+def pack_digits(digits, w: int) -> int:
+    """sum d_i 2^(w i) over the digits d_0, d_1, ..., lowest first: the
+    int that `signed_digits` reads back while each d_i lies in
+    [-2^(w-1), 2^(w-1)).
+
+    >>> pack_digits([-8, 5, -3], 4) == (-3 << 8) + (5 << 4) - 8
+    True
+    """
+    v = 0
+    for d in reversed(digits):
+        v = (v << w) + d
+    return v
+
 
 def signed_digits(v: int, count: int, w: int) -> list[int]:
     """The ``count`` signed base-2^w digits of v, lowest first, each in

@@ -33,21 +33,12 @@ from the determinant mod 8.
 from __future__ import annotations
 
 from .algebra import (LaurentPoly, UsageError, _bareiss, _is_prime, corank_mod_p,
-                      signed_digits)
+                      pack_digits, signed_digits)
 from .braid import BraidWord, closure_components
 
 
 def _identity(size: int, one):
     return [[one if r == c else 0 for c in range(size)] for r in range(size)]
-
-
-def _pack(x: LaurentPoly, w: int, shift: int) -> int:
-    """x t^shift at t = 2^w, for x zero or with no exponent of x t^shift
-    below 0."""
-    v = 0
-    for c in reversed(x.coeffs):
-        v = (v << w) + c
-    return v << (w * shift) if v else 0
 
 
 def _unpack(v: int, w: int, low: int) -> LaurentPoly:
@@ -140,7 +131,8 @@ def _det(m) -> LaurentPoly:
     for row in m:
         bound *= sum(abs(c) for x in row for c in x.coeffs)
     k = bound.bit_length() + 2
-    rows = [[_pack(x, k, x.low - low) for x in row] for row, low in zip(m, lows)]
+    rows = [[pack_digits(x.coeffs, k) << k * (x.low - low) if x else 0
+             for x in row] for row, low in zip(m, lows)]
     return _unpack(_int_det(rows), k, sum(lows))
 
 

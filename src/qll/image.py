@@ -64,7 +64,6 @@ from math import gcd, lcm, prod
 from .algebra import CyclotomicNumber, UsageError, _is_prime, euler_phi
 from .braid import BraidWord
 from .burau import burau_mod_p
-from .tl_jones import loop_parameter
 
 _DEFAULT_BOUND = 10 ** 6
 _WITNESS_LEN = 6
@@ -142,32 +141,6 @@ class CycMatrix:
         return ("cyc", self.order, self.den,
                 tuple(tuple(e.coeffs for e in row) for row in self.rows))
 
-    def canonical_key(self):
-        """For M = X/den: `den` with every entry of X times conj(f), f the
-        first nonzero entry of X.
-
-        Two matrices of words in Temperley-Lieb letters have equal projective
-        keys exactly when one is a root of unity times the other:
-        - a root of unity u has u conj(u) = 1, so X_ij u conj(u f) =
-          X_ij conj(f) and uM has the key of M;
-        - equal keys put the first nonzero entries f of X and f' of X' at the
-          same place with f conj(f) = f' conj(f'), so M' = lam M with
-          lam = conj(f/f') and lam conj(lam) = 1;
-        - each letter's eigenvalues are A and -A^-3 (`_inverse_letter` checks
-          this), so the determinants of M, M' and hence lam^dim are roots of
-          unity, and lam, a root of unity in Q(zeta_N), N = 4l, is a power
-          of zeta_N.
-        So on such words the key classes are the cosets of <zeta_N>, the
-        scalars a finite projective image is taken modulo.  It is the key
-        of the test oracles; the word search reaches the same classes by
-        residues (`_residue_key`) and never calls it."""
-        first = next((e for row in self.rows for e in row if not e.is_zero()), None)
-        if first is None:
-            return self.key()
-        bar = first.conjugate()
-        return ("cyc", self.order, self.den,
-                tuple(tuple((e * bar).coeffs for e in row) for row in self.rows))
-
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
@@ -190,63 +163,24 @@ def _dot(arow, col, zero):
     return acc
 
 
+@dataclass(frozen=True)
 class FpMatrix:
-    """Square matrix over F_p."""
+    """Square matrix over F_p, its rows reduced into 0..p-1."""
 
-    __slots__ = ("p", "rows")
+    p: int
+    rows: tuple
 
-    def __init__(self, p: int, rows):
-        if not _is_prime(p):
-            raise UsageError("p must be prime, got %d" % p)
-        entries = tuple(tuple(x % p for x in row) for row in rows)
-        if any(len(row) != len(entries) for row in entries):
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise UsageError("p must be prime, got %d" % self.p)
+        rows = tuple(tuple(x % self.p for x in row) for row in self.rows)
+        if any(len(row) != len(rows) for row in rows):
             raise UsageError("matrix must be square")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpMatrix is immutable")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def identity_like(self) -> "FpMatrix":
-        n = self.dim
-        return FpMatrix(self.p, [[1 if r == c else 0 for c in range(n)]
-                                 for r in range(n)])
-
-    def mul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.dim != other.dim:
-            raise UsageError("matrix shapes/moduli differ")
-        n, p = self.dim, self.p
-        return FpMatrix(p, [[sum(self.rows[r][k] * other.rows[k][c]
-                                 for k in range(n)) % p
-                             for c in range(n)] for r in range(n)])
-
-    def key(self):
-        return ("fp", self.p, self.rows)
-
-    def canonical_key(self):
-        """Every entry times the inverse of the first nonzero entry, which
-        identifies the matrices that differ by a nonzero scalar."""
-        first = next((x for row in self.rows for x in row if x), None)
-        if first is None:
-            return self.key()
-        inv = pow(first, -1, self.p)
-        return ("fp", self.p,
-                tuple(tuple(x * inv % self.p for x in row) for row in self.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "FpMatrix(p=%d, dim=%d)" % (self.p, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +270,20 @@ def _qint_inverse(k: int, l: int) -> tuple[CyclotomicNumber, int]:
     return CyclotomicNumber(N, coeffs), r
 
 
+def _qint(m: int, l: int) -> CyclotomicNumber:
+    """The quantum integer [m] = q^(m-1) + q^(m-3) + ... + q^(1-m) at
+    q = -A^2, A = zeta_{4l}: (-1)^(m-1) sum_{j<m} A^(2(m-1-2j)).
+
+    >>> _qint(2, 5) == -CyclotomicNumber.zeta(20, 2) - CyclotomicNumber.zeta(20, -2)
+    True
+    """
+    N = 4 * l
+    coeffs = [0] * N
+    for j in range(m):
+        coeffs[2 * (m - 1 - 2 * j) % N] += 1 if m % 2 else -1
+    return CyclotomicNumber(N, coeffs)
+
+
 @lru_cache(maxsize=None)
 def _tl_generators(n: int, l: int):
     """sigma_i = A + A^-1 E_i on the path basis, A = zeta_{4l}.  E_i acts
@@ -343,15 +291,13 @@ def _tl_generators(n: int, l: int):
     [p_i + 1]/[k + 1] in both columns p_i = k-1 and k+1.  This is the unitary
     Jones-Wenzl form conjugated by the diagonal prod_j sqrt([p_j + 1]), so no
     square root appears.  The quantum integers are taken at q = -A^2, so
-    that [2] = q + 1/q = d and [m+1] = d [m] - [m-1].  Every entry is
-    built over one denominator, the lcm of the r_k of `_qint_inverse`."""
+    that [2] = q + 1/q = d, and each is built in closed form (`_qint`).
+    Every entry is built over one denominator, the lcm of the r_k of
+    `_qint_inverse`."""
     if n == 1:
         return ()
     N = 4 * l
-    d = loop_parameter(l)
-    qint = [CyclotomicNumber.zero(N), CyclotomicNumber.one(N)]  # [m]
-    while len(qint) < l:
-        qint.append(d * qint[-1] - qint[-2])
+    qint = [_qint(m, l) for m in range(l)]  # [m]
     inv = [_qint_inverse(k, l) for k in range(l - 1)]  # 1/[k+1] = c_k/r_k
     den = lcm(*(m for _, m in inv))
     scaled = [c * (den // m) for c, m in inv]  # den/[k+1]
@@ -624,9 +570,10 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     - p divides no denominator;
     - det X is den^dim times a root of unity, so X mod P != 0;
     - so words that differ by a power of zeta_N always share a key;
-    - so the dedup classes are the cosets of <zeta_N> that `canonical_key`
-      names, the key of the test oracles, and the words searched and the
-      witness found are those of a search keyed by it.
+    - so the dedup classes are exactly the cosets of <zeta_N>, and the
+      words searched and the witness found are those of a search that keys
+      each matrix by its coset, as `canonical_key` in tests/oracles.py
+      does.
 
     Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
     N its order, and together they must satisfy the braid relations, as
@@ -915,9 +862,9 @@ def _order_mod_p(gens, bound: int, p: int):
       above: a = 0.  The eigenvalues of g are then roots of unity of order
       prime to p, all congruent to c modulo a prime above P, and such roots
       stay distinct modulo it, so they are all one lam.  g has finite order,
-      so it is diagonalisable and equals lam I, a power of zeta_N times I:
-      one of the scalar classes `canonical_key` names as the key of the
-      test oracles, and the word search drops words by.
+      so it is diagonalisable and equals lam I, a power of zeta_N times I.
+      So the kernel is the coset <zeta_N> the word search drops words by,
+      and `enumerated_order` in tests/oracles.py counts elements modulo.
     So the image of G in PGL_r(F_p) has the order of its projective image
     in characteristic 0, the order `group_closure` finds.
 
@@ -976,8 +923,8 @@ def group_closure(gens, bound: int = _DEFAULT_BOUND):
     so it is lam I.  Each letter's eigenvalues are A and -A^-3
     (`_inverse_letter` checks it), so determinants are roots of unity,
     lam^r is one, and lam is a root of unity in Q(zeta_N), which N even
-    makes a power of zeta_N: one of the scalar classes `canonical_key`
-    names as the key of the test oracles, and lam conj(lam) = 1.  So the
+    makes a power of zeta_N, with lam conj(lam) = 1: the cosets of
+    <zeta_N> that `enumerated_order` in tests/oracles.py counts.  So the
     kernel of the action is exactly the scalars of G, and the permutation
     group has the order of G modulo the powers of zeta_N."""
     for g in gens:

@@ -42,7 +42,7 @@ from collections import Counter
 from math import comb
 
 from .algebra import (_DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget,
-                      _require_budget_bits, signed_digits)
+                      _require_budget_bits, pack_digits, signed_digits)
 from .braid import BraidWord, writhe
 
 
@@ -167,13 +167,8 @@ class TLElement:
         digits = {k: c.embed(4 * l).coeffs for k, c in coeffs.items()}
         mass = sum(abs(x) for ds in digits.values() for x in ds)
         w = mass.bit_length() + 2
-        packed = {}
-        for k, ds in digits.items():
-            v = 0
-            for x in reversed(ds):
-                v = (v << w) + x
-            if v:
-                packed[k] = v
+        packed = {k: pack_digits(ds, w) for k, ds in digits.items()}
+        packed = {k: v for k, v in packed.items() if v}
         self.n, self.l, self.w, self.packed, self._coeffs = n, l, w, packed, None
 
     @staticmethod

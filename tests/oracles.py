@@ -7,11 +7,13 @@ checks the Bareiss ranks and determinants of ``qll.algebra`` and ``qll.burau``
 by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
 orders of ``qll.image`` by listing every projective element;
 ``hurwitz_move`` checks the column kernel of ``qll.homcount`` one tuple and
-one letter at a time.  None of them shares code with the route it checks: the only name taken from ``qll`` is
-the exception type, so that the tests can expect one ``UsageError`` from
-either side, and ``enumerated_order`` multiplies the matrices it is given
-by their own ``mul`` and keys them by their own ``canonical_key``, which no
-point-orbit route calls.
+one letter at a time.  None of them shares code with the route it checks:
+the only name taken from ``qll`` is the exception type, so that the tests
+can expect one ``UsageError`` from either side.  ``enumerated_order``
+multiplies matrices over F_p by ``fp_product`` and keys every element by
+``canonical_key``, both defined here; no point-orbit route calls either.
+Over Q(zeta_N) it multiplies by the matrices' own ``mul``, the product the
+word search and the braid checks of ``qll.image`` also use.
 
 Boundary labels of a diagram on n strands: top points are 0..n-1 left to
 right, bottom points are n..2n-1 left to right.  Planarity is checked in the
@@ -23,6 +25,7 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from qll.algebra import UsageError
 
@@ -154,6 +157,58 @@ def smith_normal_form(mat) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def fp_product(p: int, a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of the square matrices a and b over F_p, as rows of
+    residues in 0..p-1: each entry the dot product of a row of a with a
+    column of b."""
+    if len(a) != len(b):
+        raise UsageError("matrix shapes differ")
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                       for col in zip(*b)) for row in a)
+
+
+def _fp_key(p: int, rows):
+    """Every entry times the inverse of the first nonzero entry, which
+    identifies the matrices over F_p that differ by a nonzero scalar."""
+    first = next((x for row in rows for x in row if x), None)
+    if first is None:
+        return rows
+    inv = pow(first, -1, p)
+    return tuple(tuple(x * inv % p for x in row) for row in rows)
+
+
+def canonical_key(M):
+    """The projective key of a matrix of ``qll.image``, read from its
+    fields alone.
+
+    Over F_p (``p`` and ``rows``): the rows scaled to first nonzero entry 1,
+    so two matrices share a key exactly when they differ by a nonzero
+    scalar.
+
+    Over Q(zeta_N) (``order``, ``den`` and ``rows``, M = X/den in lowest
+    terms): ``den`` with every entry of X times conj(f), f the first nonzero
+    entry of X.  Two matrices of words in Temperley-Lieb letters share a key
+    exactly when one is a root of unity times the other:
+    - a root of unity u has u conj(u) = 1, so X_ij u conj(u f) =
+      X_ij conj(f) and uM has the key of M;
+    - equal keys put the first nonzero entries f of X and f' of X' at the
+      same place with f conj(f) = f' conj(f'), so M' = lam M with
+      lam = conj(f/f') and lam conj(lam) = 1;
+    - each letter's eigenvalues are A and -A^-3 (``qll.image`` checks this
+      when it builds a letter's inverse), so the determinants of M, M' and
+      hence lam^dim are roots of unity, and lam, a root of unity in
+      Q(zeta_N), N = 4l, is a power of zeta_N.
+    So on such words the key classes are the cosets of <zeta_N>, the
+    scalars a finite projective image is taken modulo."""
+    if hasattr(M, "p"):
+        return ("fp", M.p, _fp_key(M.p, M.rows))
+    first = next((e for row in M.rows for e in row if not e.is_zero()), None)
+    bar = first.conjugate() if first is not None else None
+    return ("cyc", M.order, M.den,
+            tuple(tuple((e if bar is None else e * bar).coeffs for e in row)
+                  for row in M.rows))
+
+
 def enumerated_order(gens, bound: int = 10 ** 6):
     """Projective order of the group the matrices `gens` generate, or None
     once `bound` distinct elements are exceeded.  A finite multiplicative
@@ -164,15 +219,22 @@ def enumerated_order(gens, bound: int = 10 ** 6):
     Q(zeta_N)."""
     if not gens:
         return 1
-    ident = gens[0].identity_like()
-    seen = {ident.canonical_key()}
+    if hasattr(gens[0], "p"):  # over F_p: rows, multiplied here
+        p, dim = gens[0].p, gens[0].dim
+        gens = [g.rows for g in gens]
+        ident = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+        mul, key = partial(fp_product, p), partial(_fp_key, p)
+    else:
+        ident, key = gens[0].identity_like(), canonical_key
+        mul = type(ident).mul  # the matrices' own product
+    seen = {key(ident)}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                w = m.mul(g)
-                k = w.canonical_key()
+                w = mul(m, g)
+                k = key(w)
                 if k not in seen:
                     if len(seen) >= bound:
                         return None

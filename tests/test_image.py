@@ -20,14 +20,14 @@ from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
                        _columns, _fp_normal, _inverse_letter, _order_mod_p,
                        _paths, _periodic, _perm_group_order, _point_key,
-                       _point_orbit_order, _qint_inverse, _residue_key,
+                       _point_orbit_order, _qint, _qint_inverse, _residue_key,
                        _root_powers, _tl_generators, _trace_certificate,
                        _zeta_multiple, classify_image,
                        group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
-from oracles import enumerated_order
+from oracles import canonical_key, enumerated_order, fp_product
 
 
 def fusion_end_dim(n, l):
@@ -98,6 +98,16 @@ def test_quantum_integer_inverses_are_exact():
             assert qint * c == r
 
 
+def test_quantum_integers_in_closed_form_match_the_recurrence():
+    # [0] = 0, [1] = 1 and [m+1] = d [m] - [m-1], d the loop parameter
+    for l in range(3, 61):
+        d = loop_parameter(l)
+        qint = [CyclotomicNumber.zero(4 * l), CyclotomicNumber.one(4 * l)]
+        while len(qint) < l:
+            qint.append(d * qint[-1] - qint[-2])
+        assert [_qint(m, l) for m in range(l)] == qint, l
+
+
 def test_tl_generators_at_large_l_are_prompt():
     started = time.perf_counter()
     (a, b) = _tl_generators.__wrapped__(3, 160)
@@ -151,12 +161,27 @@ def test_tl_two_strand_generator_spectrum():
 
 
 def test_burau_generators_satisfy_braid_relations():
-    g1, g2 = rep_generators(RepSpec("burau", 3, p=5, t0=2))
-    assert g1.mul(g2).mul(g1) == g2.mul(g1).mul(g2)
-    g1_inv = FpMatrix(5, burau_mod_p(BraidWord(3, (-1,)), 5, 2))
-    assert g1.mul(g1_inv) == g1.identity_like()
-    g = rep_generators(RepSpec("burau", 4, p=7, t0=3))
-    assert g[0].mul(g[2]) == g[2].mul(g[0])
+    a, b = (g.rows for g in rep_generators(RepSpec("burau", 3, p=5, t0=2)))
+    mul = partial(fp_product, 5)
+    assert mul(mul(a, b), a) == mul(mul(b, a), b)
+    a_inv = FpMatrix(5, burau_mod_p(BraidWord(3, (-1,)), 5, 2)).rows
+    assert mul(a, a_inv) == ((1, 0), (0, 1))
+    g = [x.rows for x in rep_generators(RepSpec("burau", 4, p=7, t0=3))]
+    assert fp_product(7, g[0], g[2]) == fp_product(7, g[2], g[0])
+
+
+def test_burau_generators_are_equal_and_equally_hashed_per_spec():
+    # FpMatrix compares and hashes (p, rows), so a new build of one spec's
+    # generators finds the cached columns of the previous one
+    spec = RepSpec("burau", 4, p=7, t0=3)
+    first, second = rep_generators(spec), rep_generators(spec)
+    assert first is not second and first[0] is not second[0]
+    assert first == second and hash(first) == hash(second)
+    assert first != rep_generators(RepSpec("burau", 4, p=7, t0=2))
+    report = classify_image(spec)
+    hits = _columns.cache_info().hits
+    assert classify_image(spec) == report
+    assert _columns.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -200,16 +225,28 @@ def test_scalar_multiples_share_canonical_key():
         scaled = CycMatrix(g.order, [[e * z ** j for e in row] for row in g.rows],
                            g.den)
         assert scaled.key() != g.key()
-        assert scaled.canonical_key() == g.canonical_key()
+        assert canonical_key(scaled) == canonical_key(g)
     neg = CycMatrix(g.order, [[-e for e in row] for row in g.rows], g.den)
-    assert neg.canonical_key() == g.canonical_key()
+    assert canonical_key(neg) == canonical_key(g)
 
 
 def test_fp_scalar_multiples_share_canonical_key():
+    # the test oracles' key over F_p
     a = FpMatrix(7, ((2, 0), (1, 3)))
     b = FpMatrix(7, ((6, 0), (3, 2)))  # 3 * a mod 7
-    assert a.key() != b.key()
-    assert a.canonical_key() == b.canonical_key()
+    assert a != b
+    assert canonical_key(a) == canonical_key(b)
+    assert canonical_key(a) != canonical_key(FpMatrix(7, ((2, 0), (1, 4))))
+
+
+def test_matrix_types_carry_only_what_the_routes_read():
+    # products and projective keys over F_p, and the projective key over
+    # Q(zeta_N), are the test oracles' own (tests/oracles.py)
+    for name in ("mul", "identity_like", "key", "canonical_key"):
+        assert not hasattr(FpMatrix, name), name
+    assert not hasattr(CycMatrix, "canonical_key")
+    (g,) = rep_generators(RepSpec("burau", 2, p=5, t0=2))
+    assert isinstance(g, FpMatrix) and (g.p, g.rows, g.dim) == (5, ((3,),), 1)
 
 
 def word_matrix(n, l, word):
@@ -247,7 +284,7 @@ def test_projective_key_identifies_exactly_root_of_unity_multiples(case):
     M2 = scaled(word_matrix(n, l, w2), CyclotomicNumber.zeta(N, j) * sign)
     oracle = any(M2.key() == scaled(M1, CyclotomicNumber.zeta(N, k)).key()
                  for k in range(N))
-    assert (M1.canonical_key() == M2.canonical_key()) == oracle
+    assert (canonical_key(M1) == canonical_key(M2)) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +318,10 @@ def test_closure_invariant_under_reordering_and_conjugation():
     g = rep_generators(RepSpec("burau", 3, p=5, t0=2))
     base = enumerated_order(g, 2000)
     assert enumerated_order(tuple(reversed(g)), 2000) == base
-    t = FpMatrix(5, ((1, 2), (0, 3)))
-    t_inv = FpMatrix(5, ((1, 1), (0, 2)))
-    assert t.mul(t_inv) == t.identity_like()
-    conj = [t.mul(x).mul(t_inv) for x in g]
+    t, t_inv = ((1, 2), (0, 3)), ((1, 1), (0, 2))
+    mul = partial(fp_product, 5)
+    assert mul(t, t_inv) == ((1, 0), (0, 1))
+    conj = [FpMatrix(5, mul(mul(t, x.rows), t_inv)) for x in g]
     assert enumerated_order(conj, 2000) == base
 
 
@@ -393,7 +430,9 @@ def test_burau_order_matches_closure(spec):
     if reference is None:
         return
     # abelian exactly when every pair of generators commutes up to a scalar
-    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+    mul = partial(fp_product, spec.p)
+    abelian = all(canonical_key(FpMatrix(spec.p, mul(a.rows, b.rows))) ==
+                  canonical_key(FpMatrix(spec.p, mul(b.rows, a.rows)))
                   for i, a in enumerate(gens) for b in gens[:i])
     r = classify_image(spec)
     assert r.order == reference
@@ -606,7 +645,7 @@ def certifying_search(gens, max_len):
                 if word and a == -word[-1]:
                     continue
                 M2 = M.mul(by_letter[a])
-                k = M2.canonical_key()
+                k = canonical_key(M2)
                 if k in seen:
                     continue
                 seen.add(k)
@@ -646,8 +685,8 @@ def fixed_route(spec, bound):
     if order is None:
         notes.append("closure exceeded bound %d without a certificate" % bound)
         return ImageReport("unknown", generators=len(gens), notes=tuple(notes))
-    abelian = all(gens[i].mul(gens[j]).canonical_key() ==
-                  gens[j].mul(gens[i]).canonical_key()
+    abelian = all(canonical_key(gens[i].mul(gens[j])) ==
+                  canonical_key(gens[j].mul(gens[i]))
                   for i in range(len(gens)) for j in range(i))
     notes.append("projective order %d" % order)
     return ImageReport("finite-abelian" if abelian else "finite", order=order,
@@ -717,7 +756,7 @@ def test_certificate_never_fires_on_periodic_words():
                         continue
                     w, P = word + (a,), M.mul(letters[a])
                     nxt.append((w, P))
-                    key = P.canonical_key()
+                    key = canonical_key(P)
                     if _periodic(w) and key not in seen:
                         seen.add(key)
                         assert not _trace_certificate(P), (l, n, w)
@@ -744,7 +783,7 @@ def test_residue_key_classes_are_canonical_key_classes(l, n):
         words += [head + (i, i + 1, i), head + (i + 1, i, i + 1)]
     mats = [word_matrix(n, l, w) for w in words]
     keys = [_residue_key(M, powers, p) for M in mats]
-    canon = [M.canonical_key() for M in mats]
+    canon = [canonical_key(M) for M in mats]
     equal = 0
     for a in range(len(mats)):
         for b in range(a):
@@ -776,7 +815,7 @@ def test_scalar_multiples_pass_and_a_forced_collision_fails():
         assert forged.den == M.den
         k3, f3 = _residue_key(forged, powers, p)
         assert (k3, f3) == (k2, f2)
-        assert forged.canonical_key() != M.canonical_key()
+        assert canonical_key(forged) != canonical_key(M)
         assert not _zeta_multiple(M, f, forged, f3, powers, p)
 
 
@@ -848,7 +887,7 @@ def test_letter_power_is_the_scalar_a_to_the_k():
 def test_mod_p_order_matches_closure_at_two_primes(l, n):
     gens = rep_generators(RepSpec("tl", n, l=l))
     order = enumerated_order(gens)
-    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+    abelian = all(canonical_key(a.mul(b)) == canonical_key(b.mul(a))
                   for a in gens for b in gens)
     for p in islice(_admissible_primes(gens), 2):
         assert p % (4 * l) == 1
@@ -911,7 +950,7 @@ def test_perm_group_order_stops_past_max_order():
 # finite Temperley-Lieb orders from point orbits over Z[zeta_N]
 
 def closure_order(gens):
-    abelian = all(a.mul(b).canonical_key() == b.mul(a).canonical_key()
+    abelian = all(canonical_key(a.mul(b)) == canonical_key(b.mul(a))
                   for a in gens for b in gens)
     return enumerated_order(gens), abelian
 
