@@ -342,6 +342,13 @@ def _perm_inverse(a):
     return tuple(inv)
 
 
+def _perm_mul(a, b):
+    """The permutation a, then b, as one C-level gather.  On one point or
+    none the only permutation is the identity (and `itemgetter` of one index
+    returns a scalar, not a tuple)."""
+    return operator.itemgetter(*a)(b) if len(a) > 1 else a
+
+
 def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
     """Order of the group generated by `perms`, permutations of
     0 .. npoints - 1 as tuples of images, or None once more than
@@ -359,16 +366,17 @@ def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
     only grow, so a pair that sifted to the identity still does, and a pair
     whose residue h was added to S_{i+1} .. S_j has its Schreier generator
     in <S_{i+1}>.  Those lower levels are then checked again, from j up.
+    S_i only grows by appending, and each point's pairs are sifted in the
+    order of S_i, so the pairs of x sifted so far are a prefix of S_i: one
+    count per point, `done[i][x]`, records them exactly.  Nothing else is
+    stored besides the transversals and the strong generators.
 
     Every S_{i+1} lies in the stabiliser of b_i in <S_i>, so at any moment
     |<S_i>| >= (orbit length at level i) * |<S_{i+1}>|, and the product of
     the orbit lengths so far is a lower bound on the order."""
     ident = tuple(range(npoints))
     stored = 0
-    base, strong, trans, sifted = [], [], [], []
-
-    def mul(a, b):  # a, then b
-        return tuple(map(b.__getitem__, a))
+    base, strong, trans, done = [], [], [], []
 
     def store():
         nonlocal stored
@@ -386,7 +394,7 @@ def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
                         return False
                     if k not in invs:
                         invs[k] = _perm_inverse(s)
-                    t[y] = mul(invs[k], t[x])
+                    t[y] = _perm_mul(invs[k], t[x])
                     queue.append(y)
                     if max_order is not None and prod(map(len, trans)) > max_order:
                         return False
@@ -403,7 +411,7 @@ def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
             base.append(b)
             strong.append([])
             trans.append({b: ident})
-            sifted.append(set())
+            done.append({})
         for i in range(first, last + 1):
             strong[i].append(h)
             if not extend_orbit(i):
@@ -415,23 +423,23 @@ def _perm_group_order(perms, npoints: int, max_stored=None, max_order=None):
             v = trans[i].get(g[base[i]])
             if v is None:
                 break
-            g = mul(g, v)
+            g = _perm_mul(g, v)
             i += 1
         return g, i
 
     def first_residue(i):
         """Sifts the Schreier generators of level i not sifted before;
         returns the first that does not sift to the identity, as (h, j)."""
-        t = trans[i]
+        t, gs, counts = trans[i], strong[i], done[i]
         for x in t:
-            ux = None
-            for k, s in enumerate(strong[i]):
-                if (x, k) in sifted[i]:
-                    continue
-                sifted[i].add((x, k))
-                if ux is None:
-                    ux = _perm_inverse(t[x])
-                h, j = sift(mul(mul(ux, s), t[s[x]]), i + 1)
+            first = counts.get(x, 0)
+            if first == len(gs):
+                continue
+            ux = _perm_inverse(t[x])
+            for k in range(first, len(gs)):
+                counts[x] = k + 1
+                s = gs[k]
+                h, j = sift(_perm_mul(_perm_mul(ux, s), t[s[x]]), i + 1)
                 if j < len(base) or h != ident:
                     return h, j
         return None
@@ -753,8 +761,9 @@ def _columns(gens):
 def _fp_normal(p: int, w):
     """The normal form of `_point_orbit_order` over F_p, p bound by
     `partial`: w scaled to first nonzero coordinate 1, as key and point."""
-    s = pow(next(c for c in w if c % p), -1, p)
-    u = tuple(c * s % p for c in w)
+    w = [c % p for c in w]
+    s = pow(next(filter(None, w)), -1, p)
+    u = tuple([c * s % p for c in w])
     return u, u
 
 
@@ -833,7 +842,7 @@ def _point_orbit_order(mats, normal, max_order=None, max_stored=None):
                               max_order=max_order)
     if order is None:
         return None, None
-    abelian = all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
+    abelian = all(_perm_mul(a, b) == _perm_mul(b, a)
                   for i, a in enumerate(perms) for b in perms[:i])
     return order, abelian
 

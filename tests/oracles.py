@@ -6,8 +6,9 @@ every diagram and walking every composite in full; ``smith_normal_form``
 checks the Bareiss ranks and determinants of ``qll.algebra`` and ``qll.burau``
 by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
 orders of ``qll.image`` by listing every projective element;
-``hurwitz_move`` checks the column kernel of ``qll.homcount`` one tuple and
-one letter at a time.  None of them shares code with the route it checks:
+``perm_closure_order`` checks the Schreier-Sims order of ``qll.image`` by
+listing every permutation; ``hurwitz_move`` checks the column kernel of
+``qll.homcount`` one tuple and one letter at a time.  None of them shares code with the route it checks:
 the only name taken from ``qll`` is the exception type, so that the tests
 can expect one ``UsageError`` from either side.  ``enumerated_order``
 multiplies matrices over F_p by ``fp_product`` and keys every element by
@@ -240,6 +241,26 @@ def enumerated_order(gens, bound: int = 10 ** 6):
                         return None
                     seen.add(k)
                     nxt.append(w)
+        frontier = nxt
+    return len(seen)
+
+
+def perm_closure_order(perms, npoints: int) -> int:
+    """Order of the group the permutations `perms` of 0 .. npoints - 1
+    (tuples of images) generate, by breadth-first closure from the identity
+    under right multiplication by each generator.  A finite closure under
+    products already contains every inverse."""
+    ident = tuple(range(npoints))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in perms:
+                h = tuple(s[g[x]] for x in range(npoints))
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
         frontier = nxt
     return len(seen)
 

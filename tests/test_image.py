@@ -27,7 +27,8 @@ from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
-from oracles import canonical_key, enumerated_order, fp_product
+from oracles import (canonical_key, enumerated_order, fp_product,
+                     perm_closure_order)
 
 
 def fusion_end_dim(n, l):
@@ -500,6 +501,22 @@ def test_burau_bound_below_need_is_unknown(p, t0, n, order):
                                "exceeded bound %d" % bound)
 
 
+@pytest.mark.parametrize("p,t0,n,need,order", [
+    (5, 2, 4, 1798, 2400), (5, 4, 4, 1829, 3000), (13, 12, 3, 518, 1092),
+    (7, 6, 4, 6213, 16464), (3, 2, 5, 3400, 25920)])
+def test_burau_least_bound_that_reports_the_order(p, t0, n, need, order):
+    # `need` is the projective point count times the permutations
+    # Schreier-Sims stores: it freezes what the transversals and strong
+    # generators hold, so any change to what is stored moves it
+    spec = RepSpec("burau", n, p=p, t0=t0)
+    r = classify_image(spec, need)
+    assert (r.verdict, r.order) == ("finite", order)
+    r = classify_image(spec, need - 1)
+    assert (r.verdict, r.order) == ("unknown", None)
+    assert r.notes[-1] == ("projective points x stored permutations "
+                           "exceeded bound %d" % (need - 1))
+
+
 def test_tl_orbit_route_runs_once(monkeypatch):
     # (4, 4) is finite but not by Coxeter: one point-orbit run over
     # Z[zeta_16] with the caller's bound, and no reduction mod p
@@ -944,6 +961,29 @@ def test_perm_group_order_stops_past_max_order():
     assert _perm_group_order(perms, 6, max_order=720) == 720
     assert _perm_group_order(perms, 6, max_order=719) is None
     assert _perm_group_order(perms, 6, max_order=6) is None
+
+
+def perm_lists():
+    # generator lists over 1-7 points, with identities and repeats drawn
+    return st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.one_of(st.just(tuple(range(n))),
+                                       st.permutations(range(n)).map(tuple)),
+                             min_size=1, max_size=4).map(lambda g: g + g[:1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm_lists(), st.integers(1, 6000))
+@example((1, [(0,), (0,)]), 1)
+@example((7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]), 5039)
+@example((5, [(0, 1, 3, 2, 4), (2, 4, 0, 1, 3)]), 120)  # S_5, not 20
+@example((6, [(3, 4, 5, 0, 1, 2), (0, 4, 2, 3, 1, 5), (0, 2, 1, 3, 4, 5)]), 47)
+def test_perm_group_order_matches_the_closure_oracle(case, bound):
+    n, perms = case
+    order = perm_closure_order(perms, n)
+    assert _perm_group_order(perms, n) == order
+    # max_order=b answers None exactly when the order exceeds b
+    capped = _perm_group_order(perms, n, max_order=bound)
+    assert capped == (None if order > bound else order)
 
 
 # ---------------------------------------------------------------------------
