@@ -8,9 +8,10 @@ by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
 orders of ``qll.image`` by listing every projective element;
 ``perm_closure_order`` checks the Schreier-Sims order of ``qll.image`` by
 listing every permutation; ``hurwitz_move`` checks the column kernel of
-``qll.homcount`` one tuple and one letter at a time.  None of them shares code with the route it checks:
-the only name taken from ``qll`` is the exception type, so that the tests
-can expect one ``UsageError`` from either side.  ``enumerated_order``
+``qll.homcount`` one tuple and one letter at a time.  None of them shares
+code with the route it checks: the only name taken from ``qll`` is the
+exception type, so that the tests can expect one ``UsageError`` from either
+side.  ``enumerated_order``
 multiplies matrices over F_p by ``fp_product`` and keys every element by
 ``canonical_key``, both defined here; no point-orbit route calls either.
 Over Q(zeta_N) it multiplies by the matrices' own ``mul``, the product the
