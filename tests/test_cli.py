@@ -404,6 +404,22 @@ def test_image_matches_the_golden_reports(capsys, golden):
     assert "".join(out) == (Path(__file__).parent / "data" / golden).read_text("utf-8")
 
 
+def test_image_text_matches_the_golden_report(capsys, monkeypatch):
+    # the text reports of the same specs, one spec without generators and
+    # the least Burau spec, frozen from an earlier release of the suite
+    monkeypatch.delenv("QLL_BUDGET", raising=False)
+    out = []
+    for argv in [*(argv for golden in sorted(_IMAGE_GOLDEN)
+                   for argv in _IMAGE_GOLDEN[golden]),
+                 ("--tl", "3", "--strands", "1"),
+                 ("--burau", "2", "1", "--strands", "2")]:
+        code, text, _ = run(capsys, "image", *argv, "--no-timings")
+        assert code == 0
+        out.append(text)
+    golden = Path(__file__).parent / "data" / "image_text.txt"
+    assert "".join(out) == golden.read_text("utf-8")
+
+
 _INVARIANTS_FLAGS = ([a for l in range(3, 13) for a in ("--jones", str(l))]
                      + ["--components", "--linking", "--alexander", "--det",
                         "--dp", "3", "--dp", "5"])
