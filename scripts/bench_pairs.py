@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Alternated parent/change pairs of benchmark runs, written to BENCH_<pr>.json.
 
-The parent commit is exported with ``git archive`` to a temporary directory
-(removed afterwards); the change side is the working tree, which must hold
-no uncommitted change to a tracked file, so that the change is the commit
-HEAD.  For every workload and each of K seeds, ``python3 qllbench/run.py``
-runs once in each tree for BENCHMARK.json's ``run_seconds``, the two runs of
-a pair in alternating order, one run at a time.  The last JSON line of each
-run is kept.  The output file holds both commit ids, the Python version and
+The parent commit and the change, the commit HEAD, are each exported with
+``git archive`` to a temporary directory (removed afterwards), so both sides
+run from trees made the same way.  The working tree must hold no
+uncommitted change to a tracked file, so that HEAD is the change.  For every
+workload and each of K seeds, ``python3 qllbench/run.py`` runs once in each
+tree for BENCHMARK.json's ``run_seconds``, the two runs of a pair in
+alternating order, one run at a time.  The last JSON line of each run is
+kept.  The output file holds both commit ids, the Python version and
 platform, every run's correct/attempted/failed and metrics, and per workload
 and metric the median and quartiles of each side and the number of pairs the
 change wins, the direction of "better" being read from BENCHMARK.json.
@@ -131,20 +132,22 @@ def main() -> int:
         parser.error("the working tree has uncommitted changes; commit them first")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    parent = git("rev-parse", args.parent)
+    commits = {"parent": git("rev-parse", args.parent),
+               "change": git("rev-parse", "HEAD")}
     record = {
-        "parent": {"commit": parent},
-        "change": {"commit": git("rev-parse", "HEAD")},
+        "parent": {"commit": commits["parent"]},
+        "change": {"commit": commits["change"]},
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "seconds": seconds,
         "runs": [],
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        export(parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in commits}
+        for side, tree in trees.items():
+            tree.mkdir()
+            export(commits[side], tree)
         k = 0
         for workload in args.workloads:
             for i in range(args.pairs):

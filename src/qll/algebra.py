@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 
 class UsageError(ValueError):
@@ -160,32 +160,31 @@ def _poly_divmod_monic(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    res, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            res -= res // p
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of n, smallest first, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        res -= res // m
-    return res
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+@functools.lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 @functools.lru_cache(maxsize=None)
 def moebius(n: int) -> int:
-    m, p, k = n, 2, 0
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            k += 1
-        p += 1
-    if m > 1:
-        k += 1
-    return -1 if k % 2 else 1
+    primes = _prime_factors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,9 +192,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
     Built from the radical of n: Phi_1(x) = x - 1, then
-    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p of n (p not dividing
-    m), and Phi_n(x) = Phi_rad(n)(x^(n / rad(n))).  Each step is one exact
-    division by a monic polynomial.
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p of n
+    (`_prime_factors`, smallest first; p does not divide m), and
+    Phi_n(x) = Phi_rad(n)(x^(n / rad(n))).  Each step is one exact division
+    by a monic polynomial.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -206,18 +206,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise UsageError("cyclotomic order must be >= 1")
-    poly, rad, m, p = [-1, 1], 1, n, 2
-    while m > 1:
-        if p * p > m:
-            p = m  # the last prime factor
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            poly, r = _poly_divmod_monic(_stretch(poly, p), poly)
-            assert not any(r)
-            rad *= p
-        p += 1
-    return tuple(_stretch(poly, n // rad))
+    poly, primes = [-1, 1], _prime_factors(n)
+    for p in primes:
+        poly, r = _poly_divmod_monic(_stretch(poly, p), poly)
+        assert not any(r)
+    return tuple(_stretch(poly, n // prod(primes)))
 
 
 def _stretch(poly, k: int) -> list[int]:

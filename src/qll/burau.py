@@ -206,26 +206,24 @@ def arf_knot(b: BraidWord) -> int:
 
 
 def burau_mod_p(b: BraidWord, p: int, t0: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced Burau evaluated at t = t0 over F_p."""
+    """Reduced Burau evaluated at t = t0 over F_p: the column updates of
+    `reduced_burau`, each reduced mod p."""
     if b.strands < 2:
         raise UsageError("reduced representation needs at least 2 strands")
     if not _is_prime(p):
         raise UsageError("p must be prime, got %d" % p)
     if t0 % p == 0:
         raise UsageError("t0 must be a unit mod p")
-    acc = _identity(b.strands - 1, 1)
     t = t0 % p
     tinv = pow(t, p - 2, p)
-    last = b.strands - 2
+    # each row keeps a zero column on both sides, so no update needs a bound
+    acc = [[0, *row, 0] for row in _identity(b.strands - 1, 1)]
     for letter in b.word:
-        # column c becomes left col c-1 + mid col c + right col c+1
-        c = abs(letter) - 1
-        left, mid, right = (t, -t, 1) if letter > 0 else (1, -tinv, tinv)
-        for row in acc:
-            x = mid * row[c]
-            if c > 0:
-                x += left * row[c - 1]
-            if c < last:
-                x += right * row[c + 1]
-            row[c] = x % p
-    return tuple(tuple(row) for row in acc)
+        j = abs(letter)  # column j - 1 of the matrix, padded
+        if letter > 0:
+            for row in acc:
+                row[j] = (t * (row[j - 1] - row[j]) + row[j + 1]) % p
+        else:
+            for row in acc:
+                row[j] = (row[j - 1] + tinv * (row[j + 1] - row[j])) % p
+    return tuple(tuple(row[1:-1]) for row in acc)

@@ -45,7 +45,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -260,12 +260,7 @@ def _l6_targets(c: int, d3: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """The pair ±i^(c-1) (i√3)^d3 in Q(zeta_24)."""
     i_unit = CyclotomicNumber.zeta(24, 6)
     sqrt3 = CyclotomicNumber.zeta(24, 2) + CyclotomicNumber.zeta(24, 22)
-    target = CyclotomicNumber.one(24)
-    for _ in range(c - 1):
-        target = target * i_unit
-    i_sqrt3 = i_unit * sqrt3
-    for _ in range(d3):
-        target = target * i_sqrt3
+    target = i_unit ** (c - 1) * (i_unit * sqrt3) ** d3
     return target, -target
 
 
@@ -562,23 +557,8 @@ def _cmd_image(args: argparse.Namespace) -> tuple[dict, int]:
         p, t0 = args.burau
         spec = RepSpec(family="burau", strands=args.strands, p=p, t0=t0)
     bound = _limit(args.bound, "--bound", _DEFAULT_BOUND)
-    rep = classify_image(spec, bound)
-    return {
-        "command": "image",
-        "input": {
-            "family": spec.family,
-            "strands": spec.strands,
-            "l": spec.l,
-            "p": spec.p,
-            "t0": spec.t0,
-            "bound": bound,
-        },
-        "verdict": rep.verdict,
-        "order": rep.order,
-        "witness": None if rep.witness is None else list(rep.witness),
-        "generators": rep.generators,
-        "notes": list(rep.notes),
-    }, 0
+    return {"command": "image", "input": {**asdict(spec), "bound": bound},
+            **asdict(classify_image(spec, bound))}, 0
 
 
 def _cmd_hom(args: argparse.Namespace) -> tuple[dict, int]:
@@ -682,24 +662,15 @@ def _render_check_table(report: dict) -> str:
 
 def _render_image(report: dict) -> str:
     spec = report["input"]
-    if spec["family"] == "tl":
-        head = "image: tl l=%d strands=%d bound=%d" % (
-            spec["l"],
-            spec["strands"],
-            spec["bound"],
-        )
-    else:
-        head = "image: burau p=%d t0=%d strands=%d bound=%d" % (
-            spec["p"],
-            spec["t0"],
-            spec["strands"],
-            spec["bound"],
-        )
+    # the family's own parameters: RepSpec leaves the other family's at 0
+    params = "".join(" %s=%d" % (k, spec[k]) for k in ("l", "p", "t0") if spec[k])
+    head = "image: %s%s strands=%d bound=%d" % (
+        spec["family"], params, spec["strands"], spec["bound"])
     lines = [head, "verdict: %s" % report["verdict"]]
     if report["order"] is not None:
         lines.append("order: %d" % report["order"])
     if report["witness"] is not None:
-        lines.append("witness: %s" % _word_text(tuple(report["witness"])))
+        lines.append("witness: %s" % _word_text(report["witness"]))
     for note in report["notes"]:
         lines.append("note: %s" % note)
     return "\n".join(lines)

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
 
-from .algebra import CyclotomicNumber, UsageError, _is_prime, euler_phi
+from .algebra import CyclotomicNumber, UsageError, _is_prime, _prime_factors, euler_phi
 from .braid import BraidWord
 from .burau import burau_mod_p
 
@@ -718,10 +718,11 @@ def _root_powers(N: int, p: int):
     """z^0 .. z^(N - 1) for z the first a^((p - 1)/N), a = 2, 3, ..., of
     order N in F_p (p = 1 mod N): zeta_N -> z names the degree-one prime
     P = (p, zeta_N - z) above p at which `_reduce_mod_p` and
-    `infinite_order_witness` reduce.  Built once per order and prime."""
-    primes = [q for q in range(2, N + 1) if N % q == 0 and _is_prime(q)]
+    `infinite_order_witness` reduce.  z has order N when z^(N/q) != 1 for
+    each prime q of N (`_prime_factors`).  Built once per order and
+    prime."""
     z = next(z for z in (pow(a, (p - 1) // N, p) for a in range(2, p))
-             if all(pow(z, N // q, p) != 1 for q in primes))
+             if all(pow(z, N // q, p) != 1 for q in _prime_factors(N)))
     return tuple(pow(z, j, p) for j in range(N))
 
 

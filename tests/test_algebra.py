@@ -17,6 +17,7 @@ from qll.algebra import (
     _PRIME_LIMIT,
     _is_prime,
     _poly_divmod_monic,
+    _prime_factors,
     _require_budget,
     _require_budget_bits,
     corank_mod_p,
@@ -126,8 +127,10 @@ def test_sparse_reduction_matches_dense_division(N):
         assert _poly_divmod_monic(a, phi) == dense_divmod_monic(a, phi)
 
 
-@pytest.mark.parametrize("n", range(1, 60))
+@pytest.mark.parametrize("n", [*range(1, 60), 120000,
+                               *(4 * l for l in (25, 77, 105, 320))])
 def test_phi_and_moebius_match_sympy(n):
+    assert _prime_factors(n) == tuple(sympy.primefactors(n))
     assert euler_phi(n) == int(sympy.totient(n))
     assert moebius(n) == int(sympy.mobius(n))
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qll.algebra import LaurentPoly, UsageError, _bareiss, corank_mod_p
 from qll.braid import BraidWord, closure_components, conjugate, stabilize
@@ -509,12 +509,23 @@ def test_burau_mod_p_relations(p):
                 burau_mod_p(BraidWord(n, ()), p, t0)
 
 
-def test_mod_p_consistent_with_laurent():
-    for b in (TREFOIL, FIG8, BraidWord(4, (1, -2, 3, 2))):
-        m = reduced_burau(b)
-        for p, t0 in ((5, 2), (7, 3)):
-            expected = tuple(tuple(x.evaluate_mod(t0, p) for x in row) for row in m)
-            assert burau_mod_p(b, p, t0) == expected
+@given(braid_strategy(max_strands=7, max_len=16), st.sampled_from([2, 3, 5, 101]),
+       st.integers(-10 ** 6, 10 ** 6))
+@example(TREFOIL, 5, 2)
+@example(TREFOIL, 7, 3)
+@example(FIG8, 5, 2)
+@example(FIG8, 7, 3)
+@example(BraidWord(4, (1, -2, 3, 2)), 5, 2)
+@example(BraidWord(4, (1, -2, 3, 2)), 7, 3)
+@example(BraidWord(7, (1, -6, 6, -1, 1, 6, -6, -1)), 101, -5)  # both edge columns
+@settings(max_examples=200, deadline=None)
+def test_mod_p_consistent_with_laurent(b, p, t0):
+    # the F_p route pads each row with zero columns as the Laurent route does;
+    # letters at the first and the last column read the padding
+    assume(t0 % p)
+    m = reduced_burau(b)
+    expected = tuple(tuple(x.evaluate_mod(t0, p) for x in row) for row in m)
+    assert burau_mod_p(b, p, t0) == expected
 
 
 # ---------------------------------------------------------------------------
