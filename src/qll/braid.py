@@ -11,6 +11,7 @@ left to right — the first letter acts first.  Permutation images are 1-based.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .algebra import UsageError
@@ -189,3 +190,70 @@ def free_reduce(b: BraidWord) -> BraidWord:
         else:
             out.append(letter)
     return BraidWord(b.strands, tuple(out))
+
+
+def _cancel(n: int, word: list[int]) -> tuple[list[int], list[deque]]:
+    """Cyclic cancellation to a fixpoint.  Returns the word with 0 at every
+    deleted letter and, per generator index, the positions of its surviving
+    letters in order (indices 0 and n stay empty).
+
+    One left-to-right pass cancels a letter against the latest surviving
+    letter of its index when that is its inverse and no surviving letter of
+    a neighbouring index comes after it.  Afterwards the first and last
+    letters of an index cancel round the end of the word when they are
+    inverse and every letter of a neighbouring index lies between them;
+    each such deletion can enable one at its own index or a neighbouring
+    one, and at no index does it enable one of the pass's kind."""
+    out: list[int] = []
+    live = [deque() for _ in range(n + 1)]
+    for letter in word:
+        i = abs(letter)
+        here, below, above = live[i], live[i - 1], live[i + 1]
+        if (here and out[here[-1]] == -letter
+                and (not below or below[-1] < here[-1])
+                and (not above or above[-1] < here[-1])):
+            out[here.pop()] = 0
+        else:
+            here.append(len(out))
+            out.append(letter)
+    todo = list(range(1, n))
+    while todo:
+        i = todo.pop()
+        here = live[i]
+        if len(here) < 2:
+            continue
+        first, last = here[0], here[-1]
+        if out[first] == -out[last] and all(
+                not s or (first < s[0] and s[-1] < last) for s in (live[i - 1], live[i + 1])):
+            out[here.popleft()] = 0
+            out[here.pop()] = 0
+            todo += [j for j in (i - 1, i, i + 1) if 0 < j < n]
+    return out, live
+
+
+def simplify(b: BraidWord) -> BraidWord:
+    """A presentation of the same closure on at most as many strands and
+    letters, by two Markov moves repeated to a fixpoint: cancelling x and a
+    later x^-1 when every letter between them, one way round the cyclic
+    word, commutes with x; and destabilisation, which deletes s_{n-1}^{+-1}
+    or s_1^{+-1} when it occurs exactly once and drops that strand (the
+    indices shift down after s_1).  Letters are deleted in place, so the
+    survivors keep their order and the word is never rotated.  Each
+    destabilisation is followed by one more cancellation pass, so the cost
+    is O(n (n + m)).
+
+    >>> simplify(BraidWord(4, (3, 1, 3, 2, -3, 2, -3, 3)))
+    BraidWord(strands=3, word=(2, 2, 1, -2, 1))
+    """
+    n, word = b.strands, list(b.word)
+    while True:
+        out, live = _cancel(n, word)
+        if len(live[n - 1]) == 1:
+            out[live[n - 1][0]] = 0
+            word = [x for x in out if x]
+        elif len(live[1]) == 1:
+            out[live[1][0]] = 0
+            word = [x - 1 if x > 0 else x + 1 for x in out if x]
+        else:
+            return BraidWord(n, tuple(x for x in out if x))
+        n -= 1

@@ -28,7 +28,10 @@ Horner in d on their 2l digits and reduces once modulo the cyclotomic
 polynomial; TLElement.coeffs reduces each coefficient on first access, for
 equality and display.  jones_at_root multiplies those digits by the writhe
 factor with one signed rotation before that one reduction; it is priced at
-C_n (m + n^2) steps and refuses before it builds anything.
+C_n (m + n^2) steps on the word as given and refuses before it builds
+anything, then runs the route on braid.simplify's word, which presents the
+same closure on at most as many strands and letters.  braid_to_tl,
+markov_trace and kauffman_bracket_statesum work on the word they are handed.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
 all 2^m smoothings of the closure diagram, sharing nothing with the
@@ -43,7 +46,7 @@ from math import comb
 
 from .algebra import (_DEFAULT_BUDGET, CyclotomicNumber, UsageError, _require_budget,
                       _require_budget_bits, pack_digits, signed_digits)
-from .braid import BraidWord, writhe
+from .braid import BraidWord, simplify, writhe
 
 
 def _label_at_circular(n: int, pos: int) -> int:
@@ -236,16 +239,17 @@ def braid_to_tl(b: BraidWord, l: int) -> TLElement:
     k = d . e_i, a diagram e_i fixes; each such sum is then multiplied by
     A^{-+2} once and added to k's coefficient, which is deleted when it
     reaches 0.  Each product by a power of A is a digit rotation.  The digit
-    width is w = bitlen(3^m) + 2 for m letters: the total |digit| mass of
-    the element starts at 1 and at most triples per letter (x1 for the
-    identity part, at most x2 for the e_i part), so it stays below
-    3^m < 2^(w-2), and both the rounding in each rotation, of one
-    coefficient or of a sum of them, and any later unpacking read every
-    digit back exactly."""
+    width is w = m + 3 for m letters: the total |digit| mass of the element
+    starts at 1 and at most doubles per letter, since a diagram e_i fixes
+    keeps its mass (c becomes -c A^{-+4}) and every other coefficient is
+    kept and also added once into the sum that lands on its image, so the
+    mass stays at most 2^m < 2^(w-2), and both the rounding in each
+    rotation, of one coefficient or of a sum of them, and any later
+    unpacking read every digit back exactly."""
     if l < 3:
         raise UsageError("root-of-unity level must be >= 3")
     n, n2 = b.strands, 2 * l
-    w = (3 ** len(b.word)).bit_length() + 2
+    w = len(b.word) + 3
     apow = writhe(b) % (2 * n2)  # A^apow = -A^(apow - 2l) when apow >= 2l
     one = 1 << (w * (apow % n2))
     cur = {_basis_index(n)[_identity_partner(n)]: -one if apow >= n2 else one}
@@ -316,11 +320,14 @@ def jones_at_root(b: BraidWord, l: int,
                   budget: int = _DEFAULT_BUDGET) -> CyclotomicNumber:
     """Jones invariant of the closure of b at the level-l root of unity,
     normalized so every unknot presentation evaluates to 1.  Priced at
-    C_n (m + n^2) steps for m letters on n strands, before any basis or
-    table is built: each letter visits at most C_n live terms, and the n-1
-    e_i tables rewire O(n) per entry of the C_n-diagram basis.  The writhe
-    factor (-A)^{-3w} is (-1)^w A^e with e = -3w mod 4l, and A^{2l} = -1, so
-    it multiplies the trace's digits by one signed negacyclic rotation by
+    C_n (m + n^2) steps for m letters on n strands of b as given, before
+    any basis or table is built: each letter visits at most C_n live terms,
+    and the n-1 e_i tables rewire O(n) per entry of the C_n-diagram basis.
+    The route then runs on simplify(b), a presentation of the same closure
+    on at most as many strands and letters, so the price bounds its work
+    too, and simplify's own O(n (n + m)).  With w the writhe of that word,
+    the factor (-A)^{-3w} is (-1)^w A^e with e = -3w mod 4l, and A^{2l} = -1,
+    so it multiplies the trace's digits by one signed negacyclic rotation by
     e mod 2l before the one reduction.
 
     >>> jones_at_root(BraidWord(3, (1, -2, 1, -2)), 4).as_int()
@@ -334,6 +341,7 @@ def jones_at_root(b: BraidWord, l: int,
                          "Jones route")
     _require_budget(comb(2 * n, n) // (n + 1) * (len(b.word) + n * n), budget,
                     "Jones route")
+    b = simplify(b)
     t = _trace_digits(braid_to_tl(b, l))
     w = writhe(b)
     e = -3 * w % (4 * l)

@@ -1,7 +1,10 @@
 """Braid word combinatorics: parsing, permutations, closures, Markov moves."""
 
+import random
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qll.algebra import UsageError
 from qll.braid import (
@@ -15,10 +18,14 @@ from qll.braid import (
     inverse,
     linking_matrix,
     parse_braid,
+    simplify,
     stabilize,
     underlying_permutation,
     writhe,
 )
+from qll.burau import alexander_poly, arf_knot, determinant, double_cover_homology
+from qll.homcount import builtin_group, hom_count_exact
+from qll.tl_jones import jones_at_root
 
 
 def braid_strategy(max_strands=5, max_len=12):
@@ -167,3 +174,70 @@ def test_component_of_strand_trefoil_and_unlink():
 def test_permutation_validation():
     with pytest.raises(UsageError):
         Permutation((1, 1))
+
+
+# ---------------------------------------------------------------------------
+# simplification
+
+S3 = builtin_group("symmetric 3")
+
+
+def closure_invariants(b):
+    """Every closure invariant the law below compares, exactly."""
+    values = {
+        "jones": [jones_at_root(b, l) for l in range(3, 13)],
+        "alexander": alexander_poly(b),
+        "det": determinant(b),
+        "d_p": [double_cover_homology(b, p) for p in (2, 3, 5)],
+        "hom S3": hom_count_exact(b, S3),
+    }
+    if closure_components(b) == 1:
+        values["arf"] = arf_knot(b)
+    return values
+
+
+def keeps_order(b, s):
+    """True when s's letters, with their indices raised by some shift k (the
+    number of s_1 destabilisations), occur in b's word in the same order."""
+    for k in range(b.strands - s.strands + 1):
+        rest = iter(b.word)
+        raised = (v + k if v > 0 else v - k for v in s.word)
+        if all(any(x == y for x in rest) for y in raised):
+            return True
+    return False
+
+
+def test_simplify_examples():
+    assert simplify(BraidWord(1, ())) == BraidWord(1, ())
+    # a single crossing of every strand closes to the unknot
+    assert simplify(BraidWord(15, tuple(range(1, 15)))) == BraidWord(1, ())
+    # neither letter of index 2 can pass the s_1 beside it
+    assert simplify(BraidWord(3, (2, 1, -2, 1))) == BraidWord(3, (2, 1, -2, 1))
+    # s_2 s_1 s_2^-1: cancelled round the end of the word, then s_1 destabilised
+    assert simplify(BraidWord(3, (2, 1, -2))) == BraidWord(2, ())
+    # the empty 3-strand word is the 3-component unlink: no strand is dropped
+    assert simplify(BraidWord(3, (1, -1, 2, -2))) == BraidWord(3, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_strategy(max_strands=6, max_len=16))
+@example(BraidWord(4, (1, 3, 2, -3, 1, -1, 1)))
+@example(BraidWord(5, (2, 4, 1, 3, -2, -4, -1, -3)))
+def test_simplify_keeps_every_closure_invariant(b):
+    s = simplify(b)
+    assert s.strands <= b.strands and len(s) <= len(b)
+    assert simplify(s) == s
+    assert free_reduce(s) == s
+    assert keeps_order(b, s)
+    assert closure_invariants(s) == closure_invariants(b)
+
+
+@pytest.mark.parametrize("n", [3, 60])
+def test_simplify_takes_linear_time(n):
+    rng = random.Random(n)
+    b = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                           for _ in range(100_000)))
+    started = time.perf_counter()
+    s = simplify(b)
+    assert time.perf_counter() - started < 1.0
+    assert s.strands == n and 0 < len(s) < len(b)

@@ -753,6 +753,17 @@ def test_jones_refused_before_any_table_is_built(capsys):
     assert _matchings.cache_info() == bases
 
 
+def test_jones_price_stays_on_the_word_as_given(capsys, monkeypatch):
+    # the closure is the unknot on one strand, but the 15-strand word is
+    # priced: C_15 (14 + 15^2) steps against the default budget of 10^9
+    monkeypatch.delenv("QLL_BUDGET", raising=False)
+    word = " ".join(str(i) for i in range(1, 15))
+    code, _, err = run(capsys, "invariants", "--strands", "15", "--word", word,
+                       "--jones", "5")
+    assert code == 3
+    assert "Jones route needs 2317067955 elementary steps (budget 1000000000)" in err
+
+
 def test_check_table_jones_refusal_skips_the_level_laws(capsys):
     # the trefoil's price is C_2 (3 + 4) = 14 steps, the unknot's 1 * (0 + 1)
     code, out, _ = run(capsys, "check-table", "--budget", "13", "--json",

@@ -312,6 +312,19 @@ def test_long_words_keep_digit_width(l):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+           st.just(n), st.sampled_from([1, -1]),
+           st.lists(st.integers(1, n - 1), max_size=60))),
+       st.sampled_from([3, 5, 12]))
+def test_one_signed_words_fit_the_digit_width(case, l):
+    # a word of one sign grows the digit mass fastest, towards the 2^m that
+    # the width m + 3 bounds
+    n, sign, indices = case
+    b = BraidWord(n, tuple(sign * i for i in indices))
+    assert braid_to_tl(b, l) == _reference_braid_to_tl(b, l)
+
+
+@settings(max_examples=40, deadline=None)
 @given(small_braids(max_strands=7, max_len=30), st.integers(3, 12))
 def test_braid_to_tl_keeps_no_zero_coefficient(b, l):
     assert 0 not in braid_to_tl(b, l).packed.values()
@@ -433,6 +446,39 @@ def test_jones_route_price():
     assert jones_at_root(b, 5, budget=price) == kauffman_bracket_statesum(b, 5)
     with pytest.raises(UsageError):
         jones_at_root(b, 2, budget=1)
+
+
+def test_jones_price_is_on_the_word_as_given():
+    # the word closes to the unknot on one strand, but the price is C_15 (14 + 15^2)
+    b = BraidWord(15, tuple(range(1, 15)))
+    price = comb(30, 15) // 16 * (14 + 225)
+    assert price == 2_317_067_955
+    with pytest.raises(BudgetError) as exc:
+        jones_at_root(b, 5)
+    assert exc.value.required == price
+
+
+def test_jones_route_runs_on_the_simplified_word(monkeypatch):
+    seen = []
+
+    def recording(w, l):
+        seen.append(w)
+        assert w.strands < 4, "the route would build TL_%d" % w.strands
+        return braid_to_tl(w, l)
+
+    monkeypatch.setattr(qll.tl_jones, "braid_to_tl", recording)
+    b = BraidWord(15, tuple(range(1, 15)))
+    assert jones_at_root(b, 5, budget=2_317_067_955) == 1
+    assert seen == [BraidWord(1, ())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_braids(max_strands=5, max_len=12), st.integers(3, 12))
+def test_raw_word_route_matches_the_state_sum(b, l):
+    # jones_at_root runs braid_to_tl on the simplified word; this keeps the
+    # word as given under the oracle
+    raw = _writhe_normalization(writhe(b), l) * markov_trace(braid_to_tl(b, l))
+    assert raw == kauffman_bracket_statesum(b, l)
 
 
 @given(small_braids(max_strands=5, max_len=40), st.integers(3, 12))
