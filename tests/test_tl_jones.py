@@ -448,8 +448,9 @@ def test_jones_route_price():
         jones_at_root(b, 2, budget=1)
 
 
-def test_jones_price_is_on_the_word_as_given():
-    # the word closes to the unknot on one strand, but the price is C_15 (14 + 15^2)
+def test_jones_price_is_on_the_word_as_given(monkeypatch):
+    # the word closes to the unknot on one strand, but the price is
+    # C_15 (14 + 15^2); within it the route runs on the simplified word
     b = BraidWord(15, tuple(range(1, 15)))
     price = comb(30, 15) // 16 * (14 + 225)
     assert price == 2_317_067_955
@@ -457,8 +458,6 @@ def test_jones_price_is_on_the_word_as_given():
         jones_at_root(b, 5)
     assert exc.value.required == price
 
-
-def test_jones_route_runs_on_the_simplified_word(monkeypatch):
     seen = []
 
     def recording(w, l):
@@ -467,8 +466,7 @@ def test_jones_route_runs_on_the_simplified_word(monkeypatch):
         return braid_to_tl(w, l)
 
     monkeypatch.setattr(qll.tl_jones, "braid_to_tl", recording)
-    b = BraidWord(15, tuple(range(1, 15)))
-    assert jones_at_root(b, 5, budget=2_317_067_955) == 1
+    assert jones_at_root(b, 5, budget=price) == 1
     assert seen == [BraidWord(1, ())]
 
 
