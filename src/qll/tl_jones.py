@@ -30,7 +30,12 @@ equality and display.  jones_at_root multiplies those digits by the writhe
 factor with one signed rotation before that one reduction; it is priced at
 C_n (m + n^2) steps on the word as given and refuses before it builds
 anything, then runs the route on braid.simplify's word, which presents the
-same closure on at most as many strands and letters.  braid_to_tl,
+same closure on at most as many strands and letters, rotated to start just
+after its longest cyclic gap between two letters of one generator index.
+The rotation is a conjugation, so the trace and the writhe, and hence the
+value, are unchanged; but until an index appears the live diagrams stay in
+a parabolic subalgebra, a product of smaller Catalan numbers, so the start
+that keeps one index out longest keeps the early letters cheap.  braid_to_tl,
 markov_trace and kauffman_bracket_statesum work on the word they are handed.
 
 kauffman_bracket_statesum is an independent oracle: a brute-force sum over
@@ -316,6 +321,29 @@ def _writhe_normalization(w: int, l: int) -> CyclotomicNumber:
     return -z if w % 2 else z
 
 
+def _start_after_longest_gap(word: tuple[int, ...]) -> int:
+    """The position just after the start of the longest cyclic gap between
+    consecutive letters of one generator index, the gap round the end of
+    the word included; the earliest such position on a tie, 0 for the
+    empty word.  O(m).
+
+    >>> _start_after_longest_gap((3, 1, 2, 1, 2, 3))
+    1
+    """
+    m = len(word)
+    first, last = {}, {}
+    gaps = []  # (length, -start)
+    for pos, letter in enumerate(word):
+        i = abs(letter)
+        if i in last:
+            gaps.append((pos - last[i], -last[i] - 1))
+        else:
+            first[i] = pos
+        last[i] = pos
+    gaps += [(first[i] + m - p, -((p + 1) % m)) for i, p in last.items()]
+    return -max(gaps, default=(0, 0))[1]
+
+
 def jones_at_root(b: BraidWord, l: int,
                   budget: int = _DEFAULT_BUDGET) -> CyclotomicNumber:
     """Jones invariant of the closure of b at the level-l root of unity,
@@ -325,7 +353,16 @@ def jones_at_root(b: BraidWord, l: int,
     and the n-1 e_i tables rewire O(n) per entry of the C_n-diagram basis.
     The route then runs on simplify(b), a presentation of the same closure
     on at most as many strands and letters, so the price bounds its work
-    too, and simplify's own O(n (n + m)).  With w the writhe of that word,
+    too, and simplify's own O(n (n + m)).  That word is rotated to start
+    just after its longest cyclic gap between two letters of one index
+    (_start_after_longest_gap, O(m)).  A rotation is a conjugation, and
+    the Markov trace is a trace, tr(xy) = tr(yx), with the writhe unchanged,
+    so the value is exactly the same.  The work is not: after a prefix
+    whose letters use the index set J, the live diagrams lie in the
+    parabolic TL_J, at most the product of C_{|c|+1} over the runs c of
+    consecutive indices in J, and C_n is reachable only once every index
+    has appeared; this start keeps one index out for as long as any
+    rotation can.  With w the writhe of that word,
     the factor (-A)^{-3w} is (-1)^w A^e with e = -3w mod 4l, and A^{2l} = -1,
     so it multiplies the trace's digits by one signed negacyclic rotation by
     e mod 2l before the one reduction.
@@ -342,6 +379,8 @@ def jones_at_root(b: BraidWord, l: int,
     _require_budget(comb(2 * n, n) // (n + 1) * (len(b.word) + n * n), budget,
                     "Jones route")
     b = simplify(b)
+    k = _start_after_longest_gap(b.word)
+    b = BraidWord(b.strands, b.word[k:] + b.word[:k])
     t = _trace_digits(braid_to_tl(b, l))
     w = writhe(b)
     e = -3 * w % (4 * l)

@@ -14,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 import qll.algebra
 import qll.tl_jones
 from qll.algebra import BudgetError, CyclotomicNumber, UsageError
-from qll.braid import BraidWord, conjugate, stabilize, writhe
+from qll.braid import BraidWord, conjugate, simplify, stabilize, writhe
 from qll.tl_jones import (
     TLElement,
     _basis_index,
     _closure_loops,
     _closure_loops_table,
     _compose_right_table,
+    _identity_partner,
     _matchings,
+    _start_after_longest_gap,
     _writhe_normalization,
     braid_to_tl,
     jones_at_root,
@@ -470,13 +472,20 @@ def test_jones_price_is_on_the_word_as_given(monkeypatch):
     assert seen == [BraidWord(1, ())]
 
 
+def rotations(word):
+    return [word[k:] + word[:k] for k in range(len(word))] or [word]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_braids(max_strands=5, max_len=12), st.integers(3, 12))
 def test_raw_word_route_matches_the_state_sum(b, l):
-    # jones_at_root runs braid_to_tl on the simplified word; this keeps the
-    # word as given under the oracle
-    raw = _writhe_normalization(writhe(b), l) * markov_trace(braid_to_tl(b, l))
-    assert raw == kauffman_bracket_statesum(b, l)
+    # jones_at_root runs braid_to_tl on a rotation of the simplified word;
+    # this keeps the word as given, from every start, under the oracle: a
+    # rotation is a conjugation and the Markov trace is a trace
+    want = kauffman_bracket_statesum(b, l)
+    factor = _writhe_normalization(writhe(b), l)
+    for r in rotations(b.word):
+        assert factor * markov_trace(braid_to_tl(BraidWord(b.strands, r), l)) == want
 
 
 @given(small_braids(max_strands=5, max_len=40), st.integers(3, 12))
@@ -486,6 +495,80 @@ def test_writhe_rotation_equals_the_normalisation_product(b, l):
     # (-A)^(-3w) * trace, for writhes past 4l in both signs
     product = _writhe_normalization(writhe(b), l) * markov_trace(braid_to_tl(b, l))
     assert jones_at_root(b, l) == product
+
+
+def support_visits(n, word):
+    """Live terms visited by braid_to_tl on the word, with no coefficients:
+    the support grows by its image under each letter's e_i table."""
+    live = {_basis_index(n)[_identity_partner(n)]}
+    visits = 0
+    for letter in word:
+        visits += len(live)
+        table = _compose_right_table(n, abs(letter))
+        live |= {table[k] for k in live}
+    return visits
+
+
+def test_start_after_longest_gap_examples():
+    assert _start_after_longest_gap(()) == 0
+    assert _start_after_longest_gap((1,)) == 0
+    assert _start_after_longest_gap((-3,)) == 0
+    # ties go to the earliest start: in (1, 2, 2, 1) two gaps of 3 start
+    # after positions 0 and 2
+    assert _start_after_longest_gap((1, 2, 2, 1)) == 1
+    assert _start_after_longest_gap((2, 1, 3, 1, 2, 3)) == 1
+    # the gap of 5 between the two s_1 wraps round the end of the word
+    assert _start_after_longest_gap((2, 3, 1, 1, 2, 3)) == 4
+    assert _start_after_longest_gap((-2, 3, 1, -1, 2, 3)) == 4
+
+
+def test_start_keeps_an_index_out_of_a_power_run():
+    # the s_1^6 run is reached before any s_3: the route passes it in the
+    # 5 diagrams of TL_{1,2} instead of all 14 of TL_4
+    word = (2, 3, 2) + (1,) * 6 + (3, 2, 3)
+    k = _start_after_longest_gap(word)
+    assert k == 2
+    rotated = word[k:] + word[:k]
+    assert {abs(x) for x in rotated[:7]} == {1, 2}
+    assert support_visits(4, rotated) < support_visits(4, word)
+
+
+def test_jones_runs_a_rotation_of_the_simplified_word(monkeypatch):
+    rng = random.Random(2)
+    braids = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                 for _ in range(rng.randint(8, 16))))
+              for n in (3, 4, 5, 6) for _ in range(5)]
+    seen = []
+
+    def recording(w, l):
+        seen.append(w)
+        return braid_to_tl(w, l)
+
+    monkeypatch.setattr(qll.tl_jones, "braid_to_tl", recording)
+    rotated = 0
+    for b in braids:
+        s = simplify(b)
+        jones_at_root(b, 5)
+        w = seen.pop()
+        assert w.strands == s.strands
+        assert w.word in rotations(s.word)
+        rotated += w.word != s.word
+    assert rotated > 0
+
+
+def test_chosen_start_visits_fewer_terms():
+    # summed over the braids, not per braid: one start can cost a few
+    # percent more than the word as simplify leaves it
+    rng = random.Random(1)
+    at_zero = at_start = 0
+    for _ in range(40):
+        n, m = rng.randint(6, 8), rng.randint(30, 50)
+        b = simplify(BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                        for _ in range(m))))
+        k = _start_after_longest_gap(b.word)
+        at_zero += support_visits(b.strands, b.word)
+        at_start += support_visits(b.strands, b.word[k:] + b.word[:k])
+    assert at_start <= 0.8 * at_zero
 
 
 # ---------------------------------------------------------------------------
