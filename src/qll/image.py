@@ -38,14 +38,18 @@ in SL(2, Z) = B_3 / <Delta^4> has finite order: a power of such a word is
 central in the braid group of its letters, its eigenvalues are roots of
 unity, and the bound cannot break on it.  The search starts from the
 letters and drops a word whose matrix M = X/den is a power of zeta_N
-(N = 4l) times that of an earlier word.  It keys each word by X reduced at
+(N = 4l) times that of an earlier word.  It keys each word by M reduced at
 the degree-one prime P above the first admissible p = 1 mod N, the prime
-of `_order_mod_p`, scaled to first nonzero residue 1, and drops a word only
-after an exact check on a key collision.  The key is exact: p divides no
-denominator, and det X is den^dim times a root of unity, so X mod P != 0
-and words that differ by a power of zeta_N share a key
-(`infinite_order_witness`).  Every permutation action goes through one
-deterministic Schreier-Sims routine (`_perm_group_order`).  Each letter
+of `_order_mod_p`, scaled to first nonzero residue 1: an F_p product of
+its prefix's residues with one letter's, not an exact product.  Reduction
+at P is a ring homomorphism and p divides no denominator, so den is a unit
+mod p and the key is that of X mod P.  The key is exact: det X is den^dim
+times a root of unity, so X mod P != 0, and words that differ by a power of
+zeta_N share a key.  A word is dropped only after an exact check on a key
+collision.  Exact matrices are formed only for the words that check or the
+certificate reads, each at most once (`infinite_order_witness`).  Every
+permutation action goes through one deterministic Schreier-Sims routine
+(`_perm_group_order`).  Each letter
 sigma = A + A^-1 E obeys (sigma - A)(sigma + A^-3) = 0, so its inverse is a
 polynomial in it and its determinant a root of unity: no matrix is
 inverted or eliminated.  Nor is any field element: the letters' entries
@@ -78,7 +82,7 @@ class CycMatrix:
     """Square matrix over Q(zeta_N): integer-coefficient entries over one
     positive denominator, in lowest terms."""
 
-    __slots__ = ("order", "den", "rows")
+    __slots__ = ("order", "den", "rows", "_hash")
 
     def __init__(self, order: int, rows, den: int = 1):
         if den == 0:
@@ -101,6 +105,7 @@ class CycMatrix:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", tuple(tuple(row) for row in entries))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycMatrix is immutable")
@@ -147,7 +152,11 @@ class CycMatrix:
         return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        """Computed once: the lru-cached helpers keyed by generator tuples
+        hash every matrix of the tuple on each lookup."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.key()))
+        return self._hash
 
     def __repr__(self):
         return "CycMatrix(order=%d, dim=%d, den=%d)" % (self.order, self.dim, self.den)
@@ -567,21 +576,33 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     Words run shortest first from the letters themselves, each length in
     the alphabet order sigma_1, sigma_1^-1, sigma_2, ...; a word whose
     matrix is a power of zeta_N times that of an earlier word is dropped
-    and not extended, and every word of length >= 2 costs one product.
+    and not extended.
 
-    Words are deduplicated by a residue key (`_residue_key`): the numerator
-    X of M = X/den at the degree-one prime P above the first admissible
-    prime p = 1 mod N (`_admissible_primes`, `_root_powers`, the prime
-    `_reduce_mod_p` reduces at), scaled so its first nonzero residue is 1.
-    A word is dropped only when an exact check on a key collision finds
-    X = zeta_N^t X0 (`_zeta_multiple`).  The key is exact:
+    The search runs on residues.  Each word carries its matrix M mod P, P
+    the degree-one prime above the first admissible prime p = 1 mod N
+    (`_admissible_primes`, `_root_powers`, the prime `_reduce_mod_p` reduces
+    at): the product over F_p of its prefix's residue matrix with the
+    residues of one letter, inverse letters included.  Its key is that
+    matrix, column by column, scaled so its first nonzero entry is 1.
+    Reduction at P is a ring homomorphism and every den is a unit mod p, so
+    this is the key of the numerator X of M = X/den at P: the same keys, the
+    same words visited in the same order and the same witness as a search
+    that multiplies out every word exactly and reduces its entries.  The
+    key is exact:
     - p divides no denominator;
     - det X is den^dim times a root of unity, so X mod P != 0;
     - so words that differ by a power of zeta_N always share a key;
+    - a word is dropped only when an exact check on a key collision finds
+      X = zeta_N^t X0 (`_zeta_multiple`);
     - so the dedup classes are exactly the cosets of <zeta_N>, and the
       words searched and the witness found are those of a search that keys
       each matrix by its coset, as `canonical_key` in tests/oracles.py
       does.
+    Exact matrices are formed only where they are read: by the certificate
+    on a word that is not `_periodic`, and by the check on a key collision,
+    for both words.  A word's matrix is its prefix's (formed the same way)
+    times one letter, formed at most once: never more word products than
+    words of length >= 2 visited.
 
     Each generator must be a Temperley-Lieb letter A + A^-1 E at A = zeta_N,
     N its order, and together they must satisfy the braid relations, as
@@ -619,49 +640,62 @@ def infinite_order_witness(gens, max_len: int = _WITNESS_LEN):
     alphabet = [s * i for i in range(1, len(gens) + 1) for s in (1, -1)]
     p = next(_admissible_primes(gens))
     powers = _root_powers(gens[0].order, p)
-    seen = {}  # residue key -> [(M, first residue)] of the words kept
-    frontier = [((), None)]
+    columns = dict(zip(alphabet, _reduce_mod_p(
+        tuple(by_letter[a] for a in alphabet), p)))
+    exact = {(a,): by_letter[a] for a in alphabet}  # word -> M, once read
+
+    def matrix(word):
+        M = exact.get(word)
+        if M is None:
+            M = exact[word] = matrix(word[:-1]).mul(by_letter[word[-1]])
+        return M
+
+    seen = {}  # residue key -> [(word, first residue)] of the words kept
+    dim = gens[0].dim
+    frontier = [((), [[int(r == c) for r in range(dim)] for c in range(dim)])]
     for _ in range(max_len):
         nxt = []
-        for word, M in frontier:
+        for word, R in frontier:  # R: M mod P, column by column
             for a in alphabet:
                 if word and a == -word[-1]:
                     continue
                 w2 = word + (a,)
-                M2 = by_letter[a] if M is None else M.mul(by_letter[a])
-                key, f = _residue_key(M2, powers, p)
-                kept = seen.setdefault(key, [])
-                if any(_zeta_multiple(M0, f0, M2, f, powers, p)
-                       for M0, f0 in kept):
+                R2 = [_fp_column(R, col, p) for col in columns[a]]
+                res = [x for col in R2 for x in col]
+                f = next(filter(None, res))
+                s = pow(f, -1, p)
+                kept = seen.setdefault(tuple([x * s % p for x in res]), [])
+                if any(_zeta_multiple(matrix(w0), f0, matrix(w2), f, powers, p)
+                       for w0, f0 in kept):
                     continue  # same subtree of products, found earlier/shorter
-                kept.append((M2, f))
-                if not _periodic(w2) and _trace_certificate(M2):
+                kept.append((w2, f))
+                if not _periodic(w2) and _trace_certificate(matrix(w2)):
                     return w2
-                nxt.append((w2, M2))
+                nxt.append((w2, R2))
         frontier = nxt
     return None
 
 
-def _residue_key(M: CycMatrix, powers, p: int):
-    """(key, f) for M = X/den: the entries of X at the prime of
-    `_root_powers`, row by row, scaled so that the first nonzero one is 1,
-    and that first nonzero residue f.  For a word in Temperley-Lieb letters
-    X mod P is nonzero: det X = den^dim det M, p divides no den, and det M
-    is a root of unity."""
-    res = [_residue(e, powers, p) for row in M.rows for e in row]
-    f = next(r for r in res if r)
-    s = pow(f, -1, p)
-    return tuple(r * s % p for r in res), f
+def _fp_column(R, col, p: int):
+    """The sum of v R[k] over the (k, v) pairs of `col`, mod p, R a matrix
+    given as its columns: one column of R times a letter given as its
+    `_sparse_columns`."""
+    acc = None
+    for k, v in col:
+        acc = ([v * x for x in R[k]] if acc is None
+               else [s + v * x for s, x in zip(acc, R[k])])
+    return [s % p for s in acc]
 
 
 def _zeta_multiple(M0: CycMatrix, f0: int, M: CycMatrix, f: int,
                    powers, p: int) -> bool:
     """True if M = zeta_N^t M0 for some t, given that M0 and M share a
-    `_residue_key` with first residues f0 and f.  Both are in lowest terms
-    and zeta_N^t is a unit, so then den = den0 and z^t = f/f0, which names
-    t in the table `powers` of z^t; the check is X = zeta_N^t X0 entry by
-    entry, each zeta_N^t x0 the coefficients of x0 shifted up t places
-    mod Phi_N."""
+    residue key (`infinite_order_witness`) with first nonzero residues f0
+    and f at the prime of `powers`, both of X0 and X or both of M0 and M.
+    Both are in lowest terms and zeta_N^t is a unit, so then den = den0 and
+    z^t = f/f0, the same ratio either way, which names t in the table
+    `powers` of z^t; the check is X = zeta_N^t X0 entry by entry, each
+    zeta_N^t x0 the coefficients of x0 shifted up t places mod Phi_N."""
     r = f * pow(f0, -1, p) % p
     if M.den != M0.den or r not in powers:
         return False

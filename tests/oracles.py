@@ -8,12 +8,13 @@ by unimodular reduction over Z; ``enumerated_order`` checks the point-orbit
 orders of ``qll.image`` by listing every projective element;
 ``perm_closure_order`` checks the Schreier-Sims order of ``qll.image`` by
 listing every permutation; ``hurwitz_move`` checks the column kernel of
-``qll.homcount`` one tuple and one letter at a time.  None of them shares
-code with the route it checks: the only name taken from ``qll`` is the
-exception type, so that the tests can expect one ``UsageError`` from either
-side.  ``enumerated_order``
-multiplies matrices over F_p by ``fp_product`` and keys every element by
-``canonical_key``, both defined here; no point-orbit route calls either.
+``qll.homcount`` one tuple and one letter at a time; ``residue_key`` checks
+the F_p word keys of ``qll.image`` by reducing each exact entry.  None of
+them shares code with the route it checks: the only name taken from ``qll``
+is the exception type, so that the tests can expect one ``UsageError`` from
+either side.  ``enumerated_order`` multiplies matrices over F_p by
+``fp_product`` and keys every element by ``canonical_key``, both defined
+here; no point-orbit route calls either.
 Over Q(zeta_N) it multiplies by the matrices' own ``mul``, the product the
 word search and the braid checks of ``qll.image`` also use.
 
@@ -209,6 +210,20 @@ def canonical_key(M):
     return ("cyc", M.order, M.den,
             tuple(tuple((e if bar is None else e * bar).coeffs for e in row)
                   for row in M.rows))
+
+
+def residue_key(M, powers, p: int):
+    """(key, f) for an exact matrix M = X/den of ``qll.image``: every entry
+    of X at the degree-one prime where zeta_N is ``powers[1]``, each the
+    sum of its coefficients times ``powers`` mod p, row by row, scaled so
+    that the first nonzero residue is 1, and that first nonzero residue f.
+    ``qll.image`` never reduces an exact word matrix: its word search keys
+    words by F_p products of letter residues, which must give these keys."""
+    res = [sum(c * z for c, z in zip(e.coeffs, powers)) % p
+           for row in M.rows for e in row]
+    f = next(x for x in res if x)
+    s = pow(f, -1, p)
+    return tuple(x * s % p for x in res), f
 
 
 def enumerated_order(gens, bound: int = 10 ** 6):

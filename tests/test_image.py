@@ -18,17 +18,17 @@ from qll.braid import BraidWord
 from qll.burau import burau_mod_p
 from qll.image import (_WITNESS_LEN, CycMatrix, FpMatrix, ImageReport, RepSpec,
                        _admissible_primes, _braided, _coxeter_finite,
-                       _columns, _fp_normal, _inverse_letter, _order_mod_p,
-                       _paths, _periodic, _perm_group_order, _perm_mul,
-                       _point_key, _point_orbit_order, _qint, _qint_inverse,
-                       _residue_key, _root_powers, _tl_generators,
-                       _trace_certificate, _zeta_multiple, classify_image,
-                       group_closure, infinite_order_witness,
+                       _columns, _fp_column, _fp_normal, _inverse_letter,
+                       _order_mod_p, _paths, _periodic, _perm_group_order,
+                       _perm_mul, _point_key, _point_orbit_order, _qint,
+                       _qint_inverse, _reduce_mod_p, _root_powers,
+                       _tl_generators, _trace_certificate, _zeta_multiple,
+                       classify_image, group_closure, infinite_order_witness,
                        quotient_dimension, rep_generators)
 from qll.tl_jones import braid_to_tl, loop_parameter, markov_trace
 
 from oracles import (canonical_key, enumerated_order, fp_product,
-                     perm_closure_order)
+                     perm_closure_order, residue_key)
 
 
 def fusion_end_dim(n, l):
@@ -183,6 +183,25 @@ def test_burau_generators_are_equal_and_equally_hashed_per_spec():
     hits = _columns.cache_info().hits
     assert classify_image(spec) == report
     assert _columns.cache_info().hits == hits + 1
+
+
+def test_tl_generators_are_equal_and_equally_hashed_across_a_rebuild():
+    # CycMatrix hashes its key once, and a rebuild of one spec's letters
+    # compares and hashes as the first build, so a classification after the
+    # rebuild finds the residues cached for the first
+    spec = RepSpec("tl", 4, l=7)
+    first = rep_generators(spec)
+    report = classify_image(spec)
+    assert report.witness == (1, -2)
+    _tl_generators.cache_clear()
+    second = rep_generators(spec)
+    assert first is not second and first[0] is not second[0]
+    assert first == second and hash(first) == hash(second)
+    assert all(hash(g) == hash(g.key()) for g in second)
+    assert first != rep_generators(RepSpec("tl", 4, l=8))
+    hits = _reduce_mod_p.cache_info().hits
+    assert classify_image(spec) == report
+    assert _reduce_mod_p.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -680,6 +699,14 @@ def test_skipping_powers_keeps_the_witness(l, n):
             == certifying_search(gens, _WITNESS_LEN))
 
 
+@pytest.mark.parametrize("l,n", [(l, n) for l in (5, 7, 8, 9, 11, 12)
+                                 for n in (5, 6)])
+def test_skipping_powers_keeps_the_witness_on_larger_specs(l, n):
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    assert (infinite_order_witness(gens, _WITNESS_LEN)
+            == certifying_search(gens, _WITNESS_LEN))
+
+
 def fixed_route(spec, bound):
     """The Temperley-Lieb report by one fixed order for every spec: words of
     lengths 1-4, then the closure, then words of lengths 1-6."""
@@ -799,7 +826,7 @@ def test_residue_key_classes_are_canonical_key_classes(l, n):
         head = tuple(rng.choice(alphabet) for _ in range(2))
         words += [head + (i, i + 1, i), head + (i + 1, i, i + 1)]
     mats = [word_matrix(n, l, w) for w in words]
-    keys = [_residue_key(M, powers, p) for M in mats]
+    keys = [residue_key(M, powers, p) for M in mats]
     canon = [canonical_key(M) for M in mats]
     equal = 0
     for a in range(len(mats)):
@@ -819,10 +846,10 @@ def test_scalar_multiples_pass_and_a_forced_collision_fails():
     p, powers = residue_prime(gens)
     M = word_matrix(4, 5, (1, -2, 3, 2))
     N = M.order
-    key, f = _residue_key(M, powers, p)
+    key, f = residue_key(M, powers, p)
     for t in (0, 1, 7, N - 1):
         moved = scaled(M, CyclotomicNumber.zeta(N, t))
-        k2, f2 = _residue_key(moved, powers, p)
+        k2, f2 = residue_key(moved, powers, p)
         assert k2 == key and _zeta_multiple(M, f, moved, f2, powers, p)
         rows = [list(row) for row in moved.rows]
         coeffs = list(rows[0][0].coeffs)
@@ -830,28 +857,86 @@ def test_scalar_multiples_pass_and_a_forced_collision_fails():
         rows[0][0] = CyclotomicNumber(N, coeffs)
         forged = CycMatrix(N, rows, M.den)
         assert forged.den == M.den
-        k3, f3 = _residue_key(forged, powers, p)
+        k3, f3 = residue_key(forged, powers, p)
         assert (k3, f3) == (k2, f2)
         assert canonical_key(forged) != canonical_key(M)
         assert not _zeta_multiple(M, f, forged, f3, powers, p)
 
 
+@st.composite
+def tl_words(draw):
+    """(l, n, word): a word of at most 6 TL letters, inverse letters
+    included, at l = 3..12 on n = 2..5 strands."""
+    l, n = draw(st.integers(3, 12)), draw(st.integers(2, 5))
+    word = draw(st.lists(st.integers(1, n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=6).map(tuple))
+    return l, n, word
+
+
+@settings(max_examples=120, deadline=None)
+@given(tl_words())
+@example((12, 5, (1, -2, 3, -4, 2, 1)))
+@example((3, 2, ()))
+def test_fp_product_of_letter_residues_is_the_residue_key(case):
+    # reduction at the degree-one prime is a ring homomorphism and den is a
+    # unit mod p, so the search's F_p product of letter residues, scaled to
+    # first nonzero entry 1, is the key of the exact word matrix's residues
+    l, n, word = case
+    gens = rep_generators(RepSpec("tl", n, l=l))
+    p, powers = residue_prime(gens)
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    letters = _reduce_mod_p(tuple(path_letter(n, l, a) for a in alphabet), p)
+    columns = dict(zip(alphabet, letters))
+    dim = gens[0].dim
+    R = [[int(r == c) for r in range(dim)] for c in range(dim)]
+    for a in word:
+        R = [_fp_column(R, col, p) for col in columns[a]]
+    res = [x for row in zip(*R) for x in row]
+    s = pow(next(filter(None, res)), -1, p)
+    key = tuple(x * s % p for x in res)
+    assert key == residue_key(word_matrix(n, l, word), powers, p)[0]
+
+
 @pytest.mark.parametrize("l,n", [(5, 4), (4, 4), (7, 3)])
 def test_search_forms_one_product_per_longer_word(monkeypatch, l, n):
-    # letters are words of length 1 and need no product; every word of
-    # length >= 2 is one product with a letter.  With every word marked
-    # periodic, no certificate (and no power) is formed.
+    # words are keyed by F_p products; an exact matrix is formed only for a
+    # word whose matrix a check reads, as its prefix's matrix times one
+    # letter.  With every word marked periodic no certificate (and no power)
+    # is formed, so the collision checks are the only readers.  The exact
+    # products are at most one per word of length >= 2 visited, and exactly
+    # one per word read by a collision check or prefixing such a word.
     gens = rep_generators(RepSpec("tl", n, l=l))
     infinite_order_witness(gens, 1)  # inverse letters, braid check: cached
-    products, kept = [], []
+    products, read, kept = [], [], []
     mul = CycMatrix.mul
-    monkeypatch.setattr(CycMatrix, "mul",
-                        lambda a, b: products.append(1) or mul(a, b))
+
+    def product(a, b):
+        c = mul(a, b)
+        products.append((a, b, c))
+        return c
+
+    def check(M0, f0, M, f, powers, p):
+        read.extend((M0, M))
+        return _zeta_multiple(M0, f0, M, f, powers, p)
+    monkeypatch.setattr(CycMatrix, "mul", product)
+    monkeypatch.setattr("qll.image._zeta_multiple", check)
     monkeypatch.setattr("qll.image._periodic",
                         lambda w: kept.append(w) or True)
     assert infinite_order_witness(gens, 4) is None
     visited = (2 * len(gens) - 1) * sum(1 for w in kept if len(w) < 4)
-    assert len(products) == visited > 0
+    assert 0 < len(products) <= visited
+    # no (prefix, letter) pair is multiplied twice, so no word twice
+    assert len({(id(a), id(b)) for a, b, _ in products}) == len(products)
+    letters = [x for g in gens for x in (g, _inverse_letter(g))]
+    made = {id(c): a for a, _, c in products}
+    assert all(id(M) in made or any(M is x for x in letters) for M in read)
+    needed, stack = set(), list(read)
+    while stack:  # the words read and their prefixes
+        M = stack.pop()
+        if id(M) in made and id(M) not in needed:
+            needed.add(id(M))
+            stack.append(made[id(M)])
+    assert needed == set(made)
 
 
 def test_unbraided_generators_are_refused():
